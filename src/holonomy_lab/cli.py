@@ -9,9 +9,9 @@ JSON files to a parser).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.  Given the same config and seed, every command is
-deterministic and re-runs are byte-identical.  The worker count for
-sweep parallelism is capped by the HOLONOMY_LAB_THREADS environment
-variable.
+deterministic and re-runs are byte-identical.  The HOLONOMY_LAB_THREADS
+environment variable is validated (a positive integer, else exit 2)
+but sizes nothing: every command runs in one thread.
 """
 
 from __future__ import annotations
@@ -20,21 +20,21 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, cohfit, evolve, holonomy, rb, tomography, twoqubit
+from . import __version__, cohfit, evolve, holonomy, qmath, rb, tomography, twoqubit
 from .config import ConfigError, RunConfig, config_hash, default_config_text, load_config
 from .model import bright_frame
-from .pulses import NAMED_GATES, SCHEMES, GateSpec, build_schedule
+from .pulses import (NAMED_GATES, SCHEME_DYNAMICAL, SCHEME_SR, SCHEMES, GateSpec,
+                     apply_rabi_error, build_schedule)
 from .tomography import ASSIGNMENT_DEFAULT
 
 
-def _max_workers() -> int:
+def _check_thread_env() -> None:
     env = os.environ.get("HOLONOMY_LAB_THREADS")
     if env:
         try:
@@ -43,19 +43,12 @@ def _max_workers() -> int:
             raise ConfigError("HOLONOMY_LAB_THREADS must be an integer") from exc
         if n < 1:
             raise ConfigError("HOLONOMY_LAB_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def _header_lines(cfg: RunConfig) -> tuple[str, ...]:
-    return (f"holonomy-lab {__version__}", f"config {config_hash(cfg)}")
 
 
 def _write(outdir: Path, name: str, body: str, cfg: RunConfig) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
-    header = "".join(f"# {line}\n" for line in _header_lines(cfg))
-    path.write_text(header + body)
+    path.write_text(f"# holonomy-lab {__version__}\n# config {config_hash(cfg)}\n" + body)
     return path
 
 
@@ -85,18 +78,13 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _scheme_tau(cfg: RunConfig, scheme: str) -> float:
-    return {"sr-nhqc": cfg.tau_sr_ns, "nhqc": cfg.tau_nhqc_ns,
-            "dynamical": cfg.tau_dynamical_ns}[scheme]
-
-
 # ---------------------------------------------------------------- commands
 
 
 def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> int:
     gate = _gate_from(cfg, args)
     scheme = cfg.scheme
-    tau = _scheme_tau(cfg, scheme)
+    tau = cfg.tau_ns(scheme)
     schedule = build_schedule(gate, scheme, tau)
     frame = bright_frame(gate.theta, gate.phi)
     outdir = Path(cfg.output_dir)
@@ -111,16 +99,12 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> int:
             gate, scheme, noise, cfg.step_1q_ns, tau)
         payload["fidelity"] = 1.0 - payload["avg_gate_error"]
     else:
-        payload["fidelity"] = holonomy.simulated_gate_fidelity(
-            gate, scheme, cfg.epsilon, cfg.step_1q_ns, tau)
-        from .pulses import apply_rabi_error
-        sched_eps = (apply_rabi_error(schedule, cfg.epsilon)
-                     if cfg.epsilon else schedule)
-        trace = evolve.propagate_unitary(sched_eps, frame, cfg.step_1q_ns)
+        trace = evolve.propagate_unitary(apply_rabi_error(schedule, cfg.epsilon),
+                                         frame, cfg.step_1q_ns)
+        payload["fidelity"] = holonomy.gate_fidelity(trace.final_unitary, gate)
     payload["analytic_fidelity"] = holonomy.analytic_fidelity(gate.gamma, cfg.epsilon)
 
-    _write(outdir, "trace.csv",
-           evolve.trace_to_csv(trace, header_lines=_header_lines(cfg)[2:]), cfg)
+    _write(outdir, "trace.csv", evolve.trace_to_csv(trace), cfg)
     _write(outdir, "fidelity.json", _json_body(payload), cfg)
     print(f"fidelity {payload['fidelity']:.6f} -> {outdir}/fidelity.json")
     return 0
@@ -129,19 +113,13 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> int:
     gate = _gate_from(cfg, args)
     scheme = cfg.scheme
-    tau = _scheme_tau(cfg, scheme)
-    grid = np.linspace(args.eps_min, args.eps_max, args.points)
-
-    def one(eps: float) -> holonomy.SweepRow:
-        f_sim = holonomy.simulated_gate_fidelity(gate, scheme, float(eps),
-                                                 cfg.step_1q_ns, tau)
-        from . import qmath
-        f_an = qmath.unitary_fidelity(holonomy.analytic_noisy_gate(gate, float(eps)),
+    tau = cfg.tau_ns(scheme)
+    rows = []
+    for eps in np.linspace(args.eps_min, args.eps_max, args.points).tolist():
+        f_sim = holonomy.simulated_gate_fidelity(gate, scheme, eps, cfg.step_1q_ns, tau)
+        f_an = qmath.unitary_fidelity(holonomy.analytic_noisy_gate(gate, eps),
                                       gate.target_unitary())
-        return holonomy.SweepRow(float(eps), f_sim, f_an)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(one, grid))
+        rows.append(holonomy.SweepRow(eps, f_sim, f_an))
     path = _write(Path(cfg.output_dir), "sweep.csv",
                   holonomy.sweep_to_csv(rows), cfg)
     print(f"{len(rows)} points -> {path}")
@@ -151,7 +129,7 @@ def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_dynphase(cfg: RunConfig, args: argparse.Namespace) -> int:
     gate = _gate_from(cfg, args)
     scheme = cfg.scheme
-    schedule = build_schedule(gate, scheme, _scheme_tau(cfg, scheme))
+    schedule = build_schedule(gate, scheme, cfg.tau_ns(scheme))
     rec = holonomy.phase_record(schedule, step=cfg.step_1q_ns)
     payload = {
         "scheme": scheme, "gate": getattr(args, "gate", None),
@@ -172,7 +150,7 @@ def cmd_dynphase(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_qpt(cfg: RunConfig, args: argparse.Namespace) -> int:
     gate = _gate_from(cfg, args)
     scheme = cfg.scheme
-    schedule = build_schedule(gate, scheme, _scheme_tau(cfg, scheme))
+    schedule = build_schedule(gate, scheme, cfg.tau_ns(scheme))
     frame = bright_frame(gate.theta, gate.phi)
     noise = cfg.noise_model() if cfg.noise else None
     sup = evolve.gate_channel(schedule, frame, noise, cfg.step_1q_ns)
@@ -214,8 +192,8 @@ def cmd_rb(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> int:
     params = cfg.dispersive_params()
-    scheme = cfg.scheme if cfg.scheme != "dynamical" else "sr-nhqc"
-    tau = cfg.tau_2q_sr_ns if scheme == "sr-nhqc" else cfg.tau_2q_nhqc_ns
+    scheme = cfg.scheme if cfg.scheme != SCHEME_DYNAMICAL else SCHEME_SR
+    tau = cfg.tau_ns(scheme, two_qubit=True)
     outdir = Path(cfg.output_dir)
     grid = [float(x) for x in args.eps_grid.split(",")] if args.eps_grid else \
         [-0.1, -0.05, 0.0, 0.05, 0.1]
@@ -225,9 +203,10 @@ def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> int:
                "robustness": [{"epsilon": r.epsilon, "P_g": r.p_g,
                                "P_e": r.p_e, "P_f": r.p_f} for r in rows]}
     if args.fidelity:
-        noise = cfg.noise_model()
+        cavity = twoqubit.CavityNoise(cfg.cavity_t1_us, cfg.cavity_t2star_us)
         payload["cnot_state_fidelity"] = twoqubit.cnot_state_fidelity(
-            params, noise, scheme=scheme, tau=tau, step=cfg.step_2q_ns)
+            params, cfg.noise_model(), cavity, scheme=scheme, tau=tau,
+            step=cfg.step_2q_ns)
     _write(outdir, "twoqubit.json", _json_body(payload), cfg)
     pg0 = next(r.p_g for r in rows if r.epsilon == 0.0) if 0.0 in grid else rows[0].p_g
     print(f"P_g(eps=0) {pg0:.6f} -> {outdir}/twoqubit.json")
@@ -243,11 +222,11 @@ def cmd_budget(cfg: RunConfig, args: argparse.Namespace) -> int:
         ("two_qubit_sr", cfg.tau_2q_sr_ns),
         ("two_qubit_nhqc", cfg.tau_2q_nhqc_ns),
     ]
-    lines = ["label,tau_ns,e_coherence"]
-    for label, tau in rows:
-        e_c = cohfit.coherence_limited_error(noise, tau)
-        lines.append(f"{label},{tau:.6g},{e_c:.4f}")
-    path = _write(Path(cfg.output_dir), "budget.csv", "\n".join(lines) + "\n", cfg)
+    body = qmath.csv_text(["label", "tau_ns", "e_coherence"],
+                          ([label, f"{tau:.6g}",
+                            f"{cohfit.coherence_limited_error(noise, tau):.4f}"]
+                           for label, tau in rows))
+    path = _write(Path(cfg.output_dir), "budget.csv", body, cfg)
     print(f"{len(rows)} rows -> {path}")
     return 0
 
@@ -326,7 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = _apply_overrides(cfg, args)
-        _max_workers()
+        _check_thread_env()
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .model import NoiseModel, US_TO_NS
+from .pulses import DEFAULT_STEP_1Q
 
 # Decay rates below 1% over the record length are indistinguishable
 # from zero; the Ramsey fit then reports a lower bound on T2*.
@@ -216,7 +217,7 @@ def fit_ramsey(times: np.ndarray, signal: np.ndarray,
 
 def lindblad_average_gate_error(gate, scheme: str = "sr-nhqc",
                                 noise: Optional[NoiseModel] = None,
-                                step: float = 0.05,
+                                step: float = DEFAULT_STEP_1Q,
                                 tau: Optional[float] = None) -> float:
     """Open-system average gate error on the computational pair.
 

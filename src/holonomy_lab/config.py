@@ -14,6 +14,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .model import DispersiveSystemParams, NoiseModel
+from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
+                     SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR)
 
 
 class ConfigError(ValueError):
@@ -58,14 +60,14 @@ class RunConfig:
     cavity_t2star_us: float = 243.0
 
     # Gate durations and integration steps
-    tau_sr_ns: float = 120.0
-    tau_nhqc_ns: float = 60.0
-    tau_dynamical_ns: float = 105.0
-    tau_2q_sr_ns: float = 2760.0
-    tau_2q_nhqc_ns: float = 1380.0
+    tau_sr_ns: float = DEFAULT_TAU[SCHEME_SR]
+    tau_nhqc_ns: float = DEFAULT_TAU[SCHEME_NHQC]
+    tau_dynamical_ns: float = DEFAULT_TAU[SCHEME_DYNAMICAL]
+    tau_2q_sr_ns: float = DEFAULT_TAU_TWO_QUBIT[SCHEME_SR]
+    tau_2q_nhqc_ns: float = DEFAULT_TAU_TWO_QUBIT[SCHEME_NHQC]
     raman_pulse_ns: float = 140.0
-    step_1q_ns: float = 0.05
-    step_2q_ns: float = 0.5
+    step_1q_ns: float = DEFAULT_STEP_1Q
+    step_2q_ns: float = DEFAULT_STEP_2Q
 
     # Run controls
     scheme: str = "sr-nhqc"
@@ -84,6 +86,13 @@ class RunConfig:
             t1_gf_us=self.t1_gf_us, t2e_ge_us=self.t2e_ge_us,
             t2e_ef_us=self.t2e_ef_us, t2e_gf_us=self.t2e_gf_us,
             epsilon=self.epsilon if epsilon is None else epsilon)
+
+    def tau_ns(self, scheme: str, two_qubit: bool = False) -> float:
+        """Configured gate duration of a scheme, single- or two-qubit."""
+        if two_qubit:
+            return {SCHEME_SR: self.tau_2q_sr_ns, SCHEME_NHQC: self.tau_2q_nhqc_ns}[scheme]
+        return {SCHEME_SR: self.tau_sr_ns, SCHEME_NHQC: self.tau_nhqc_ns,
+                SCHEME_DYNAMICAL: self.tau_dynamical_ns}[scheme]
 
     def dispersive_params(self) -> DispersiveSystemParams:
         return DispersiveSystemParams.from_mhz(

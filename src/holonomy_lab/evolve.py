@@ -2,8 +2,9 @@
 
 Closed-system evolution composes midpoint matrix exponentials
 U(t+dt, t) = exp(-i H(t+dt/2) dt); open-system evolution integrates the
-vectorized Lindblad equation with fixed-step RK4.  Both return an
-EvolutionTrace holding the full time-resolved record.
+vectorized Lindblad equation with fixed-step RK4 on a stack of initial
+states.  Both sample one uniform time grid and keep the full
+time-resolved record.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -11,19 +12,15 @@ Vectorization convention is row-major: vec(A rho B) =
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import model, qmath
 from .model import BrightFrame, NoiseModel
-from .pulses import PulseSchedule
-
-DEFAULT_STEP_1Q = 0.05
-DEFAULT_STEP_2Q = 0.5
+from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
 
@@ -125,15 +122,21 @@ def dissipator_superoperator(c_ops: Sequence[np.ndarray], dim: int) -> np.ndarra
     return lindblad_superoperator(np.zeros((dim, dim)), c_ops)
 
 
-def _rk4_lindblad(h_func: Callable[[float], np.ndarray],
-                  diss: np.ndarray, times: np.ndarray,
-                  y0: np.ndarray) -> np.ndarray:
-    """RK4 on dy/dt = L(t) y for a stack of column vectors y (d^2 x m).
+def propagate_lindblad_h(h_func: Callable[[float], np.ndarray],
+                         c_ops: Sequence[np.ndarray], tau: float, step: float,
+                         rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density matrices rho_m(t_k) of a stack of initial states rho0 (m x d x d).
 
-    Only the Hamiltonian commutator part is time dependent; the
-    dissipator is precomputed.
+    Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every initial
+    state as one column; only the Hamiltonian commutator is time
+    dependent, the dissipator is built once.  Returns (times, states)
+    with states of shape (len(times), m, d, d).  Raises if any state's
+    trace drifts from its initial value beyond TRACE_DRIFT_LIMIT, which
+    flags a too-coarse step.
     """
-    dim = int(round(np.sqrt(diss.shape[0])))
+    times = _time_grid(tau, step)
+    m, dim = rho0.shape[0], rho0.shape[-1]
+    diss = dissipator_superoperator(c_ops, dim)
     eye = np.eye(dim)
 
     def lmul(t: float, y: np.ndarray) -> np.ndarray:
@@ -141,9 +144,9 @@ def _rk4_lindblad(h_func: Callable[[float], np.ndarray],
         comm = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
         return (comm + diss) @ y
 
-    out = np.empty((len(times),) + y0.shape, dtype=complex)
-    out[0] = y0
-    y = y0
+    out = np.empty((len(times), m, dim * dim), dtype=complex)
+    out[0] = rho0.reshape(m, dim * dim)
+    y = out[0].T.copy()
     for k in range(len(times) - 1):
         t, dt = times[k], times[k + 1] - times[k]
         k1 = lmul(t, y)
@@ -151,8 +154,15 @@ def _rk4_lindblad(h_func: Callable[[float], np.ndarray],
         k3 = lmul(t + dt / 2, y + dt / 2 * k2)
         k4 = lmul(t + dt, y + dt * k3)
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = y
-    return out
+        out[k + 1] = y.T
+    states = out.reshape(len(times), m, dim, dim)
+
+    traces = np.einsum("nmii->nm", states).real
+    drift = np.max(np.abs(traces - traces[0]))
+    if drift > TRACE_DRIFT_LIMIT:
+        raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
+                           "reduce the integration step")
+    return times, states
 
 
 def propagate_lindblad(schedule: PulseSchedule, frame: BrightFrame,
@@ -161,30 +171,19 @@ def propagate_lindblad(schedule: PulseSchedule, frame: BrightFrame,
     """Open-system trace under the schedule plus relaxation/dephasing.
 
     The Rabi-error fraction of the noise model scales the drive; rho(0)
-    defaults to |g><g|.  Raises if trace preservation drifts beyond
-    TRACE_DRIFT_LIMIT, which flags a too-coarse step.
+    defaults to |g><g|.  Raises on trace drift, as propagate_lindblad_h.
     """
-    from .pulses import apply_rabi_error
     if noise.epsilon != 0.0:
         schedule = apply_rabi_error(schedule, noise.epsilon)
-    h = hamiltonian_from_schedule(schedule, frame)
-    c_ops = model.collapse_operators(noise)
-    times = _time_grid(schedule.tau, step)
-    diss = dissipator_superoperator(c_ops, 3)
-
     if initial_state is None:
         rho0 = qmath.projector(model.KET_G)
     else:
         s = np.asarray(initial_state, complex)
         rho0 = qmath.projector(s) if s.ndim == 1 else s
-    vec_t = _rk4_lindblad(h, diss, times, rho0.reshape(-1))
-    states = vec_t.reshape(len(times), 3, 3)
-
-    traces = np.einsum("nii->n", states).real
-    if np.max(np.abs(traces - 1.0)) > TRACE_DRIFT_LIMIT:
-        raise RuntimeError(
-            f"trace drift {np.max(np.abs(traces - 1.0)):.2e} exceeds "
-            f"{TRACE_DRIFT_LIMIT:g}; reduce the integration step")
+    times, states = propagate_lindblad_h(hamiltonian_from_schedule(schedule, frame),
+                                         model.collapse_operators(noise),
+                                         schedule.tau, step, rho0[None])
+    states = states[:, 0]
     populations = np.einsum("nii->ni", states).real
     return EvolutionTrace(times=times, populations=populations, states=states)
 
@@ -198,10 +197,11 @@ def propagate_superoperator(h_func: Callable[[float], np.ndarray],
     vec(rho(tau)) = S vec(rho(0)); used to precompute gate channels for
     benchmarking and tomography so each gate is integrated once.
     """
-    times = _time_grid(tau, step)
-    diss = dissipator_superoperator(c_ops, dim)
-    s_t = _rk4_lindblad(h_func, diss, times, np.eye(dim * dim, dtype=complex))
-    return s_t[-1]
+    basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    _, states = propagate_lindblad_h(h_func, c_ops, tau, step, basis)
+    # A C-ordered copy, not a transposed view, so that products with the
+    # channel take the same BLAS path, and round alike, as any stored matrix.
+    return np.ascontiguousarray(states[-1].reshape(dim * dim, dim * dim).T)
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -213,7 +213,6 @@ def gate_channel(schedule: PulseSchedule, frame: BrightFrame,
                  noise: Optional[NoiseModel] = None,
                  step: float = DEFAULT_STEP_1Q) -> np.ndarray:
     """9x9 superoperator of the gate, noiseless if noise is None."""
-    from .pulses import apply_rabi_error
     c_ops: list[np.ndarray] = []
     if noise is not None:
         if noise.epsilon != 0.0:
@@ -230,7 +229,6 @@ def idle_channel(duration: float, noise: Optional[NoiseModel],
     if not c_ops:
         return np.eye(9, dtype=complex)
     diss = dissipator_superoperator(c_ops, 3)
-    import scipy.linalg
     return scipy.linalg.expm(diss * duration)
 
 
@@ -238,16 +236,11 @@ def unitary_superoperator(u: np.ndarray) -> np.ndarray:
     return np.kron(u, u.conj())
 
 
-def trace_to_csv(trace: EvolutionTrace, header_lines: tuple[str, ...] = (),
+def trace_to_csv(trace: EvolutionTrace,
                  labels: tuple[str, ...] = ("P_g", "P_e", "P_f")) -> str:
     """CSV dump: t_ns plus one population column per level."""
     if trace.populations.shape[1] != len(labels):
         labels = tuple(f"P_{i}" for i in range(trace.populations.shape[1]))
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t_ns", *labels])
-    for t, pops in zip(trace.times, trace.populations):
-        w.writerow([f"{t:.6g}", *(f"{p:.10g}" for p in pops)])
-    return buf.getvalue()
+    return qmath.csv_text(["t_ns", *labels],
+                          ([f"{t:.6g}", *(f"{p:.10g}" for p in pops)]
+                           for t, pops in zip(trace.times, trace.populations)))

@@ -10,8 +10,6 @@ D12 between the bright and excited states.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -19,7 +17,8 @@ import numpy as np
 
 from . import evolve, model, qmath
 from .model import BrightFrame, bright_frame
-from .pulses import GateSpec, PulseSchedule, apply_rabi_error, build_schedule
+from .pulses import (DEFAULT_STEP_1Q, GateSpec, PulseSchedule, apply_rabi_error,
+                     build_schedule)
 
 SLOPE_FLOOR = 1e-12
 
@@ -48,7 +47,7 @@ class PhaseRecord:
 
 
 def phase_record(schedule: PulseSchedule, frame: Optional[BrightFrame] = None,
-                 step: float = evolve.DEFAULT_STEP_1Q) -> PhaseRecord:
+                 step: float = DEFAULT_STEP_1Q) -> PhaseRecord:
     """Compute d_mn(t) and D_mn along the closed-system evolution.
 
     Two independent paths are evaluated: (a) direct matrix elements in
@@ -141,16 +140,20 @@ def truncate_to_qubit(u3: np.ndarray) -> np.ndarray:
     return u3[np.ix_([model.G, model.F], [model.G, model.F])]
 
 
+def gate_fidelity(u3: np.ndarray, gate: GateSpec) -> float:
+    """Fidelity of a 3x3 propagator's computational pair against the target."""
+    return qmath.unitary_fidelity(truncate_to_qubit(u3), gate.target_unitary())
+
+
 def simulated_gate_fidelity(gate: GateSpec, scheme: str, epsilon: float,
-                            step: float = evolve.DEFAULT_STEP_1Q,
+                            step: float = DEFAULT_STEP_1Q,
                             tau: Optional[float] = None) -> float:
     schedule = build_schedule(gate, scheme, tau)
     if epsilon != 0.0:
         schedule = apply_rabi_error(schedule, epsilon)
     frame = bright_frame(gate.theta, gate.phi)
-    trace = evolve.propagate_unitary(schedule, frame, step)
-    u = truncate_to_qubit(trace.final_unitary)
-    return qmath.unitary_fidelity(u, gate.target_unitary())
+    return gate_fidelity(evolve.propagate_unitary(schedule, frame, step).final_unitary,
+                         gate)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ class SweepRow:
 
 
 def robustness_sweep(gate: GateSpec, scheme: str, epsilons: Sequence[float],
-                     step: float = evolve.DEFAULT_STEP_1Q,
+                     step: float = DEFAULT_STEP_1Q,
                      tau: Optional[float] = None) -> list[SweepRow]:
     """F_sim vs the analytic law over an error grid.
 
@@ -196,7 +199,7 @@ def fit_error_slope(epsilons: Sequence[float], fidelities: Sequence[float],
 
 def perturbative_expansion_check(schedule: PulseSchedule, epsilon: float,
                                  order: int,
-                                 step: float = evolve.DEFAULT_STEP_1Q) -> float:
+                                 step: float = DEFAULT_STEP_1Q) -> float:
     """Frobenius gap between the erroneous loop and its Dyson series.
 
     In the interaction picture of the ideal loop, the error Hamiltonian
@@ -237,24 +240,14 @@ def perturbative_expansion_check(schedule: PulseSchedule, epsilon: float,
     return float(np.linalg.norm(lhs - rhs))
 
 
-def phase_record_to_csv(rec: PhaseRecord, header_lines: tuple[str, ...] = ()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t_ns", "d11", "d22", "Re_d12", "Im_d12"])
-    for t, a, b, c in zip(rec.times, rec.d11, rec.d22, rec.d12):
-        w.writerow([f"{t:.6g}", f"{a:.10g}", f"{b:.10g}",
-                    f"{c.real:.10g}", f"{c.imag:.10g}"])
-    return buf.getvalue()
+def phase_record_to_csv(rec: PhaseRecord) -> str:
+    return qmath.csv_text(["t_ns", "d11", "d22", "Re_d12", "Im_d12"],
+                          ([f"{t:.6g}", f"{a:.10g}", f"{b:.10g}",
+                            f"{c.real:.10g}", f"{c.imag:.10g}"]
+                           for t, a, b, c in zip(rec.times, rec.d11, rec.d22, rec.d12)))
 
 
-def sweep_to_csv(rows: Sequence[SweepRow], header_lines: tuple[str, ...] = ()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["epsilon", "F_sim", "F_analytic"])
-    for r in rows:
-        w.writerow([f"{r.epsilon:.6g}", f"{r.f_sim:.10g}", f"{r.f_analytic:.10g}"])
-    return buf.getvalue()
+def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
+    return qmath.csv_text(["epsilon", "F_sim", "F_analytic"],
+                          ([f"{r.epsilon:.6g}", f"{r.f_sim:.10g}", f"{r.f_analytic:.10g}"]
+                           for r in rows))

@@ -10,7 +10,6 @@ rates in rad/ns and 1/ns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -50,16 +49,6 @@ def bright_frame(theta: float, phi: float) -> BrightFrame:
     return BrightFrame(theta=theta, phi=phi, bright=b, dark=d)
 
 
-@dataclass(frozen=True)
-class QutritDriveParams:
-    """Time-dependent two-tone drive: amplitudes in rad/ns, phases in rad."""
-
-    omega_ge: Callable[[float], float]
-    omega_ef: Callable[[float], float]
-    phi0: Callable[[float], float]
-    phi1: Callable[[float], float]
-
-
 def qutrit_hamiltonian_at(omega_ge: float, omega_ef: float,
                           phi0: float, phi1: float) -> np.ndarray:
     """H = 1/2 [Omega_ge e^{i phi0} |g><e| + Omega_ef e^{i phi1} |f><e|] + h.c."""
@@ -67,10 +56,6 @@ def qutrit_hamiltonian_at(omega_ge: float, omega_ef: float,
     h[G, E] = 0.5 * omega_ge * np.exp(1j * phi0)
     h[F, E] = 0.5 * omega_ef * np.exp(1j * phi1)
     return h + qmath.dagger(h)
-
-
-def qutrit_hamiltonian(p: QutritDriveParams, t: float) -> np.ndarray:
-    return qutrit_hamiltonian_at(p.omega_ge(t), p.omega_ef(t), p.phi0(t), p.phi1(t))
 
 
 def bright_drive_hamiltonian(frame: BrightFrame, omega: float, phi1: float) -> np.ndarray:

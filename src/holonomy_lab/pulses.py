@@ -16,8 +16,6 @@ phi1 directly.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -30,7 +28,13 @@ SCHEME_NHQC = "nhqc"
 SCHEME_DYNAMICAL = "dynamical"
 SCHEMES = (SCHEME_SR, SCHEME_NHQC, SCHEME_DYNAMICAL)
 
+# Default gate durations and integration steps (ns).  The two-qubit
+# gate drives one Fock block selectively, so it runs far slower than the
+# dispersive shift; it has no dynamical variant.
 DEFAULT_TAU = {SCHEME_SR: 120.0, SCHEME_NHQC: 60.0, SCHEME_DYNAMICAL: 105.0}
+DEFAULT_TAU_TWO_QUBIT = {SCHEME_SR: 2760.0, SCHEME_NHQC: 1380.0}
+DEFAULT_STEP_1Q = 0.05
+DEFAULT_STEP_2Q = 0.5
 
 ENVELOPE_COSINE = "cosine"
 ENVELOPE_SQUARE = "square"
@@ -146,7 +150,7 @@ class PulseSchedule:
         return val
 
 
-def build_sr_nhqc(gate: GateSpec, tau: float = 120.0,
+def build_sr_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_SR],
                   envelope: str = ENVELOPE_COSINE) -> PulseSchedule:
     """Six-segment superrobust schedule.
 
@@ -169,7 +173,7 @@ def build_sr_nhqc(gate: GateSpec, tau: float = 120.0,
     return PulseSchedule(SCHEME_SR, gate, tau, segments=segs)
 
 
-def build_nhqc(gate: GateSpec, tau: float = 60.0,
+def build_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_NHQC],
                envelope: str = ENVELOPE_COSINE) -> PulseSchedule:
     """Conventional two-pi-pulse (orange-slice) holonomic schedule.
 
@@ -220,7 +224,8 @@ def _dynamical_controls(tau: float, gamma_prime: float) -> Callable[[float], tup
     return sampler
 
 
-def build_dynamical(gate: GateSpec, tau: float = 105.0) -> PulseSchedule:
+def build_dynamical(gate: GateSpec,
+                    tau: float = DEFAULT_TAU[SCHEME_DYNAMICAL]) -> PulseSchedule:
     """Purely dynamical two-segment gate along the sin^2 ramp.
 
     The loop applies the phase pi + gamma' to the bright state; setting
@@ -253,17 +258,11 @@ def apply_rabi_error(schedule: PulseSchedule, epsilon: float) -> PulseSchedule:
     return replace(schedule, amp_scale=schedule.amp_scale * (1.0 + epsilon))
 
 
-def schedule_to_csv(schedule: PulseSchedule, dt: float = 0.1,
-                    header_lines: tuple[str, ...] = ()) -> str:
+def schedule_to_csv(schedule: PulseSchedule, dt: float = 0.1) -> str:
     """CSV dump of the sampled drive: t_ns, Omega_rad_per_ns, phi1_rad, segment_index."""
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"])
-    n = int(round(schedule.tau / dt))
-    for k in range(n + 1):
+    rows = []
+    for k in range(int(round(schedule.tau / dt)) + 1):
         t = min(k * dt, schedule.tau)
         om, phi1 = schedule.drive(t)
-        w.writerow([f"{t:.6g}", f"{om:.12g}", f"{phi1:.12g}", schedule.segment_index(t)])
-    return buf.getvalue()
+        rows.append([f"{t:.6g}", f"{om:.12g}", f"{phi1:.12g}", schedule.segment_index(t)])
+    return qmath.csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"], rows)

@@ -2,17 +2,16 @@
 
 States are 1-D complex ndarrays, operators are square 2-D complex
 ndarrays.  Everything here is pure: no function mutates its inputs, so
-values can be shared freely across sweep workers.
+values can be shared freely between callers.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.linalg
+import csv
+import io
+from typing import Iterable, Sequence
 
-# Tolerance for clipping tiny negative eigenvalues of density matrices
-# produced by fixed-step integration round-off.
-DENSITY_EIG_TOL = 1e-9
+import numpy as np
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,28 +45,6 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^A of a square complex matrix.
-
-    Delegates to scipy's scaling-and-squaring Pade implementation,
-    which is accurate to ~1e-14 relative for the small, well-scaled
-    generators (|A| <= 10) appearing in piecewise propagators.
-    """
-    a = _require_square(a)
-    return scipy.linalg.expm(a)
-
-
-def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * H) for Hermitian H via eigendecomposition.
-
-    Faster and exactly unitary (to round-off) for anti-Hermitian
-    arguments such as -i*H*dt propagator steps.
-    """
-    h = _require_square(h, "H")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ dagger(v)
-
-
 def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """Gate fidelity |Tr(U V^dag)| / d, invariant under global phases.
 
@@ -82,41 +59,16 @@ def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.trace(u @ dagger(v))) / d)
 
 
-def validate_density_matrix(rho: np.ndarray, eig_tol: float = DENSITY_EIG_TOL) -> np.ndarray:
-    """Check Hermiticity/trace/positivity and return a cleaned copy.
-
-    Eigenvalues in (-eig_tol, 0) are clipped to zero and the state is
-    renormalized; anything more negative raises.
-    """
-    rho = _require_square(rho, "rho")
-    if np.max(np.abs(rho - dagger(rho))) > 1e-8:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-6:
-        raise ValueError(f"density matrix trace {np.trace(rho):.3g} != 1")
-    rho = 0.5 * (rho + dagger(rho))
-    w, v = np.linalg.eigh(rho)
-    if np.min(w) < -eig_tol:
-        raise ValueError(f"density matrix eigenvalue {np.min(w):.3g} below -{eig_tol:g}")
-    w = np.clip(w, 0.0, None)
-    rho = (v * w) @ dagger(v)
-    return rho / np.trace(rho).real
-
-
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    For pure sigma = |psi><psi| this reduces to <psi|rho|psi>.
-    """
-    rho = validate_density_matrix(rho)
-    sigma = validate_density_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
-    w, v = np.linalg.eigh(rho)
-    sq = (v * np.sqrt(np.clip(w, 0, None))) @ dagger(v)
-    inner = sq @ sigma @ sq
-    ew = np.linalg.eigvalsh(inner)
-    f = np.sum(np.sqrt(np.clip(ew, 0.0, None))) ** 2
-    return float(min(max(f.real, 0.0), 1.0))
+def pair_rotation(dim: int, i: int, j: int, angle: float,
+                  axis: str = "x") -> np.ndarray:
+    """exp(-i angle/2 sigma_axis) on levels (i, j) of a dim-level system."""
+    pauli = {"x": PAULI_X, "y": PAULI_Y}[axis]
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    u = np.eye(dim, dtype=complex)
+    # Added as (rotation - identity), which fixes the rounding of the
+    # diagonal that stored tomography results were computed with.
+    u[np.ix_([i, j], [i, j])] += c * np.eye(2) - 1j * s * pauli - np.eye(2)
+    return u
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,3 +94,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if a.shape != (obj["rows"], obj["cols"]):
         raise ValueError("shape fields disagree with data")
     return a
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV with one header row; cells are written as given, so callers
+    format their numbers."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(rows)
+    return buf.getvalue()

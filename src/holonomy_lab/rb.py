@@ -10,8 +10,6 @@ fidelities follow from the standard depolarizing-parameter formulas.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -21,20 +19,16 @@ from scipy.optimize import curve_fit
 
 from . import evolve, model, qmath
 from .model import NoiseModel, bright_frame
-from .pulses import NAMED_GATES, GateSpec, build_sr_nhqc
+from .pulses import (DEFAULT_STEP_1Q, DEFAULT_TAU, NAMED_GATES, SCHEME_SR, GateSpec,
+                     build_sr_nhqc)
 
 GATES_PER_CLIFFORD = 1.875
 
 PHYSICAL_TAGS = ("I", "X", "Y", "X/2", "-X/2", "Y/2", "-Y/2")
 
-_PHYS_SPECS = {
-    "X": GateSpec(np.pi / 2, 0.0, np.pi),
-    "Y": GateSpec(np.pi / 2, np.pi / 2, np.pi),
-    "X/2": GateSpec(np.pi / 2, 0.0, np.pi / 2),
-    "-X/2": GateSpec(np.pi / 2, 0.0, -np.pi / 2),
-    "Y/2": GateSpec(np.pi / 2, np.pi / 2, np.pi / 2),
-    "-Y/2": GateSpec(np.pi / 2, np.pi / 2, -np.pi / 2),
-}
+_PHYS_SPECS = {**NAMED_GATES,
+               "-X/2": GateSpec(np.pi / 2, 0.0, -np.pi / 2),
+               "-Y/2": GateSpec(np.pi / 2, np.pi / 2, -np.pi / 2)}
 
 # Decompositions of the 24 single-qubit Cliffords, applied left to
 # right.  Gate count: 7 singles + 13 doubles + 4 triples = 45.
@@ -119,8 +113,8 @@ def _group_tables(table: Sequence[CliffordElement]) -> tuple[np.ndarray, np.ndar
 
 
 def default_channel_factory(noise: Optional[NoiseModel],
-                            tau: float = 120.0,
-                            step: float = evolve.DEFAULT_STEP_1Q
+                            tau: float = DEFAULT_TAU[SCHEME_SR],
+                            step: float = DEFAULT_STEP_1Q
                             ) -> Callable[[str], np.ndarray]:
     """Physical gates as superrobust six-segment pulses under noise.
 
@@ -213,7 +207,7 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
     inter_channel = None
     inter_index = None
     if interleaved is not None:
-        if interleaved not in NAMED_GATES and interleaved not in _PHYS_SPECS:
+        if interleaved not in _PHYS_SPECS:
             raise ValueError(f"unknown interleaved gate {interleaved!r}")
         s = channel_factory(interleaved)
         inter_channel = s
@@ -275,15 +269,11 @@ def interleaved_gate_fidelity(reference: RbResult, interleaved: RbResult) -> flo
     return float(f_gate)
 
 
-def rb_to_csv(result: RbResult, header_lines: tuple[str, ...] = ()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["m", "mean_Pg", "std_Pg", "n_seqs"])
-    for m, mu, sd in zip(result.m_values, result.mean_pg, result.std_pg):
-        w.writerow([int(m), f"{mu:.10g}", f"{sd:.10g}", result.n_seqs])
-    return buf.getvalue()
+def rb_to_csv(result: RbResult) -> str:
+    return qmath.csv_text(["m", "mean_Pg", "std_Pg", "n_seqs"],
+                          ([int(m), f"{mu:.10g}", f"{sd:.10g}", result.n_seqs]
+                           for m, mu, sd in zip(result.m_values, result.mean_pg,
+                                                result.std_pg)))
 
 
 def rb_fit_json(result: RbResult) -> str:

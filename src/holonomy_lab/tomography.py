@@ -10,8 +10,6 @@ on the computational pair scores the gate.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -59,14 +57,6 @@ def process_basis() -> np.ndarray:
     return np.stack(ops)
 
 
-def rotation(i: int, j: int, axis: str, angle: float) -> np.ndarray:
-    """exp(-i angle/2 sigma_axis) on levels (i, j) of the qutrit."""
-    pauli = {"x": qmath.PAULI_X, "y": qmath.PAULI_Y}[axis]
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.eye(3, dtype=complex) + _embed(c * np.eye(2) - 1j * s * pauli
-                                             - np.eye(2), i, j)
-
-
 def input_states() -> list[np.ndarray]:
     """Nine tomographically complete preparation kets."""
     g, e, f = model.KET_G, model.KET_E, model.KET_F
@@ -82,12 +72,12 @@ def prerotations() -> list[np.ndarray]:
 
     Written as pulse products with the rightmost factor acting first.
     Together with M_I = |g><g| they probe all nine independent
-    components of the output state; completeness is asserted in qpt.
+    components of the output state; qpt checks completeness.
     """
-    rx_ge = lambda a: rotation(_G, _E, "x", a)
-    ry_ge = lambda a: rotation(_G, _E, "y", a)
-    rx_ef = lambda a: rotation(_E, _F, "x", a)
-    ry_ef = lambda a: rotation(_E, _F, "y", a)
+    rx_ge = lambda a: qmath.pair_rotation(3, _G, _E, a, "x")
+    ry_ge = lambda a: qmath.pair_rotation(3, _G, _E, a, "y")
+    rx_ef = lambda a: qmath.pair_rotation(3, _E, _F, a, "x")
+    ry_ef = lambda a: qmath.pair_rotation(3, _E, _F, a, "y")
     return [
         np.eye(3, dtype=complex),
         rx_ge(np.pi),
@@ -184,7 +174,8 @@ def qpt(channel: Callable[[np.ndarray], np.ndarray],
     obs = np.stack([qmath.dagger(u) @ qmath.projector(model.KET_G) @ u
                     for u in rots])
     a_state = obs.conj().reshape(9, 9)
-    assert np.linalg.cond(a_state) < 1e6, "prerotation set is not complete"
+    if not np.linalg.cond(a_state) < 1e6:
+        raise RuntimeError("prerotation set is not tomographically complete")
 
     rho_out = []
     for psi in states:
@@ -257,15 +248,10 @@ def chi_to_json(chi: ChiMatrix) -> dict:
     }
 
 
-def chi_to_csv(chi: ChiMatrix, header_lines: tuple[str, ...] = ()) -> str:
+def chi_to_csv(chi: ChiMatrix) -> str:
     """Bar-chart data: one row per (basis_row, basis_col) entry."""
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["basis_row", "basis_col", "re", "im"])
-    for i, bi in enumerate(BASIS_LABELS):
-        for j, bj in enumerate(BASIS_LABELS):
-            w.writerow([bi, bj, f"{chi.full[i, j].real:.10g}",
-                        f"{chi.full[i, j].imag:.10g}"])
-    return buf.getvalue()
+    return qmath.csv_text(["basis_row", "basis_col", "re", "im"],
+                          ([bi, bj, f"{chi.full[i, j].real:.10g}",
+                            f"{chi.full[i, j].imag:.10g}"]
+                           for i, bi in enumerate(BASIS_LABELS)
+                           for j, bj in enumerate(BASIS_LABELS)))

@@ -10,8 +10,6 @@ leaving |2g>, |2f> ideally untouched: a controlled gate on the
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -22,11 +20,8 @@ import scipy.linalg
 
 from . import evolve, model, qmath
 from .model import DispersiveSystemParams, NoiseModel, bright_frame
-from .pulses import (SCHEME_NHQC, SCHEME_SR, GateSpec, PulseSchedule,
-                     apply_rabi_error, build_nhqc, build_sr_nhqc)
-
-DEFAULT_TAU_2Q = {SCHEME_SR: 2760.0, SCHEME_NHQC: 1380.0}
-RAMAN_PULSE_NS = 140.0
+from .pulses import (DEFAULT_STEP_2Q, DEFAULT_TAU_TWO_QUBIT, SCHEME_SR, GateSpec,
+                     PulseSchedule, apply_rabi_error, build_schedule)
 
 LEVEL_NAMES = ("g", "e", "f")
 
@@ -71,24 +66,23 @@ class CavityNoise:
         return ops
 
 
-def _build_schedule(gate: GateSpec, scheme: str, tau: Optional[float]) -> PulseSchedule:
-    if scheme not in DEFAULT_TAU_2Q:
-        raise ValueError(f"scheme must be one of {tuple(DEFAULT_TAU_2Q)}")
-    tau = DEFAULT_TAU_2Q[scheme] if tau is None else tau
-    if scheme == SCHEME_SR:
-        return build_sr_nhqc(gate, tau)
-    return build_nhqc(gate, tau)
-
-
-def _full_hamiltonian(schedule: PulseSchedule, params: DispersiveSystemParams):
-    frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
+def _selective_drive(gate: GateSpec, scheme: str, tau: Optional[float],
+                     epsilon: float, params: DispersiveSystemParams):
+    """(schedule, H(t) sampler on the full space) of the two-qubit gate."""
+    if scheme not in DEFAULT_TAU_TWO_QUBIT:
+        raise ValueError(f"scheme must be one of {tuple(DEFAULT_TAU_TWO_QUBIT)}")
+    schedule = build_schedule(gate, scheme,
+                              DEFAULT_TAU_TWO_QUBIT[scheme] if tau is None else tau)
+    if epsilon != 0.0:
+        schedule = apply_rabi_error(schedule, epsilon)
+    frame = bright_frame(gate.theta, gate.phi)
 
     def h(t: float) -> np.ndarray:
         omega, phi1 = schedule.drive(t)
         hd = model.bright_drive_hamiltonian(frame, omega, phi1)
         return model.dispersive_hamiltonian(params, hd)
 
-    return h
+    return schedule, h
 
 
 def zz_frame_correction(params: DispersiveSystemParams, tau: float) -> np.ndarray:
@@ -140,7 +134,7 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
                          tau: Optional[float] = None,
                          params: Optional[DispersiveSystemParams] = None,
                          epsilon: float = 0.0,
-                         step: float = evolve.DEFAULT_STEP_2Q) -> TwoQubitGateResult:
+                         step: float = DEFAULT_STEP_2Q) -> TwoQubitGateResult:
     """Propagate the selective drive and strip the ZZ frame phase.
 
     Leakage is the worst-case probability of leaving the four-state
@@ -148,10 +142,7 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     assumption is breaking down and a warning is emitted.
     """
     params = DispersiveSystemParams.from_mhz() if params is None else params
-    schedule = _build_schedule(gate, scheme, tau)
-    if epsilon != 0.0:
-        schedule = apply_rabi_error(schedule, epsilon)
-    h = _full_hamiltonian(schedule, params)
+    schedule, h = _selective_drive(gate, scheme, tau, epsilon, params)
     _, unitaries = evolve.propagate_unitary_h(h, schedule.tau, step)
     u = unitaries[-1]
     corrected = zz_frame_correction(params, schedule.tau) @ u
@@ -169,24 +160,6 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
                               propagator=u, corrected=corrected, leakage=leak)
 
 
-def _pair_rotation(dim: int, i: int, j: int, area: float) -> np.ndarray:
-    """exp(-i area/2 (|i><j| + |j><i|)) on the composite space."""
-    u = np.eye(dim, dtype=complex)
-    c, s = np.cos(area / 2), np.sin(area / 2)
-    u[i, i] = u[j, j] = c
-    u[i, j] = u[j, i] = -1j * s
-    return u
-
-
-def _qutrit_rotation(n_fock: int, lo: str, hi: str, area: float) -> np.ndarray:
-    r = np.eye(3, dtype=complex)
-    i, j = LEVEL_NAMES.index(lo), LEVEL_NAMES.index(hi)
-    c, s = np.cos(area / 2), np.sin(area / 2)
-    r[i, i] = r[j, j] = c
-    r[i, j] = r[j, i] = -1j * s
-    return qmath.tensor(np.eye(n_fock), r)
-
-
 def prepare_fock(target: str,
                  params: Optional[DispersiveSystemParams] = None) -> np.ndarray:
     """Photonic-qubit state prep: '0', '2', or '0+2' with the transmon in g.
@@ -200,10 +173,10 @@ def prepare_fock(target: str,
     params = DispersiveSystemParams.from_mhz() if params is None else params
     n = params.n_fock
     dim = 3 * n
-    raman1 = _pair_rotation(dim, state_index(0, "f"), state_index(1, "g"), np.pi)
-    raman2 = _pair_rotation(dim, state_index(1, "f"), state_index(2, "g"), np.pi)
-    ge = lambda a: _qutrit_rotation(n, "g", "e", a)
-    ef = lambda a: _qutrit_rotation(n, "e", "f", a)
+    raman1 = qmath.pair_rotation(dim, state_index(0, "f"), state_index(1, "g"), np.pi)
+    raman2 = qmath.pair_rotation(dim, state_index(1, "f"), state_index(2, "g"), np.pi)
+    ge = lambda a: qmath.tensor(np.eye(n), qmath.pair_rotation(3, model.G, model.E, a))
+    ef = lambda a: qmath.tensor(np.eye(n), qmath.pair_rotation(3, model.E, model.F, a))
 
     if target == "0":
         ops: list[np.ndarray] = []
@@ -259,7 +232,7 @@ def transmon_populations(state: np.ndarray) -> np.ndarray:
 def cnot_robustness(epsilons: Sequence[float], scheme: str = SCHEME_SR,
                     params: Optional[DispersiveSystemParams] = None,
                     tau: Optional[float] = None,
-                    step: float = evolve.DEFAULT_STEP_2Q) -> list[RobustnessRow]:
+                    step: float = DEFAULT_STEP_2Q) -> list[RobustnessRow]:
     """Transmon populations after CNOT on |0f> as the drive is mis-scaled.
 
     The ideal gate returns the transmon to g; residual e/f population
@@ -282,7 +255,7 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
                         cavity_noise: Optional[CavityNoise] = None,
                         scheme: str = SCHEME_SR,
                         tau: Optional[float] = None,
-                        step: float = evolve.DEFAULT_STEP_2Q) -> float:
+                        step: float = DEFAULT_STEP_2Q) -> float:
     """Decoherence-limited CNOT figure of merit.
 
     Mean of the two characteristic population transfers: |0f> -> |0g>
@@ -296,43 +269,27 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     if cavity_noise is None:
         cavity_noise = CavityNoise()
 
-    schedule = _build_schedule(CNOT_GATE, scheme, tau)
-    if transmon_noise.epsilon != 0.0:
-        schedule = apply_rabi_error(schedule, transmon_noise.epsilon)
-    h = _full_hamiltonian(schedule, params)
+    schedule, h = _selective_drive(CNOT_GATE, scheme, tau, transmon_noise.epsilon,
+                                   params)
     c_ops = [qmath.tensor(np.eye(params.n_fock), c)
              for c in model.collapse_operators(transmon_noise)]
     c_ops += cavity_noise.collapse_operators(params.n_fock)
 
+    start = [state_index(0, "f"), state_index(2, "g")]
+    goal = [state_index(0, "g"), state_index(2, "g")]
     dim = 3 * params.n_fock
-    times = np.linspace(0.0, schedule.tau,
-                        max(1, int(np.ceil(schedule.tau / step))) + 1)
-    diss = evolve.dissipator_superoperator(c_ops, dim)
-
-    scores = []
-    for start, goal in ((state_index(0, "f"), state_index(0, "g")),
-                        (state_index(2, "g"), state_index(2, "g"))):
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[start, start] = 1.0
-        vec_t = evolve._rk4_lindblad(h, diss, times, rho0.reshape(-1))
-        rho = vec_t[-1].reshape(dim, dim)
-        # Populations are frame-invariant, so the ZZ correction is a
-        # no-op here; kept implicit.
-        scores.append(float(rho[goal, goal].real))
-    return float(np.mean(scores))
+    rho0 = np.zeros((2, dim, dim), dtype=complex)
+    rho0[[0, 1], start, start] = 1.0
+    _, states = evolve.propagate_lindblad_h(h, c_ops, schedule.tau, step, rho0)
+    # Populations are frame-invariant, so the ZZ correction is a no-op
+    # here; kept implicit.
+    return float(np.mean(states[-1, [0, 1], goal, goal].real))
 
 
-def robustness_to_csv(rows: Sequence[RobustnessRow],
-                      header_lines: tuple[str, ...] = ()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["epsilon", "P_g", "P_e", "P_f"])
-    for r in rows:
-        w.writerow([f"{r.epsilon:.6g}", f"{r.p_g:.10g}",
-                    f"{r.p_e:.10g}", f"{r.p_f:.10g}"])
-    return buf.getvalue()
+def robustness_to_csv(rows: Sequence[RobustnessRow]) -> str:
+    return qmath.csv_text(["epsilon", "P_g", "P_e", "P_f"],
+                          ([f"{r.epsilon:.6g}", f"{r.p_g:.10g}", f"{r.p_e:.10g}",
+                            f"{r.p_f:.10g}"] for r in rows))
 
 
 def state_to_json(state: np.ndarray) -> str:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from holonomy_lab import twoqubit
 from holonomy_lab.cli import main
 
 
@@ -114,6 +115,23 @@ def test_twoqubit_command(tmp_path):
     assert payload["robustness"][0]["P_g"] > 0.999
 
 
+def test_twoqubit_fidelity_reads_cavity_coherence(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_fidelity(params, transmon_noise, cavity_noise=None, **kwargs):
+        seen.append(cavity_noise)
+        return 0.5
+
+    monkeypatch.setattr(twoqubit, "cnot_state_fidelity", fake_fidelity)
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text("cavity_t1_us = 100\ncavity_t2star_us = 80\nstep_2q_ns = 5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--config", str(cfg), "twoqubit", "--eps-grid", "0", "--fidelity",
+                     "--output-dir", str(tmp_path / "o")]) == 0
+    assert [(c.t1_us, c.t2star_us) for c in seen] == [(100.0, 80.0)]
+
+
 def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):
     # Run from a scratch cwd and verify the only artifacts appear under
     # the configured output directory.
@@ -128,7 +146,11 @@ def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
-    assert "subcommand" in capsys.readouterr().out.lower() or True
+    out = capsys.readouterr().out
+    assert out.startswith("usage: holonomy-lab")
+    for name in ("simulate-gate", "sweep-epsilon", "dynphase", "qpt", "rb",
+                 "twoqubit", "budget"):
+        assert name in out, name
 
 
 def test_print_config(capsys):

@@ -88,7 +88,5 @@ def test_invalid_step_rejected():
 
 def test_trace_csv_header():
     trace = evolve.propagate_unitary(SCHEDULE, FRAME, step=10.0)
-    text = evolve.trace_to_csv(trace, header_lines=("x",))
-    lines = text.splitlines()
-    assert lines[0] == "# x"
-    assert lines[1] == "t_ns,P_g,P_e,P_f"
+    text = evolve.trace_to_csv(trace)
+    assert text.splitlines()[0] == "t_ns,P_g,P_e,P_f"

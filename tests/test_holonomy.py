@@ -96,6 +96,5 @@ def test_csv_outputs():
     text = holonomy.phase_record_to_csv(rec)
     assert text.splitlines()[0] == "t_ns,d11,d22,Re_d12,Im_d12"
     rows = holonomy.robustness_sweep(GATE_X, "sr-nhqc", [0.0, 0.1], step=0.5)
-    sweep = holonomy.sweep_to_csv(rows, header_lines=("h",))
-    assert sweep.splitlines()[0] == "# h"
-    assert sweep.splitlines()[1] == "epsilon,F_sim,F_analytic"
+    sweep = holonomy.sweep_to_csv(rows)
+    assert sweep.splitlines()[0] == "epsilon,F_sim,F_analytic"

@@ -94,8 +94,7 @@ def test_drive_rejects_out_of_range_time():
 
 def test_schedule_csv_columns():
     s = build_sr_nhqc(GateSpec(np.pi / 2, 0.0, np.pi), 120.0)
-    text = pulses.schedule_to_csv(s, dt=10.0, header_lines=("run 1",))
+    text = pulses.schedule_to_csv(s, dt=10.0)
     lines = text.splitlines()
-    assert lines[0] == "# run 1"
-    assert lines[1] == "t_ns,Omega_rad_per_ns,phi1_rad,segment_index"
-    assert len(lines) == 2 + 13
+    assert lines[0] == "t_ns,Omega_rad_per_ns,phi1_rad,segment_index"
+    assert len(lines) == 1 + 13

@@ -94,10 +94,8 @@ def test_interleaved_below_reference(rb_noisy_reference):
 
 
 def test_rb_outputs(rb_noisy_reference):
-    text = rb.rb_to_csv(rb_noisy_reference, header_lines=("cfg",))
-    lines = text.splitlines()
-    assert lines[0] == "# cfg"
-    assert lines[1] == "m,mean_Pg,std_Pg,n_seqs"
+    text = rb.rb_to_csv(rb_noisy_reference)
+    assert text.splitlines()[0] == "m,mean_Pg,std_Pg,n_seqs"
     payload = rb.rb_fit_json(rb_noisy_reference)
     assert '"F_ref"' in payload
 

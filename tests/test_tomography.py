@@ -121,8 +121,13 @@ def test_chi_serialization():
     chi = tomography.qpt(tomography.channel_from_unitary(np.eye(3)))
     d = tomography.chi_to_json(chi)
     assert d["basis"] == list(tomography.BASIS_LABELS)
-    text = tomography.chi_to_csv(chi, header_lines=("run",))
-    lines = text.splitlines()
-    assert lines[0] == "# run"
-    assert lines[1] == "basis_row,basis_col,re,im"
-    assert len(lines) == 2 + 81
+    lines = tomography.chi_to_csv(chi).splitlines()
+    assert lines[0] == "basis_row,basis_col,re,im"
+    assert len(lines) == 1 + 81
+
+
+def test_qpt_rejects_incomplete_prerotations(monkeypatch):
+    rank_deficient = [np.eye(3, dtype=complex)] * 9
+    monkeypatch.setattr(tomography, "prerotations", lambda: rank_deficient)
+    with pytest.raises(RuntimeError, match="complete"):
+        tomography.qpt(tomography.channel_from_unitary(np.eye(3)))

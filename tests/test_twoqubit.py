@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holonomy_lab import qmath, twoqubit
+from holonomy_lab import model, qmath, twoqubit
 from holonomy_lab.model import DispersiveSystemParams
 from holonomy_lab.pulses import GateSpec
 from holonomy_lab.twoqubit import CNOT_GATE, state_index
@@ -114,8 +114,29 @@ def test_zz_frame_correction_is_diagonal_unitary():
 
 def test_outputs():
     rows = [twoqubit.RobustnessRow(0.0, 1.0, 0.0, 0.0)]
-    text = twoqubit.robustness_to_csv(rows, header_lines=("cfg",))
-    assert text.splitlines()[1] == "epsilon,P_g,P_e,P_f"
+    text = twoqubit.robustness_to_csv(rows)
+    assert text.splitlines()[0] == "epsilon,P_g,P_e,P_f"
     psi = twoqubit.target_prepared_state("2")
     payload = twoqubit.state_to_json(psi)
     assert '"2g"' in payload
+
+
+def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
+    # 13.8 / 0.69 evaluates to 20.000000000000004: a grid that rounds up
+    # naively takes 21 steps instead of 20.
+    calls = []
+    real = model.dispersive_hamiltonian
+
+    def counted(params, h_drive):
+        calls.append(1)
+        return real(params, h_drive)
+
+    monkeypatch.setattr(model, "dispersive_hamiltonian", counted)
+    _quiet_gate(CNOT_GATE, tau=13.8, step=0.69)
+    n_closed = len(calls)
+    calls.clear()
+    twoqubit.cnot_state_fidelity(tau=13.8, step=0.69)
+    # One midpoint sample per closed step; four RK4 stages per open step,
+    # both initial states in one run.
+    assert n_closed == 20
+    assert len(calls) == 4 * n_closed
