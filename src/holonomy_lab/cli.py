@@ -94,9 +94,9 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> int:
                "noise": cfg.noise}
     if cfg.noise:
         noise = cfg.noise_model()
-        trace = evolve.propagate_lindblad(schedule, frame, noise, cfg.step_1q_ns)
-        payload["avg_gate_error"] = cohfit.lindblad_average_gate_error(
-            gate, scheme, noise, cfg.step_1q_ns, tau)
+        trace, channel = evolve.propagate_superoperator(schedule, frame, noise,
+                                                        cfg.step_1q_ns)
+        payload["avg_gate_error"] = cohfit.channel_average_gate_error(channel, gate)
         payload["fidelity"] = 1.0 - payload["avg_gate_error"]
     else:
         trace = evolve.propagate_unitary(apply_rabi_error(schedule, cfg.epsilon),

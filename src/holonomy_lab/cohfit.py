@@ -221,12 +221,11 @@ def lindblad_average_gate_error(gate, scheme: str = "sr-nhqc",
                                 tau: Optional[float] = None) -> float:
     """Open-system average gate error on the computational pair.
 
-    The noisy gate channel acts on the six cardinal states of the
-    (|g>, |f>) qubit; the error is one minus the mean overlap with the
-    ideal outputs.  Cross-checks the closed-form budget of
+    Integrates the noisy gate channel and scores it with
+    channel_average_gate_error.  Cross-checks the closed-form budget of
     coherence_limited_error.
     """
-    from . import evolve, model, qmath
+    from . import evolve
     from .model import bright_frame
     from .pulses import build_schedule
 
@@ -234,9 +233,20 @@ def lindblad_average_gate_error(gate, scheme: str = "sr-nhqc",
         noise = NoiseModel.from_coherence_times()
     schedule = build_schedule(gate, scheme, tau)
     frame = bright_frame(gate.theta, gate.phi)
-    channel = evolve.gate_channel(schedule, frame, noise, step)
-    u2 = gate.target_unitary()
+    return channel_average_gate_error(evolve.gate_channel(schedule, frame, noise, step),
+                                      gate)
 
+
+def channel_average_gate_error(channel: np.ndarray, gate) -> float:
+    """Average gate error of a 9x9 qutrit channel on the computational pair.
+
+    The channel acts on the six cardinal states of the (|g>, |f>) qubit;
+    the error is one minus the mean overlap with the ideal outputs of
+    the gate's target rotation.
+    """
+    from . import evolve, model, qmath
+
+    u2 = gate.target_unitary()
     g, f = model.KET_G, model.KET_F
     r2 = np.sqrt(2)
     cardinal = [np.array([1, 0]), np.array([0, 1]),

@@ -1,10 +1,15 @@
 """Time-ordered propagation of pulse schedules.
 
-Closed-system evolution composes midpoint matrix exponentials
-U(t+dt, t) = exp(-i H(t+dt/2) dt); open-system evolution integrates the
-vectorized Lindblad equation with fixed-step RK4 on a stack of initial
-states.  Both sample one uniform time grid and keep the full
-time-resolved record.
+Every Hamiltonian here is drive-linear: H(t) = H0 + a(t) A + conj(a(t)) A^dag
+with a = Omega e^{i phi1}, A = 1/2 |b><e| (times the Fock identity on the
+cavity) and H0 zero on the qutrit or the dispersive shift with the cavity.
+Each propagation samples a(t) on its whole time grid in one call.
+Closed-system evolution composes midpoint exponentials
+U(t+dt, t) = exp(-i H(t+dt/2) dt) from one stack of Hamiltonians.
+Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
+equation for a stack of initial states; its generator
+L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix,
+so each stage is one product with it and one weighted sum of its blocks.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -52,15 +57,33 @@ class EvolutionTrace:
         return self.states[-1]
 
 
-def hamiltonian_from_schedule(schedule: PulseSchedule,
-                              frame: BrightFrame) -> Callable[[float], np.ndarray]:
-    """Map a drive program onto the three-level Hamiltonian sampler."""
+@dataclass(frozen=True)
+class DrivenHamiltonian:
+    """H(t) = h0 + a(t) A + conj(a(t)) A^dag for a drive program.
 
-    def h(t: float) -> np.ndarray:
-        omega, phi1 = schedule.drive(t)
-        return model.bright_drive_hamiltonian(frame, omega, phi1)
+    drive maps an array of times to (Omega, phi1) arrays, as
+    PulseSchedule.drive does.
+    """
 
-    return h
+    h0: np.ndarray = field(repr=False)
+    a_op: np.ndarray = field(repr=False)
+    drive: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    def coefficient(self, times: np.ndarray) -> np.ndarray:
+        """a(t) = Omega(t) e^{i phi1(t)} at every time in one drive call."""
+        omega, phi1 = self.drive(times)
+        return omega * np.exp(1j * phi1)
+
+    def hamiltonians(self, times: np.ndarray) -> np.ndarray:
+        """Stack of H(t) (len(times) x d x d)."""
+        a = self.coefficient(times)[:, None, None]
+        return self.h0 + a * self.a_op + np.conj(a) * qmath.dagger(self.a_op)
+
+
+def schedule_hamiltonian(schedule: PulseSchedule, frame: BrightFrame) -> DrivenHamiltonian:
+    """The three-level Hamiltonian of a drive program (H0 = 0)."""
+    return DrivenHamiltonian(np.zeros((3, 3), dtype=complex),
+                             model.bright_drive_operator(frame), schedule.drive)
 
 
 def _time_grid(tau: float, step: float) -> np.ndarray:
@@ -70,7 +93,7 @@ def _time_grid(tau: float, step: float) -> np.ndarray:
     return np.linspace(0.0, tau, n + 1)
 
 
-def propagate_unitary_h(h_func: Callable[[float], np.ndarray], tau: float,
+def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
                         step: float) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-exponential propagators U(t_k, 0) on a uniform grid.
 
@@ -80,7 +103,7 @@ def propagate_unitary_h(h_func: Callable[[float], np.ndarray], tau: float,
     times = _time_grid(tau, step)
     dt = times[1] - times[0]
     mids = 0.5 * (times[:-1] + times[1:])
-    h_stack = np.stack([h_func(t) for t in mids])
+    h_stack = ham.hamiltonians(mids)
     w, v = np.linalg.eigh(h_stack)
     phases = np.exp(-1j * w * dt)
     steps = np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
@@ -98,8 +121,8 @@ def propagate_unitary(schedule: PulseSchedule, frame: BrightFrame,
                       initial_state: Optional[np.ndarray] = None) -> EvolutionTrace:
     """Closed-system trace of a schedule; populations track initial_state
     (default |g>)."""
-    h = hamiltonian_from_schedule(schedule, frame)
-    times, unitaries = propagate_unitary_h(h, schedule.tau, step)
+    times, unitaries = propagate_unitary_h(schedule_hamiltonian(schedule, frame),
+                                           schedule.tau, step)
     psi0 = model.KET_G if initial_state is None else np.asarray(initial_state, complex)
     psi_t = unitaries @ psi0
     populations = np.abs(psi_t) ** 2
@@ -107,7 +130,11 @@ def propagate_unitary(schedule: PulseSchedule, frame: BrightFrame,
 
 
 def lindblad_superoperator(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """L such that d vec(rho)/dt = L vec(rho), row-major vectorization."""
+    """L such that d vec(rho)/dt = L vec(rho), row-major vectorization.
+
+    Linear in h, which need not be Hermitian: with no c_ops it is the
+    commutator map -i[h, .].
+    """
     d = h.shape[0]
     eye = np.eye(d)
     lsup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
@@ -118,51 +145,78 @@ def lindblad_superoperator(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.nda
     return lsup
 
 
-def dissipator_superoperator(c_ops: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    return lindblad_superoperator(np.zeros((dim, dim)), c_ops)
+def lindblad_generator(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Stacked blocks [L0; L_A; L_A^dag] (3 d^2 x d^2) of the Lindblad generator.
+
+    L(t) = L0 + a(t) L_A + conj(a(t)) L_A^dag equals
+    lindblad_superoperator(H(t), c_ops); the dissipator sits in L0.
+    """
+    return np.concatenate([lindblad_superoperator(ham.h0, c_ops),
+                           lindblad_superoperator(ham.a_op, ()),
+                           lindblad_superoperator(qmath.dagger(ham.a_op), ())])
 
 
-def propagate_lindblad_h(h_func: Callable[[float], np.ndarray],
-                         c_ops: Sequence[np.ndarray], tau: float, step: float,
+def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
+                         tau: float, step: float,
                          rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices rho_m(t_k) of a stack of initial states rho0 (m x d x d).
 
     Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every initial
-    state as one column; only the Hamiltonian commutator is time
-    dependent, the dissipator is built once.  Returns (times, states)
-    with states of shape (len(times), m, d, d).  Raises if any state's
-    trace drifts from its initial value beyond TRACE_DRIFT_LIMIT, which
-    flags a too-coarse step.
+    state as one column.  The drive coefficient is sampled once at the
+    grid points and step midpoints; each stage applies the stacked
+    generator of lindblad_generator.  Returns (times, states) with
+    states of shape (len(times), m, d, d).  Raises if any state's trace
+    drifts from its initial value beyond TRACE_DRIFT_LIMIT or is not
+    finite.
     """
     times = _time_grid(tau, step)
+    n = len(times) - 1
     m, dim = rho0.shape[0], rho0.shape[-1]
-    diss = dissipator_superoperator(c_ops, dim)
-    eye = np.eye(dim)
+    gen = lindblad_generator(ham, c_ops)
+    dt = np.diff(times)
+    a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
+    # Row j weighs the three generator blocks at sample j: (1, a, conj(a)).
+    weights = np.stack([np.ones_like(a), a, a.conj()], axis=1)
+    nodes, mids = weights[:n + 1], weights[n + 1:]
 
-    def lmul(t: float, y: np.ndarray) -> np.ndarray:
-        h = h_func(t)
-        comm = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        return (comm + diss) @ y
+    def lmul(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (w @ (gen @ y).reshape(3, dim * dim * m)).reshape(dim * dim, m)
 
-    out = np.empty((len(times), m, dim * dim), dtype=complex)
+    out = np.empty((n + 1, m, dim * dim), dtype=complex)
     out[0] = rho0.reshape(m, dim * dim)
     y = out[0].T.copy()
-    for k in range(len(times) - 1):
-        t, dt = times[k], times[k + 1] - times[k]
-        k1 = lmul(t, y)
-        k2 = lmul(t + dt / 2, y + dt / 2 * k1)
-        k3 = lmul(t + dt / 2, y + dt / 2 * k2)
-        k4 = lmul(t + dt, y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    for k in range(n):
+        h = dt[k]
+        k1 = lmul(nodes[k], y)
+        k2 = lmul(mids[k], y + h / 2 * k1)
+        k3 = lmul(mids[k], y + h / 2 * k2)
+        k4 = lmul(nodes[k + 1], y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k + 1] = y.T
-    states = out.reshape(len(times), m, dim, dim)
+    states = out.reshape(n + 1, m, dim, dim)
 
     traces = np.einsum("nmii->nm", states).real
     drift = np.max(np.abs(traces - traces[0]))
-    if drift > TRACE_DRIFT_LIMIT:
+    if not drift <= TRACE_DRIFT_LIMIT:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
                            "reduce the integration step")
     return times, states
+
+
+def _open_system(schedule: PulseSchedule, frame: BrightFrame,
+                 noise: Optional[NoiseModel]
+                 ) -> tuple[DrivenHamiltonian, list[np.ndarray]]:
+    """Hamiltonian (Rabi error applied) and collapse operators under noise."""
+    if noise is None:
+        return schedule_hamiltonian(schedule, frame), []
+    if noise.epsilon != 0.0:
+        schedule = apply_rabi_error(schedule, noise.epsilon)
+    return schedule_hamiltonian(schedule, frame), model.collapse_operators(noise)
+
+
+def _state_trace(times: np.ndarray, states: np.ndarray) -> EvolutionTrace:
+    populations = np.einsum("nii->ni", states).real
+    return EvolutionTrace(times=times, populations=populations, states=states)
 
 
 def propagate_lindblad(schedule: PulseSchedule, frame: BrightFrame,
@@ -173,35 +227,34 @@ def propagate_lindblad(schedule: PulseSchedule, frame: BrightFrame,
     The Rabi-error fraction of the noise model scales the drive; rho(0)
     defaults to |g><g|.  Raises on trace drift, as propagate_lindblad_h.
     """
-    if noise.epsilon != 0.0:
-        schedule = apply_rabi_error(schedule, noise.epsilon)
     if initial_state is None:
         rho0 = qmath.projector(model.KET_G)
     else:
         s = np.asarray(initial_state, complex)
         rho0 = qmath.projector(s) if s.ndim == 1 else s
-    times, states = propagate_lindblad_h(hamiltonian_from_schedule(schedule, frame),
-                                         model.collapse_operators(noise),
-                                         schedule.tau, step, rho0[None])
-    states = states[:, 0]
-    populations = np.einsum("nii->ni", states).real
-    return EvolutionTrace(times=times, populations=populations, states=states)
+    ham, c_ops = _open_system(schedule, frame, noise)
+    times, states = propagate_lindblad_h(ham, c_ops, schedule.tau, step, rho0[None])
+    return _state_trace(times, states[:, 0])
 
 
-def propagate_superoperator(h_func: Callable[[float], np.ndarray],
-                            c_ops: Sequence[np.ndarray], tau: float,
-                            step: float = DEFAULT_STEP_1Q,
-                            dim: int = 3) -> np.ndarray:
-    """Full process map S (d^2 x d^2) of the noisy evolution.
+def propagate_superoperator(schedule: PulseSchedule, frame: BrightFrame,
+                            noise: Optional[NoiseModel] = None,
+                            step: float = DEFAULT_STEP_1Q
+                            ) -> tuple[EvolutionTrace, np.ndarray]:
+    """(|g><g| trace, process map S) of the gate from one integration.
 
-    vec(rho(tau)) = S vec(rho(0)); used to precompute gate channels for
-    benchmarking and tomography so each gate is integrated once.
+    vec(rho(tau)) = S vec(rho(0)).  The nine basis matrices |i><j| are
+    the columns of one run; the first is |g><g|, so its record is the
+    ground-state trace that propagate_lindblad would give.  Noiseless if
+    noise is None.
     """
-    basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-    _, states = propagate_lindblad_h(h_func, c_ops, tau, step, basis)
+    ham, c_ops = _open_system(schedule, frame, noise)
+    basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    times, states = propagate_lindblad_h(ham, c_ops, schedule.tau, step, basis)
     # A C-ordered copy, not a transposed view, so that products with the
     # channel take the same BLAS path, and round alike, as any stored matrix.
-    return np.ascontiguousarray(states[-1].reshape(dim * dim, dim * dim).T)
+    channel = np.ascontiguousarray(states[-1].reshape(9, 9).T)
+    return _state_trace(times, states[:, 0]), channel
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -213,13 +266,7 @@ def gate_channel(schedule: PulseSchedule, frame: BrightFrame,
                  noise: Optional[NoiseModel] = None,
                  step: float = DEFAULT_STEP_1Q) -> np.ndarray:
     """9x9 superoperator of the gate, noiseless if noise is None."""
-    c_ops: list[np.ndarray] = []
-    if noise is not None:
-        if noise.epsilon != 0.0:
-            schedule = apply_rabi_error(schedule, noise.epsilon)
-        c_ops = model.collapse_operators(noise)
-    h = hamiltonian_from_schedule(schedule, frame)
-    return propagate_superoperator(h, c_ops, schedule.tau, step)
+    return propagate_superoperator(schedule, frame, noise, step)[1]
 
 
 def idle_channel(duration: float, noise: Optional[NoiseModel],
@@ -228,8 +275,7 @@ def idle_channel(duration: float, noise: Optional[NoiseModel],
     c_ops = [] if noise is None else model.collapse_operators(noise)
     if not c_ops:
         return np.eye(9, dtype=complex)
-    diss = dissipator_superoperator(c_ops, 3)
-    return scipy.linalg.expm(diss * duration)
+    return scipy.linalg.expm(lindblad_superoperator(np.zeros((3, 3)), c_ops) * duration)
 
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:

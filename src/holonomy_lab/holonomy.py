@@ -59,14 +59,14 @@ def phase_record(schedule: PulseSchedule, frame: Optional[BrightFrame] = None,
     """
     if frame is None:
         frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
-    h_func = evolve.hamiltonian_from_schedule(schedule, frame)
-    times, unitaries = evolve.propagate_unitary_h(h_func, schedule.tau, step)
+    ham = evolve.schedule_hamiltonian(schedule, frame)
+    times, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
 
     b, d, e = frame.bright, frame.dark, model.KET_E
     a1 = (b + e) / np.sqrt(2)
     a2 = (b - 1j * e) / np.sqrt(2)
 
-    h_stack = np.stack([h_func(t) for t in times])
+    h_stack = ham.hamiltonians(times)
     psi_d = unitaries @ d
     psi_b = unitaries @ b
     psi_e = unitaries @ e
@@ -214,14 +214,14 @@ def perturbative_expansion_check(schedule: PulseSchedule, epsilon: float,
     frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
     basis = np.column_stack([frame.dark, frame.bright, model.KET_E])
 
-    h_func = evolve.hamiltonian_from_schedule(schedule, frame)
-    times, u0 = evolve.propagate_unitary_h(h_func, schedule.tau, step)
+    ham = evolve.schedule_hamiltonian(schedule, frame)
+    times, u0 = evolve.propagate_unitary_h(ham, schedule.tau, step)
 
     err = apply_rabi_error(schedule, epsilon)
-    h_err = evolve.hamiltonian_from_schedule(err, frame)
-    _, u_eps = evolve.propagate_unitary_h(h_err, schedule.tau, step)
+    _, u_eps = evolve.propagate_unitary_h(evolve.schedule_hamiltonian(err, frame),
+                                          schedule.tau, step)
 
-    h_stack = np.stack([h_func(t) for t in times])
+    h_stack = ham.hamiltonians(times)
     frames = u0 @ basis
     m = np.einsum("nim,nij,njk->nmk", frames.conj(), h_stack, frames)
 

@@ -58,13 +58,21 @@ def qutrit_hamiltonian_at(omega_ge: float, omega_ef: float,
     return h + qmath.dagger(h)
 
 
-def bright_drive_hamiltonian(frame: BrightFrame, omega: float, phi1: float) -> np.ndarray:
+def bright_drive_operator(frame: BrightFrame) -> np.ndarray:
+    """A = 1/2 |b><e|: the drive Hamiltonian is a A + conj(a) A^dag with
+    the complex drive coefficient a = Omega e^{i phi1}."""
+    return 0.5 * np.outer(frame.bright, KET_E.conj())
+
+
+def bright_drive_hamiltonian(frame: BrightFrame, omega, phi1) -> np.ndarray:
     """H = 1/2 Omega e^{i phi1} |b><e| + h.c. assembled in the (g,e,f) basis.
 
     Equivalent to qutrit_hamiltonian_at with Omega_ge = Omega sin(theta/2),
-    Omega_ef = Omega cos(theta/2), phi0 = phi1 - phi - pi.
+    Omega_ef = Omega cos(theta/2), phi0 = phi1 - phi - pi.  omega and phi1
+    broadcast: arrays of shape s give a stack of shape s + (3, 3).
     """
-    h = 0.5 * omega * np.exp(1j * phi1) * np.outer(frame.bright, KET_E.conj())
+    a = np.asarray(omega) * np.exp(1j * np.asarray(phi1))
+    h = a[..., None, None] * bright_drive_operator(frame)
     return h + qmath.dagger(h)
 
 
@@ -177,5 +185,8 @@ def dispersive_shift_hamiltonian(p: DispersiveSystemParams) -> np.ndarray:
 
 
 def dispersive_hamiltonian(p: DispersiveSystemParams, h_drive: np.ndarray) -> np.ndarray:
-    """Full 3N x 3N Hamiltonian: dispersive diagonal + drive on every Fock block."""
+    """Full 3N x 3N Hamiltonian: dispersive diagonal + drive on every Fock block.
+
+    A stack of qutrit drives (..., 3, 3) gives a stack (..., 3N, 3N).
+    """
     return dispersive_shift_hamiltonian(p) + qmath.tensor(np.eye(p.n_fock), h_drive)

@@ -79,17 +79,19 @@ class PulseSegment:
     envelope: str = ENVELOPE_COSINE
 
 
-def sample_envelope(seg: PulseSegment, t: float) -> float:
+def sample_envelope(seg: PulseSegment, t):
     """Instantaneous Rabi amplitude Omega(t) in rad/ns, area-normalized.
 
     Cosine: Omega = (area/T)(1 - cos(2 pi t / T)), zero at both ends.
+    t is a time within the segment or an array of them.
     """
-    if t < -1e-12 or t > seg.duration + 1e-12:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -1e-12) or np.any(t > seg.duration + 1e-12):
         raise ValueError(f"t={t} outside segment of duration {seg.duration}")
     if seg.envelope == ENVELOPE_COSINE:
         return seg.area / seg.duration * (1.0 - np.cos(2 * np.pi * t / seg.duration))
     if seg.envelope == ENVELOPE_SQUARE:
-        return seg.area / seg.duration
+        return np.full(t.shape, seg.area / seg.duration)[()]
     raise ValueError(f"unknown envelope {seg.envelope!r}")
 
 
@@ -105,7 +107,7 @@ class PulseSchedule:
     gate: GateSpec
     tau: float
     segments: tuple[PulseSegment, ...] = ()
-    sampler: Optional[Callable[[float], tuple[float, float]]] = field(
+    sampler: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = field(
         default=None, repr=False)
     amp_scale: float = 1.0
 
@@ -127,20 +129,34 @@ class PulseSchedule:
                 return i
         return len(self.segments) - 1
 
-    def drive(self, t: float) -> tuple[float, float]:
-        """(Omega(t) in rad/ns, drive phase phi1(t) in rad)."""
-        if not 0.0 <= t <= self.tau + 1e-9:
+    def drive(self, t):
+        """(Omega(t) in rad/ns, drive phase phi1(t) in rad).
+
+        t is one time or an array of times; Omega and phi1 come back with
+        the shape of t, so a whole time grid is sampled in one call.
+        """
+        shape = np.shape(t)
+        # One time goes through the same array arithmetic as a grid, so
+        # both give the same bits.
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all((t >= 0.0) & (t <= self.tau + 1e-9)):
             raise ValueError(f"t={t} outside [0, {self.tau}]")
         if self.sampler is not None:
-            om, phi1 = self.sampler(min(t, self.tau))
-            return self.amp_scale * om, phi1
-        t0 = 0.0
-        for seg in self.segments:
-            if t <= t0 + seg.duration + 1e-12:
-                om = sample_envelope(seg, min(max(t - t0, 0.0), seg.duration))
-                return self.amp_scale * om, -seg.phase
-            t0 += seg.duration
-        return 0.0, 0.0
+            om, phi1 = self.sampler(np.minimum(t, self.tau))
+            om = self.amp_scale * om
+        else:
+            # A time on a boundary belongs to the segment that ends there;
+            # times past the last end (within the tolerance above) are idle.
+            ends = np.cumsum([seg.duration for seg in self.segments])
+            index = np.searchsorted(ends + 1e-12, t)
+            om, phi1 = np.zeros(t.shape), np.zeros(t.shape)
+            for i, seg in enumerate(self.segments):
+                here = index == i
+                t0 = ends[i - 1] if i else 0.0
+                om[here] = self.amp_scale * sample_envelope(
+                    seg, np.clip(t[here] - t0, 0.0, seg.duration))
+                phi1[here] = -seg.phase
+        return om.reshape(shape)[()], phi1.reshape(shape)[()]
 
     def total_area(self) -> float:
         if self.segments:
@@ -189,8 +205,9 @@ def build_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_NHQC],
     return PulseSchedule(SCHEME_NHQC, gate, tau, segments=segs)
 
 
-def _dynamical_controls(tau: float, gamma_prime: float) -> Callable[[float], tuple[float, float]]:
-    """Sampler for the two-part dynamical path.
+def _dynamical_controls(tau: float, gamma_prime: float
+                        ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Vectorized sampler for the two-part dynamical path.
 
     chi = pi sin^2(pi t/tau) on both halves; the auxiliary phase is
     varphi = -(2/3)sin^3(chi) on [0, tau/2] and (2/3)sin^3(chi) -
@@ -201,23 +218,22 @@ def _dynamical_controls(tau: float, gamma_prime: float) -> Callable[[float], tup
     limits (phi1 + varphi -> -+pi/2), and |Omega| < 1e-9 is clipped to 0.
     """
 
-    def sampler(t: float) -> tuple[float, float]:
+    def sampler(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chi = np.pi * np.sin(np.pi * t / tau) ** 2
         chidot = (np.pi ** 2 / tau) * np.sin(2 * np.pi * t / tau)
         s = np.sin(chi)
         first = t <= tau / 2
-        sign = -1.0 if first else 1.0
-        varphi = sign * (2.0 / 3.0) * s ** 3 - (0.0 if first else gamma_prime)
+        sign = np.where(first, -1.0, 1.0)
+        varphi = sign * (2.0 / 3.0) * s ** 3 - np.where(first, 0.0, gamma_prime)
         varphidot = sign * 2.0 * s ** 2 * np.cos(chi) * chidot
-        if abs(s) < 1e-9 or abs(varphidot) < 1e-30:
-            ang = sign * np.pi / 2  # limit of atan(-+inf)
-            omega = -chidot / np.sin(ang)
-        else:
-            ang = np.arctan(chidot / np.tan(chi) / varphidot)
-            omega = -chidot / np.sin(ang)
-        if abs(omega) < 1e-9:
-            omega = 0.0
-        if not np.isfinite(omega):
+        limit = (np.abs(s) < 1e-9) | (np.abs(varphidot) < 1e-30)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # sign * pi/2 is the limit of atan(-+inf)
+            ang = np.where(limit, sign * np.pi / 2,
+                           np.arctan(chidot / np.tan(chi) / varphidot))
+        omega = -chidot / np.sin(ang)
+        omega = np.where(np.abs(omega) < 1e-9, 0.0, omega)
+        if not np.all(np.isfinite(omega)):
             raise FloatingPointError(f"dynamical sampler produced Omega={omega} at t={t}")
         return omega, ang - varphi
 
@@ -260,9 +276,8 @@ def apply_rabi_error(schedule: PulseSchedule, epsilon: float) -> PulseSchedule:
 
 def schedule_to_csv(schedule: PulseSchedule, dt: float = 0.1) -> str:
     """CSV dump of the sampled drive: t_ns, Omega_rad_per_ns, phi1_rad, segment_index."""
-    rows = []
-    for k in range(int(round(schedule.tau / dt)) + 1):
-        t = min(k * dt, schedule.tau)
-        om, phi1 = schedule.drive(t)
-        rows.append([f"{t:.6g}", f"{om:.12g}", f"{phi1:.12g}", schedule.segment_index(t)])
+    times = np.minimum(np.arange(int(round(schedule.tau / dt)) + 1) * dt, schedule.tau)
+    omega, phi1 = schedule.drive(times)
+    rows = ([f"{t:.6g}", f"{om:.12g}", f"{ph:.12g}", schedule.segment_index(t)]
+            for t, om, ph in zip(times, omega, phi1))
     return qmath.csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"], rows)

@@ -10,6 +10,7 @@ fidelities follow from the standard depolarizing-parameter formulas.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -112,6 +113,16 @@ def _group_tables(table: Sequence[CliffordElement]) -> tuple[np.ndarray, np.ndar
     return mul, inv
 
 
+@functools.cache
+def _clifford_group() -> tuple[tuple[CliffordElement, ...], np.ndarray, np.ndarray, int]:
+    """(table, multiplication table, inverse table, identity index), built
+    once per process and read-only, since every caller shares them."""
+    table = tuple(clifford_table())
+    mul, inv = _group_tables(table)
+    mul.flags.writeable = inv.flags.writeable = False
+    return table, mul, inv, _match_index(np.eye(2, dtype=complex), table)
+
+
 def default_channel_factory(noise: Optional[NoiseModel],
                             tau: float = DEFAULT_TAU[SCHEME_SR],
                             step: float = DEFAULT_STEP_1Q
@@ -193,9 +204,7 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
     the decay analytically solvable, which the tests exploit.  Results
     are deterministic for a given seed.
     """
-    table = clifford_table()
-    mul, inv = _group_tables(table)
-    ident = _match_index(np.eye(2, dtype=complex), table)
+    table, mul, inv, ident = _clifford_group()
 
     cliff_channels = []
     for el in table:

@@ -67,22 +67,22 @@ class CavityNoise:
 
 
 def _selective_drive(gate: GateSpec, scheme: str, tau: Optional[float],
-                     epsilon: float, params: DispersiveSystemParams):
-    """(schedule, H(t) sampler on the full space) of the two-qubit gate."""
+                     epsilon: float, params: DispersiveSystemParams
+                     ) -> tuple[PulseSchedule, evolve.DrivenHamiltonian]:
+    """(schedule, Hamiltonian on the full space) of the two-qubit gate.
+
+    H0 is the dispersive shift and the drive acts on every Fock block.
+    """
     if scheme not in DEFAULT_TAU_TWO_QUBIT:
         raise ValueError(f"scheme must be one of {tuple(DEFAULT_TAU_TWO_QUBIT)}")
     schedule = build_schedule(gate, scheme,
                               DEFAULT_TAU_TWO_QUBIT[scheme] if tau is None else tau)
     if epsilon != 0.0:
         schedule = apply_rabi_error(schedule, epsilon)
-    frame = bright_frame(gate.theta, gate.phi)
-
-    def h(t: float) -> np.ndarray:
-        omega, phi1 = schedule.drive(t)
-        hd = model.bright_drive_hamiltonian(frame, omega, phi1)
-        return model.dispersive_hamiltonian(params, hd)
-
-    return schedule, h
+    a_op = model.bright_drive_operator(bright_frame(gate.theta, gate.phi))
+    return schedule, evolve.DrivenHamiltonian(
+        model.dispersive_shift_hamiltonian(params),
+        qmath.tensor(np.eye(params.n_fock), a_op), schedule.drive)
 
 
 def zz_frame_correction(params: DispersiveSystemParams, tau: float) -> np.ndarray:
@@ -142,8 +142,8 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     assumption is breaking down and a warning is emitted.
     """
     params = DispersiveSystemParams.from_mhz() if params is None else params
-    schedule, h = _selective_drive(gate, scheme, tau, epsilon, params)
-    _, unitaries = evolve.propagate_unitary_h(h, schedule.tau, step)
+    schedule, ham = _selective_drive(gate, scheme, tau, epsilon, params)
+    _, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
     u = unitaries[-1]
     corrected = zz_frame_correction(params, schedule.tau) @ u
     corrected = calibration_phase_correction(corrected, gate.gamma,
@@ -269,8 +269,8 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     if cavity_noise is None:
         cavity_noise = CavityNoise()
 
-    schedule, h = _selective_drive(CNOT_GATE, scheme, tau, transmon_noise.epsilon,
-                                   params)
+    schedule, ham = _selective_drive(CNOT_GATE, scheme, tau, transmon_noise.epsilon,
+                                     params)
     c_ops = [qmath.tensor(np.eye(params.n_fock), c)
              for c in model.collapse_operators(transmon_noise)]
     c_ops += cavity_noise.collapse_operators(params.n_fock)
@@ -280,7 +280,7 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     dim = 3 * params.n_fock
     rho0 = np.zeros((2, dim, dim), dtype=complex)
     rho0[[0, 1], start, start] = 1.0
-    _, states = evolve.propagate_lindblad_h(h, c_ops, schedule.tau, step, rho0)
+    _, states = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau, step, rho0)
     # Populations are frame-invariant, so the ZZ correction is a no-op
     # here; kept implicit.
     return float(np.mean(states[-1, [0, 1], goal, goal].real))

@@ -5,7 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from holonomy_lab import twoqubit
+from holonomy_lab import cohfit, evolve, twoqubit
+from holonomy_lab.config import RunConfig
+from holonomy_lab.model import bright_frame
+from holonomy_lab.pulses import GATE_X, build_sr_nhqc
 from holonomy_lab.cli import main
 
 
@@ -31,6 +34,31 @@ def test_simulate_gate_with_rabi_error(tmp_path):
                  "--output-dir", str(out)]) == 0
     payload = _read_json(out / "fidelity.json")
     assert abs(payload["fidelity"] - 0.99940) < 1e-3
+
+
+def test_noisy_gate_is_integrated_once(tmp_path, monkeypatch):
+    columns = []
+    real = evolve.propagate_lindblad_h
+
+    def counted(ham, c_ops, tau, step, rho0):
+        columns.append(rho0.shape[0])
+        return real(ham, c_ops, tau, step, rho0)
+
+    monkeypatch.setattr(evolve, "propagate_lindblad_h", counted)
+    out = tmp_path / "o"
+    assert main(["simulate-gate", "--noise", "--gate", "X",
+                 "--output-dir", str(out)]) == 0
+    assert columns == [9]
+    noise = RunConfig().noise_model()
+    payload = _read_json(out / "fidelity.json")
+    assert abs(payload["avg_gate_error"]
+               - cohfit.lindblad_average_gate_error(GATE_X, noise=noise)) < 1e-12
+    # The |g><g| column of the channel run is the trace a one-state run gives.
+    last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+    trace = evolve.propagate_lindblad(build_sr_nhqc(GATE_X),
+                                      bright_frame(GATE_X.theta, GATE_X.phi), noise)
+    assert np.allclose([float(x) for x in last[1:]], trace.populations[-1],
+                       rtol=0, atol=1e-9)
 
 
 def test_invalid_gamma_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import evolve, model, qmath
+from holonomy_lab import evolve, model, qmath, twoqubit
 from holonomy_lab.model import NoiseModel, bright_frame
 from holonomy_lab.pulses import GateSpec, build_sr_nhqc
 
@@ -90,3 +90,34 @@ def test_trace_csv_header():
     trace = evolve.propagate_unitary(SCHEDULE, FRAME, step=10.0)
     text = evolve.trace_to_csv(trace)
     assert text.splitlines()[0] == "t_ns,P_g,P_e,P_f"
+
+
+def test_stacked_generator_matches_lindblad_superoperator():
+    params = model.DispersiveSystemParams.from_mhz()
+    schedule_2q, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0, params)
+    qutrit_ops = model.collapse_operators(NoiseModel.from_coherence_times())
+    cases = [(SCHEDULE, evolve.schedule_hamiltonian(SCHEDULE, FRAME), qutrit_ops,
+              lambda hd: hd),
+             (schedule_2q, cavity,
+              [qmath.tensor(np.eye(params.n_fock), c) for c in qutrit_ops]
+              + twoqubit.CavityNoise().collapse_operators(params.n_fock),
+              lambda hd: model.dispersive_hamiltonian(params, hd))]
+    for schedule, ham, c_ops, lift in cases:
+        ts = np.array([0.0, 0.37 * schedule.tau, schedule.tau])
+        h_ref = lift(model.bright_drive_hamiltonian(FRAME, *schedule.drive(ts)))
+        assert np.max(np.abs(ham.hamiltonians(ts) - h_ref)) < 1e-15
+        d2 = ham.h0.shape[0] ** 2
+        l0, l_a, l_ad = evolve.lindblad_generator(ham, c_ops).reshape(3, d2, d2)
+        for a, h in zip(ham.coefficient(ts), h_ref):
+            expected = evolve.lindblad_superoperator(h, c_ops)
+            assert np.max(np.abs(l0 + a * l_a + np.conj(a) * l_ad - expected)) < 1e-14
+
+
+def test_non_finite_run_raises():
+    # A collapse rate this large overflows the generator, so the states
+    # and their trace drift come out NaN.
+    huge = [1e200 * np.outer(model.KET_G, model.KET_E)]
+    rho0 = qmath.projector(model.KET_E)[None]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
+        evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE, FRAME), huge,
+                                    SCHEDULE.tau, 10.0, rho0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import pulses
-from holonomy_lab.pulses import (GateSpec, apply_rabi_error, build_dynamical,
+from holonomy_lab.pulses import (SCHEMES, GateSpec, apply_rabi_error, build_dynamical,
                                  build_nhqc, build_schedule, build_sr_nhqc,
                                  sample_envelope)
 
@@ -73,6 +73,31 @@ def test_dynamical_sampler_finite_and_smooth_limits():
     # endpoints and midpoint are envelope zeros
     assert s.drive(0.0)[0] == 0.0
     assert abs(s.drive(52.5)[0]) < 1e-6
+
+
+def _segment_drive_loop(schedule, t):
+    """Segment lookup one time at a time: the reference for drive on a grid."""
+    t0 = 0.0
+    for seg in schedule.segments:
+        if t <= t0 + seg.duration + 1e-12:
+            om = sample_envelope(seg, min(max(t - t0, 0.0), seg.duration))
+            return schedule.amp_scale * om, -seg.phase
+        t0 += seg.duration
+    return 0.0, 0.0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_drive_on_a_grid_matches_one_time_at_a_time(scheme):
+    s = apply_rabi_error(build_schedule(GateSpec(1.1, 0.7, 2.3), scheme), 0.03)
+    bounds = np.cumsum([seg.duration for seg in s.segments])
+    ts = np.concatenate([[0.0, s.tau / 2, s.tau], bounds, np.linspace(0.0, s.tau, 601)])
+    om, phi1 = s.drive(ts)
+    assert om.shape == phi1.shape == ts.shape
+    one = np.array([s.drive(t) for t in ts])
+    assert np.array_equal(om, one[:, 0]) and np.array_equal(phi1, one[:, 1])
+    if s.segments:
+        loop = np.array([_segment_drive_loop(s, t) for t in ts])
+        assert np.array_equal(np.column_stack([om, phi1]), loop)
 
 
 def test_build_schedule_dispatch_and_defaults():

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from holonomy_lab import model, qmath, twoqubit
+from holonomy_lab import qmath, twoqubit
 from holonomy_lab.model import DispersiveSystemParams
-from holonomy_lab.pulses import GateSpec
+from holonomy_lab.pulses import GateSpec, PulseSchedule
 from holonomy_lab.twoqubit import CNOT_GATE, state_index
 
 
@@ -124,19 +124,21 @@ def test_outputs():
 def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
     # 13.8 / 0.69 evaluates to 20.000000000000004: a grid that rounds up
     # naively takes 21 steps instead of 20.
-    calls = []
-    real = model.dispersive_hamiltonian
+    sampled = []
+    real = PulseSchedule.drive
 
-    def counted(params, h_drive):
-        calls.append(1)
-        return real(params, h_drive)
+    def recorded(self, t):
+        sampled.append(np.atleast_1d(t))
+        return real(self, t)
 
-    monkeypatch.setattr(model, "dispersive_hamiltonian", counted)
+    monkeypatch.setattr(PulseSchedule, "drive", recorded)
     _quiet_gate(CNOT_GATE, tau=13.8, step=0.69)
-    n_closed = len(calls)
-    calls.clear()
+    closed = sampled[:]
+    sampled.clear()
     twoqubit.cnot_state_fidelity(tau=13.8, step=0.69)
-    # One midpoint sample per closed step; four RK4 stages per open step,
-    # both initial states in one run.
-    assert n_closed == 20
-    assert len(calls) == 4 * n_closed
+    # One call each: the closed gate samples one midpoint per step, the
+    # RK4 run the grid points and step midpoints, both initial states in
+    # one run.
+    assert [len(t) for t in closed] == [20]
+    assert [len(t) for t in sampled] == [2 * 20 + 1]
+    np.testing.assert_allclose(np.sort(sampled[0])[1::2], closed[0], rtol=0, atol=1e-12)
