@@ -114,12 +114,9 @@ def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> int:
     gate = _gate_from(cfg, args)
     scheme = cfg.scheme
     tau = cfg.tau_ns(scheme)
-    rows = []
-    for eps in np.linspace(args.eps_min, args.eps_max, args.points).tolist():
-        f_sim = holonomy.simulated_gate_fidelity(gate, scheme, eps, cfg.step_1q_ns, tau)
-        f_an = qmath.unitary_fidelity(holonomy.analytic_noisy_gate(gate, eps),
-                                      gate.target_unitary())
-        rows.append(holonomy.SweepRow(eps, f_sim, f_an))
+    rows = holonomy.robustness_sweep(gate, scheme,
+                                     np.linspace(args.eps_min, args.eps_max, args.points),
+                                     cfg.step_1q_ns, tau)
     path = _write(Path(cfg.output_dir), "sweep.csv",
                   holonomy.sweep_to_csv(rows), cfg)
     print(f"{len(rows)} points -> {path}")

@@ -28,6 +28,9 @@ from .model import BrightFrame, NoiseModel
 from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
+# Steps per block of step exponentials in scaled_final_unitaries; keeps
+# memory flat in the number of steps.
+STEP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,20 @@ def _time_grid(tau: float, step: float) -> np.ndarray:
     return np.linspace(0.0, tau, n + 1)
 
 
+def _midpoint_eigh(ham: DrivenHamiltonian, tau: float,
+                   step: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """(times, dt, w, v): the grid and H(t_mid) = v diag(w) v^dag of every step."""
+    times = _time_grid(tau, step)
+    mids = 0.5 * (times[:-1] + times[1:])
+    w, v = np.linalg.eigh(ham.hamiltonians(mids))
+    return times, times[1] - times[0], w, v
+
+
+def _step_exponentials(w: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) = v exp(-i w dt) v^dag for a stack of steps; unitary to round-off."""
+    return np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * dt), v.conj())
+
+
 def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
                         step: float) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-exponential propagators U(t_k, 0) on a uniform grid.
@@ -100,20 +117,44 @@ def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
     Each step uses exp(-i H(t_mid) dt) built from a batched
     eigendecomposition, so every factor is unitary to round-off.
     """
-    times = _time_grid(tau, step)
-    dt = times[1] - times[0]
-    mids = 0.5 * (times[:-1] + times[1:])
-    h_stack = ham.hamiltonians(mids)
-    w, v = np.linalg.eigh(h_stack)
-    phases = np.exp(-1j * w * dt)
-    steps = np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
-
-    dim = h_stack.shape[-1]
+    times, dt, w, v = _midpoint_eigh(ham, tau, step)
+    steps = _step_exponentials(w, v, dt)
+    dim = w.shape[-1]
     unitaries = np.empty((len(times), dim, dim), dtype=complex)
     unitaries[0] = np.eye(dim)
-    for k in range(len(mids)):
+    for k in range(len(steps)):
         unitaries[k + 1] = steps[k] @ unitaries[k]
     return times, unitaries
+
+
+def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
+                           scales: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(times, finals): the final propagator of s H(t) for every scale s.
+
+    Uses the grid and midpoint steps of propagate_unitary_h, and one
+    eigendecomposition per step for all scales: exp(-i s H dt) =
+    v exp(-i s w dt) v^dag.  The product chain runs over the whole stack
+    of scales, one batched matmul per step, with the step exponentials
+    built STEP_BLOCK steps at a time.  scales=(1.0,) gives the last
+    unitary of propagate_unitary_h bit for bit.
+
+    s H(t) is a Rabi error s = 1 + epsilon only where H0 = 0, as for
+    schedule_hamiltonian.  The cavity's H0 is the dispersive shift, so
+    scaling its H is not a Rabi error; that needs one run per error.
+    """
+    times, dt, w, v = _midpoint_eigh(ham, tau, step)
+    scales = np.asarray(scales, dtype=float)
+    n, dim = w.shape
+    finals = np.broadcast_to(np.eye(dim, dtype=complex), (len(scales), dim, dim)).copy()
+    block = np.empty((min(n, STEP_BLOCK), len(scales), dim, dim), dtype=complex)
+    for start in range(0, n, STEP_BLOCK):
+        wb, vb = w[start:start + STEP_BLOCK], v[start:start + STEP_BLOCK]
+        steps = block[:len(wb)]
+        for e, s in enumerate(scales):
+            steps[:, e] = _step_exponentials(s * wb, vb, dt)
+        for factor in steps:
+            finals = factor @ finals
+    return times, finals
 
 
 def propagate_unitary(schedule: PulseSchedule, frame: BrightFrame,
@@ -246,11 +287,19 @@ def propagate_superoperator(schedule: PulseSchedule, frame: BrightFrame,
     vec(rho(tau)) = S vec(rho(0)).  The nine basis matrices |i><j| are
     the columns of one run; the first is |g><g|, so its record is the
     ground-state trace that propagate_lindblad would give.  Noiseless if
-    noise is None.
+    noise is None.  Raises if the channel is not completely positive to
+    within TRACE_DRIFT_LIMIT (minimum Choi eigenvalue), which RK4's trace
+    drift cannot reveal when the step is too coarse.
     """
     ham, c_ops = _open_system(schedule, frame, noise)
     basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
     times, states = propagate_lindblad_h(ham, c_ops, schedule.tau, step, basis)
+    # Choi matrix sum_ij |i><j| kron E(|i><j|); states[-1][3i+j] is E(|i><j|).
+    choi = states[-1].reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    choi_min = np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[0]
+    if not choi_min >= -TRACE_DRIFT_LIMIT:
+        raise RuntimeError(f"channel Choi eigenvalue {choi_min:.2e} is below "
+                           f"-{TRACE_DRIFT_LIMIT:g}; reduce the integration step")
     # A C-ordered copy, not a transposed view, so that products with the
     # channel take the same BLAS path, and round alike, as any stored matrix.
     channel = np.ascontiguousarray(states[-1].reshape(9, 9).T)

@@ -267,11 +267,16 @@ def build_schedule(gate: GateSpec, scheme: str, tau: Optional[float] = None,
     return build_dynamical(gate, tau)
 
 
-def apply_rabi_error(schedule: PulseSchedule, epsilon: float) -> PulseSchedule:
-    """Scale every drive amplitude by (1 + epsilon); phases untouched."""
+def rabi_scale(epsilon: float) -> float:
+    """Drive amplitude factor 1 + epsilon of a fractional Rabi error."""
     if abs(epsilon) > 1.0:
         raise ValueError("|epsilon| must not exceed 1")
-    return replace(schedule, amp_scale=schedule.amp_scale * (1.0 + epsilon))
+    return 1.0 + epsilon
+
+
+def apply_rabi_error(schedule: PulseSchedule, epsilon: float) -> PulseSchedule:
+    """Scale every drive amplitude by (1 + epsilon); phases untouched."""
+    return replace(schedule, amp_scale=schedule.amp_scale * rabi_scale(epsilon))
 
 
 def schedule_to_csv(schedule: PulseSchedule, dt: float = 0.1) -> str:

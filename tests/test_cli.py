@@ -8,7 +8,7 @@ import pytest
 from holonomy_lab import cohfit, evolve, twoqubit
 from holonomy_lab.config import RunConfig
 from holonomy_lab.model import bright_frame
-from holonomy_lab.pulses import GATE_X, build_sr_nhqc
+from holonomy_lab.pulses import GATE_X, PulseSchedule, build_sr_nhqc
 from holonomy_lab.cli import main
 
 
@@ -118,6 +118,58 @@ def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
     # grid order is preserved regardless of completion order
     eps = [float(l.split(",")[0]) for l in lines[1:]]
     assert eps == sorted(eps)
+
+
+def _sweep_lines(out):
+    return [l for l in (out / "sweep.csv").read_text().splitlines()
+            if not l.startswith("#")]
+
+
+def test_sweep_rejects_rabi_error_above_one(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep-epsilon", "--gate", "X", "--eps-max", "1.5", "--points", "3",
+                 "--output-dir", str(out)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_without_points_writes_header_only(tmp_path):
+    out = tmp_path / "o"
+    assert main(["sweep-epsilon", "--gate", "X", "--points", "0",
+                 "--output-dir", str(out)]) == 0
+    assert _sweep_lines(out) == ["epsilon,F_sim,F_analytic"]
+
+
+def test_sweep_is_propagated_once(tmp_path, monkeypatch):
+    drive_calls, eigh_calls = [], []
+    real_drive, real_eigh = PulseSchedule.drive, np.linalg.eigh
+
+    def counted_drive(self, t):
+        drive_calls.append(np.size(t))
+        return real_drive(self, t)
+
+    def counted_eigh(a, *args, **kwargs):
+        eigh_calls.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(PulseSchedule, "drive", counted_drive)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    out = tmp_path / "o"
+    assert main(["sweep-epsilon", "--gate", "X", "--points", "41",
+                 "--output-dir", str(out)]) == 0
+    # One drive call on the 2400 step midpoints and one stacked eigh serve
+    # all 41 Rabi errors.
+    assert drive_calls == [2400]
+    assert eigh_calls == [(2400, 3, 3)]
+    assert len(_sweep_lines(out)) == 42
+
+
+def test_coarse_noisy_step_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("step_1q_ns = 5\n")
+    assert main(["--config", str(cfg), "simulate-gate", "--noise", "--gate", "X",
+                 "--output-dir", str(tmp_path / "o")]) == 3
+    assert "Choi" in capsys.readouterr().err
 
 
 def test_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):

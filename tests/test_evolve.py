@@ -3,7 +3,8 @@ import pytest
 
 from holonomy_lab import evolve, model, qmath, twoqubit
 from holonomy_lab.model import NoiseModel, bright_frame
-from holonomy_lab.pulses import GateSpec, build_sr_nhqc
+from holonomy_lab.pulses import (SCHEMES, GateSpec, apply_rabi_error, build_schedule,
+                                 build_sr_nhqc)
 
 GATE = GateSpec(np.pi / 2, 0.0, np.pi)
 FRAME = bright_frame(GATE.theta, GATE.phi)
@@ -21,6 +22,26 @@ def test_step_refinement_converges():
     u_fine = evolve.propagate_unitary(SCHEDULE, FRAME, step=0.02).final_unitary
     u_coarse = evolve.propagate_unitary(SCHEDULE, FRAME, step=0.2).final_unitary
     assert np.max(np.abs(u_fine - u_coarse)) < 1e-5
+
+
+@pytest.mark.parametrize("step", [0.05, 0.5])
+@pytest.mark.parametrize("gate", [GATE, GateSpec(1.3, 2.1, 2.7)], ids=["X", "generic"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scaled_finals_match_per_point_rabi_errors(scheme, gate, step):
+    schedule = build_schedule(gate, scheme)
+    frame = bright_frame(gate.theta, gate.phi)
+    ham = evolve.schedule_hamiltonian(schedule, frame)
+    epsilons = (-0.2, 0.0, 0.13)
+    _, finals = evolve.scaled_final_unitaries(ham, schedule.tau, step,
+                                              [1.0 + e for e in epsilons])
+    for eps, u in zip(epsilons, finals):
+        ref = evolve.propagate_unitary(apply_rabi_error(schedule, eps), frame,
+                                       step).final_unitary
+        assert np.max(np.abs(u - ref)) < 1e-12
+    times, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
+    times_1, finals_1 = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))
+    assert np.array_equal(times_1, times)
+    assert np.array_equal(finals_1[0], unitaries[-1])
 
 
 def test_lindblad_reduces_to_closed_without_noise():
@@ -59,6 +80,15 @@ def test_superoperator_matches_state_propagation():
     rho_sup = evolve.apply_superoperator(sup, rho0)
     trace = evolve.propagate_lindblad(SCHEDULE, FRAME, noise, step=0.05)
     assert np.max(np.abs(rho_sup - trace.final_state)) < 1e-9
+
+
+def test_coarse_step_channel_is_not_completely_positive():
+    # RK4 keeps the trace at step 2 ns, but the channel's Choi matrix has
+    # an eigenvalue near -2e-4; at 0.5 ns the minimum is +9e-5.
+    noise = NoiseModel.from_coherence_times()
+    evolve.gate_channel(SCHEDULE, FRAME, noise, step=0.5)
+    with pytest.raises(RuntimeError, match="Choi"):
+        evolve.gate_channel(SCHEDULE, FRAME, noise, step=2.0)
 
 
 def test_noiseless_gate_channel_is_unitary_conjugation():
