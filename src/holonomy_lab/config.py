@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .model import DispersiveSystemParams, NoiseModel
+from .model import DEVICE, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
                      SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR)
 
@@ -42,22 +42,22 @@ class RunConfig:
     # cavity (drives the two-qubit gate)
     chi_readout_ge_MHz: float = 2.52
     chi_readout_ef_MHz: float = 2.39
-    chi_storage_ge_MHz: float = 2.87
-    chi_storage_ef_MHz: float = 2.08
+    chi_storage_ge_MHz: float = DEVICE["chi_storage_ge_MHz"]
+    chi_storage_ef_MHz: float = DEVICE["chi_storage_ef_MHz"]
 
     # Transmon coherence
-    t1_ge_us: float = 18.9
-    t1_ef_us: float = 12.7
-    t1_gf_us: float = 500.0
-    t2e_ge_us: float = 38.0
-    t2e_ef_us: float = 26.0
-    t2e_gf_us: float = 31.0
+    t1_ge_us: float = DEVICE["t1_ge_us"]
+    t1_ef_us: float = DEVICE["t1_ef_us"]
+    t1_gf_us: float = DEVICE["t1_gf_us"]
+    t2e_ge_us: float = DEVICE["t2e_ge_us"]
+    t2e_ef_us: float = DEVICE["t2e_ef_us"]
+    t2e_gf_us: float = DEVICE["t2e_gf_us"]
     t2star_ge_us: float = 25.9
     t2star_ef_us: float = 12.9
 
     # Storage cavity coherence
-    cavity_t1_us: float = 334.0
-    cavity_t2star_us: float = 243.0
+    cavity_t1_us: float = DEVICE["cavity_t1_us"]
+    cavity_t2star_us: float = DEVICE["cavity_t2star_us"]
 
     # Gate durations and integration steps
     tau_sr_ns: float = DEFAULT_TAU[SCHEME_SR]

@@ -11,6 +11,14 @@ equation for a stack of initial states; its generator
 L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix,
 so each stage is one product with it and one weighted sum of its blocks.
 
+Both propagators integrate only what the operators couple, read off
+their sparsity pattern.  The closed one splits H into the index blocks
+that H0, A and A^dag never connect (the Fock blocks of the cavity, one
+block on the qutrit) and propagates them side by side; the open one
+keeps the entries of vec(rho) that the generator can reach from the
+support of the initial states, and every other entry stays exactly 0.
+The reduction is exact: it drops only products with zeros.
+
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
 """
@@ -79,7 +87,14 @@ class DrivenHamiltonian:
 
     def hamiltonians(self, times: np.ndarray) -> np.ndarray:
         """Stack of H(t) (len(times) x d x d)."""
-        a = self.coefficient(times)[:, None, None]
+        return self.at_coefficient(self.coefficient(times))
+
+    def at_coefficient(self, a: np.ndarray) -> np.ndarray:
+        """H at every drive coefficient in a, shape a.shape + h0.shape.
+
+        h0 and a_op may be stacks of blocks (..., s, s).
+        """
+        a = np.reshape(a, np.shape(a) + (1,) * self.h0.ndim)
         return self.h0 + a * self.a_op + np.conj(a) * qmath.dagger(self.a_op)
 
 
@@ -96,18 +111,62 @@ def _time_grid(tau: float, step: float) -> np.ndarray:
     return np.linspace(0.0, tau, n + 1)
 
 
+def _reachable(pattern: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Boolean mask of the indices reachable from mask, where index i
+    reads index j if pattern[i, j]."""
+    size = -1
+    while mask.sum() > size:
+        size = mask.sum()
+        mask = mask | (pattern @ mask)
+    return mask
+
+
+def invariant_blocks(ham: DrivenHamiltonian) -> list[np.ndarray]:
+    """Index sets that H0, A and A^dag never couple, grouped by size.
+
+    One (blocks, size) index array per block size, each block in
+    ascending index order; H(t) is block diagonal on them at every t.
+    """
+    coupled = (ham.h0 != 0) | (ham.a_op != 0)
+    pattern = coupled | coupled.T
+    free = np.ones(len(pattern), dtype=bool)
+    groups: dict[int, list[np.ndarray]] = {}
+    while free.any():
+        block = np.flatnonzero(_reachable(pattern, np.arange(len(free)) == free.argmax()))
+        groups.setdefault(len(block), []).append(block)
+        free[block] = False
+    return [np.array(blocks) for blocks in groups.values()]
+
+
 def _midpoint_eigh(ham: DrivenHamiltonian, tau: float,
-                   step: float) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """(times, dt, w, v): the grid and H(t_mid) = v diag(w) v^dag of every step."""
+                   step: float) -> tuple[np.ndarray, float, list[tuple]]:
+    """(times, dt, groups): the grid and, for every group of invariant_blocks,
+    (idx, w, v) with H(t_mid)[block, block] = v diag(w) v^dag at every step;
+    w is (steps, blocks, size) and v (steps, blocks, size, size)."""
     times = _time_grid(tau, step)
     mids = 0.5 * (times[:-1] + times[1:])
-    w, v = np.linalg.eigh(ham.hamiltonians(mids))
-    return times, times[1] - times[0], w, v
+    a = ham.coefficient(mids)
+    groups = []
+    for idx in invariant_blocks(ham):
+        rows, cols, size = idx[:, :, None], idx[:, None, :], idx.shape[1]
+        sub = DrivenHamiltonian(ham.h0[rows, cols], ham.a_op[rows, cols], ham.drive)
+        h = sub.at_coefficient(a)
+        w, v = np.linalg.eigh(h.reshape(-1, size, size))
+        groups.append((idx, w.reshape(h.shape[:-1]), v.reshape(h.shape)))
+    return times, times[1] - times[0], groups
 
 
-def _step_exponentials(w: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) = v exp(-i w dt) v^dag for a stack of steps; unitary to round-off."""
-    return np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * dt), v.conj())
+def _step_exponentials(w: np.ndarray, v: np.ndarray, v_conj: np.ndarray,
+                       dt: float) -> np.ndarray:
+    """exp(-i H dt) = v exp(-i w dt) v^dag for a stack of steps; unitary to round-off.
+
+    v_conj is v.conj(), passed in so that callers that exponentiate the
+    same v at several scales conjugate it once.
+    """
+    size = v.shape[-1]
+    return np.einsum("nij,nj,nkj->nik", v.reshape(-1, size, size),
+                     np.exp(-1j * w * dt).reshape(-1, size),
+                     v_conj.reshape(-1, size, size)).reshape(v.shape)
 
 
 def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
@@ -115,15 +174,20 @@ def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
     """Piecewise-exponential propagators U(t_k, 0) on a uniform grid.
 
     Each step uses exp(-i H(t_mid) dt) built from a batched
-    eigendecomposition, so every factor is unitary to round-off.
+    eigendecomposition, so every factor is unitary to round-off.  The
+    invariant blocks of H are propagated side by side and assembled
+    into the block-diagonal U.
     """
-    times, dt, w, v = _midpoint_eigh(ham, tau, step)
-    steps = _step_exponentials(w, v, dt)
-    dim = w.shape[-1]
-    unitaries = np.empty((len(times), dim, dim), dtype=complex)
-    unitaries[0] = np.eye(dim)
-    for k in range(len(steps)):
-        unitaries[k + 1] = steps[k] @ unitaries[k]
+    times, dt, groups = _midpoint_eigh(ham, tau, step)
+    dim = ham.h0.shape[-1]
+    unitaries = np.zeros((len(times), dim, dim), dtype=complex)
+    for idx, w, v in groups:
+        steps = _step_exponentials(w, v, v.conj(), dt)
+        chain = np.empty((len(times), *v.shape[1:]), dtype=complex)
+        chain[0] = np.eye(idx.shape[1])
+        for k in range(len(steps)):
+            chain[k + 1] = steps[k] @ chain[k]
+        unitaries[:, idx[:, :, None], idx[:, None, :]] = chain
     return times, unitaries
 
 
@@ -131,29 +195,35 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
                            scales: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(times, finals): the final propagator of s H(t) for every scale s.
 
-    Uses the grid and midpoint steps of propagate_unitary_h, and one
-    eigendecomposition per step for all scales: exp(-i s H dt) =
-    v exp(-i s w dt) v^dag.  The product chain runs over the whole stack
-    of scales, one batched matmul per step, with the step exponentials
-    built STEP_BLOCK steps at a time.  scales=(1.0,) gives the last
-    unitary of propagate_unitary_h bit for bit.
+    Uses the grid, midpoint steps and invariant blocks of
+    propagate_unitary_h, and one eigendecomposition per step for all
+    scales: exp(-i s H dt) = v exp(-i s w dt) v^dag.  The product chain
+    runs over the whole stack of scales, one batched matmul per step,
+    with the step exponentials built STEP_BLOCK steps at a time.
+    scales=(1.0,) gives the last unitary of propagate_unitary_h bit for
+    bit, for any H0.
 
     s H(t) is a Rabi error s = 1 + epsilon only where H0 = 0, as for
     schedule_hamiltonian.  The cavity's H0 is the dispersive shift, so
     scaling its H is not a Rabi error; that needs one run per error.
     """
-    times, dt, w, v = _midpoint_eigh(ham, tau, step)
+    times, dt, groups = _midpoint_eigh(ham, tau, step)
     scales = np.asarray(scales, dtype=float)
-    n, dim = w.shape
-    finals = np.broadcast_to(np.eye(dim, dtype=complex), (len(scales), dim, dim)).copy()
-    block = np.empty((min(n, STEP_BLOCK), len(scales), dim, dim), dtype=complex)
-    for start in range(0, n, STEP_BLOCK):
-        wb, vb = w[start:start + STEP_BLOCK], v[start:start + STEP_BLOCK]
-        steps = block[:len(wb)]
-        for e, s in enumerate(scales):
-            steps[:, e] = _step_exponentials(s * wb, vb, dt)
-        for factor in steps:
-            finals = factor @ finals
+    dim = ham.h0.shape[-1]
+    finals = np.zeros((len(scales), dim, dim), dtype=complex)
+    for idx, w, v in groups:
+        n, shape = len(w), (len(scales), *v.shape[1:])
+        chain = np.broadcast_to(np.eye(idx.shape[1], dtype=complex), shape).copy()
+        block = np.empty((min(n, STEP_BLOCK), *shape), dtype=complex)
+        for start in range(0, n, STEP_BLOCK):
+            wb, vb = w[start:start + STEP_BLOCK], v[start:start + STEP_BLOCK]
+            vb_conj = vb.conj()
+            steps = block[:len(wb)]
+            for e, s in enumerate(scales):
+                steps[:, e] = _step_exponentials(s * wb, vb, vb_conj, dt)
+            for factor in steps:
+                chain = factor @ chain
+        finals[:, idx[:, :, None], idx[:, None, :]] = chain
     return times, finals
 
 
@@ -203,17 +273,25 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     """Density matrices rho_m(t_k) of a stack of initial states rho0 (m x d x d).
 
     Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every initial
-    state as one column.  The drive coefficient is sampled once at the
-    grid points and step midpoints; each stage applies the stacked
-    generator of lindblad_generator.  Returns (times, states) with
-    states of shape (len(times), m, d, d).  Raises if any state's trace
-    drifts from its initial value beyond TRACE_DRIFT_LIMIT or is not
-    finite.
+    state as one column.  Only the entries of vec(rho) that the union
+    pattern of the generator blocks reaches from the support of rho0 are
+    integrated; the others stay exactly 0, because no reachable row
+    reads them.  The drive coefficient is sampled once at the grid
+    points and step midpoints; each stage applies the stacked generator
+    of lindblad_generator, restricted to the reachable entries.
+    Returns (times, states) with states of shape (len(times), m, d, d).
+    Raises if any state's trace drifts from its initial value beyond
+    TRACE_DRIFT_LIMIT or is not finite.
     """
     times = _time_grid(tau, step)
     n = len(times) - 1
     m, dim = rho0.shape[0], rho0.shape[-1]
-    gen = lindblad_generator(ham, c_ops)
+    blocks = lindblad_generator(ham, c_ops).reshape(3, dim * dim, dim * dim)
+    out = np.zeros((n + 1, m, dim * dim), dtype=complex)
+    out[0] = rho0.reshape(m, dim * dim)
+    live = np.flatnonzero(_reachable((blocks != 0).any(axis=0), (out[0] != 0).any(axis=0)))
+    r = len(live)
+    gen = blocks[:, live[:, None], live].reshape(3 * r, r)
     dt = np.diff(times)
     a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
     # Row j weighs the three generator blocks at sample j: (1, a, conj(a)).
@@ -221,11 +299,9 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     nodes, mids = weights[:n + 1], weights[n + 1:]
 
     def lmul(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (w @ (gen @ y).reshape(3, dim * dim * m)).reshape(dim * dim, m)
+        return (w @ (gen @ y).reshape(3, r * m)).reshape(r, m)
 
-    out = np.empty((n + 1, m, dim * dim), dtype=complex)
-    out[0] = rho0.reshape(m, dim * dim)
-    y = out[0].T.copy()
+    y = out[0][:, live].T.copy()
     for k in range(n):
         h = dt[k]
         k1 = lmul(nodes[k], y)
@@ -233,7 +309,7 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
         k3 = lmul(mids[k], y + h / 2 * k2)
         k4 = lmul(nodes[k + 1], y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = y.T
+        out[k + 1][:, live] = y.T
     states = out.reshape(n + 1, m, dim, dim)
 
     traces = np.einsum("nmii->nm", states).real

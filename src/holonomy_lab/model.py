@@ -23,6 +23,16 @@ KET_F = np.array([0, 0, 1], dtype=complex)
 
 US_TO_NS = 1000.0
 
+# Measured device values, keyed as in config.RunConfig: the one copy of
+# the defaults of RunConfig, NoiseModel.from_coherence_times,
+# DispersiveSystemParams.from_mhz and twoqubit.CavityNoise.
+DEVICE = {
+    "t1_ge_us": 18.9, "t1_ef_us": 12.7, "t1_gf_us": 500.0,
+    "t2e_ge_us": 38.0, "t2e_ef_us": 26.0, "t2e_gf_us": 31.0,
+    "chi_storage_ge_MHz": 2.87, "chi_storage_ef_MHz": 2.08,
+    "cavity_t1_us": 334.0, "cavity_t2star_us": 243.0,
+}
+
 
 @dataclass(frozen=True)
 class BrightFrame:
@@ -102,9 +112,12 @@ class NoiseModel:
             raise ValueError("|epsilon| must not exceed 1")
 
     @classmethod
-    def from_coherence_times(cls, t1_ge_us: float = 18.9, t1_ef_us: float = 12.7,
-                             t1_gf_us: float = 500.0, t2e_ge_us: float = 38.0,
-                             t2e_ef_us: float = 26.0, t2e_gf_us: float = 31.0,
+    def from_coherence_times(cls, t1_ge_us: float = DEVICE["t1_ge_us"],
+                             t1_ef_us: float = DEVICE["t1_ef_us"],
+                             t1_gf_us: float = DEVICE["t1_gf_us"],
+                             t2e_ge_us: float = DEVICE["t2e_ge_us"],
+                             t2e_ef_us: float = DEVICE["t2e_ef_us"],
+                             t2e_gf_us: float = DEVICE["t2e_gf_us"],
                              epsilon: float = 0.0) -> "NoiseModel":
         """Default rates of the measured device (relaxation from T1,
         dephasing from echo T2E)."""
@@ -166,7 +179,8 @@ class DispersiveSystemParams:
             raise ValueError("dispersive shifts must be finite")
 
     @classmethod
-    def from_mhz(cls, chi_ge_mhz: float = 2.87, chi_ef_mhz: float = 2.08,
+    def from_mhz(cls, chi_ge_mhz: float = DEVICE["chi_storage_ge_MHz"],
+                 chi_ef_mhz: float = DEVICE["chi_storage_ef_MHz"],
                  n_fock: int = 4) -> "DispersiveSystemParams":
         to_rad_ns = 2 * np.pi * 1e-3
         return cls(chi_ge=chi_ge_mhz * to_rad_ns, chi_ef=chi_ef_mhz * to_rad_ns,

@@ -51,8 +51,8 @@ def two_qubit_target(gate: GateSpec) -> np.ndarray:
 class CavityNoise:
     """Storage-mode relaxation/dephasing times in us."""
 
-    t1_us: float = 334.0
-    t2star_us: float = 243.0
+    t1_us: float = model.DEVICE["cavity_t1_us"]
+    t2star_us: float = model.DEVICE["cavity_t2star_us"]
 
     def collapse_operators(self, n_fock: int) -> list[np.ndarray]:
         a = np.diag(np.sqrt(np.arange(1, n_fock)), 1).astype(complex)
@@ -143,8 +143,7 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     """
     params = DispersiveSystemParams.from_mhz() if params is None else params
     schedule, ham = _selective_drive(gate, scheme, tau, epsilon, params)
-    _, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
-    u = unitaries[-1]
+    u = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))[1][0]
     corrected = zz_frame_correction(params, schedule.tau) @ u
     corrected = calibration_phase_correction(corrected, gate.gamma,
                                              params.n_fock) @ corrected

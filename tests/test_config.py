@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from holonomy_lab import twoqubit
 from holonomy_lab.config import (ConfigError, RunConfig, config_hash,
                                  default_config_text, parse_config)
+from holonomy_lab.model import DispersiveSystemParams, NoiseModel
 
 
 def test_defaults_match_device_values():
@@ -68,3 +70,11 @@ def test_noise_model_and_dispersive_helpers():
     p = cfg.dispersive_params()
     assert np.isclose(p.chi_ge, 2.87 * 2 * np.pi * 1e-3)
     assert p.n_fock == 4
+
+
+def test_config_defaults_are_the_model_defaults():
+    cfg = RunConfig()
+    assert cfg.noise_model() == NoiseModel.from_coherence_times()
+    assert cfg.dispersive_params() == DispersiveSystemParams.from_mhz()
+    cavity = twoqubit.CavityNoise()
+    assert (cfg.cavity_t1_us, cfg.cavity_t2star_us) == (cavity.t1_us, cavity.t2star_us)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy_lab import evolve, model, qmath, twoqubit
 from holonomy_lab.model import NoiseModel, bright_frame
-from holonomy_lab.pulses import (SCHEMES, GateSpec, apply_rabi_error, build_schedule,
-                                 build_sr_nhqc)
+from holonomy_lab.pulses import (NAMED_GATES, SCHEMES, GateSpec, apply_rabi_error,
+                                 build_schedule, build_sr_nhqc)
 
 GATE = GateSpec(np.pi / 2, 0.0, np.pi)
 FRAME = bright_frame(GATE.theta, GATE.phi)
@@ -151,3 +154,83 @@ def test_non_finite_run_raises():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
         evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE, FRAME), huge,
                                     SCHEDULE.tau, 10.0, rho0)
+
+
+def _cavity_open_system(gate, tau):
+    """(Hamiltonian, collapse operators) of the noisy two-qubit gate."""
+    params = model.DispersiveSystemParams.from_mhz()
+    _, ham = twoqubit._selective_drive(gate, "sr-nhqc", tau, 0.0, params)
+    c_ops = [qmath.tensor(np.eye(params.n_fock), c)
+             for c in model.collapse_operators(NoiseModel.from_coherence_times())]
+    return ham, c_ops + twoqubit.CavityNoise().collapse_operators(params.n_fock)
+
+
+def _reduced_and_full_runs(gate, seed=0):
+    """States of the CNOT's two initial states (|0f>, |2g>) run alone and
+    with a full-support random density matrix as a third column."""
+    ham, c_ops = _cavity_open_system(gate, 13.8)
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    rho0 = np.zeros((3, 12, 12), dtype=complex)
+    rho0[[0, 1], [2, 6], [2, 6]] = 1.0
+    rho0[2] = m @ qmath.dagger(m) / np.trace(m @ qmath.dagger(m))
+    _, reduced = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0[:2])
+    _, full = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0)
+    return reduced, full
+
+
+def test_lindblad_integrates_only_reachable_entries():
+    # Cavity decay only lowers n and dephasing is diagonal, so from Fock
+    # blocks 0 and 2 only the (0,0), (1,1) and (2,2) blocks of rho fill.
+    reduced, full = _reduced_and_full_runs(GATE)
+    fock = np.arange(12) // 3
+    reachable = (fock[:, None] == fock[None, :]) & (fock[:, None] <= 2)
+    assert reachable.sum() == 27
+    assert np.max(np.abs(full[:, :2] - reduced)) <= 1e-15
+    assert np.all(reduced[..., ~reachable] == 0)
+    assert np.all(full[:, :2][..., ~reachable] == 0)
+    assert np.all(np.any(full[:, 2] != 0, axis=0))
+    assert np.all(np.any(reduced[:, :, reachable] != 0, axis=(0, 1)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2 * np.pi),
+       gamma=st.floats(0.1, 2 * np.pi - 0.1))
+def test_reduced_cnot_run_matches_full_support_run(theta, phi, gamma):
+    reduced, full = _reduced_and_full_runs(GateSpec(theta, phi, gamma))
+    assert np.max(np.abs(full[:, :2] - reduced)) <= 1e-15
+
+
+def test_invariant_blocks_of_cavity_and_qutrit():
+    params = model.DispersiveSystemParams.from_mhz()
+    _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0, params)
+    [fock_blocks] = evolve.invariant_blocks(cavity)
+    assert np.array_equal(fock_blocks, np.arange(12).reshape(4, 3))
+    for gate in NAMED_GATES.values():
+        frame = bright_frame(gate.theta, gate.phi)
+        [qutrit] = evolve.invariant_blocks(evolve.schedule_hamiltonian(SCHEDULE, frame))
+        assert np.array_equal(qutrit, [[0, 1, 2]])
+
+
+def _dense_midpoint_product(ham, tau, step):
+    times = evolve._time_grid(tau, step)
+    u = np.eye(ham.h0.shape[0], dtype=complex)
+    for h in ham.hamiltonians(0.5 * (times[:-1] + times[1:])):
+        u = scipy.linalg.expm(-1j * h * (times[1] - times[0])) @ u
+    return u
+
+
+def test_block_diagonal_gate_matches_dense_midpoint_product():
+    params = model.DispersiveSystemParams.from_mhz()
+    _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", 13.8, 0.0, params)
+    # theta = 0 drives e-f only, so |g> is a block of its own: two groups
+    # of different sizes.
+    split = GateSpec(0.0, 0.0, np.pi)
+    qutrit = evolve.schedule_hamiltonian(build_sr_nhqc(split, 120.0),
+                                         bright_frame(split.theta, split.phi))
+    assert [g.shape for g in evolve.invariant_blocks(qutrit)] == [(1, 1), (1, 2)]
+    for ham, tau, step in ((cavity, 13.8, 0.69), (qutrit, 120.0, 1.0)):
+        _, unitaries = evolve.propagate_unitary_h(ham, tau, step)
+        _, finals = evolve.scaled_final_unitaries(ham, tau, step, (1.0,))
+        assert np.array_equal(finals[0], unitaries[-1])
+        assert np.max(np.abs(unitaries[-1] - _dense_midpoint_product(ham, tau, step))) < 1e-13

@@ -142,3 +142,7 @@ def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
     assert [len(t) for t in closed] == [20]
     assert [len(t) for t in sampled] == [2 * 20 + 1]
     np.testing.assert_allclose(np.sort(sampled[0])[1::2], closed[0], rtol=0, atol=1e-12)
+
+
+def test_cnot_state_fidelity_is_pinned():
+    assert abs(twoqubit.cnot_state_fidelity() - 0.9509618050577504) <= 1e-15
