@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .model import DEVICE, DispersiveSystemParams, NoiseModel
+from .model import DEVICE, N_FOCK, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
                      SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR)
 
@@ -77,7 +77,7 @@ class RunConfig:
     epsilon: float = 0.0
     noise: bool = False
     seed: int = 0
-    n_fock: int = 4
+    n_fock: int = N_FOCK
     output_dir: str = "out"
 
     def noise_model(self, epsilon: Optional[float] = None) -> NoiseModel:

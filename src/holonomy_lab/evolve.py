@@ -45,27 +45,19 @@ STEP_BLOCK = 128
 class EvolutionTrace:
     """Time-resolved propagation record.
 
-    Closed case: unitaries[k] = U(times[k], 0).  Open case: states[k] =
-    rho(times[k]).  populations[k] are the diagonal occupations of the
-    tracked state at times[k].
+    populations[k] are the diagonal occupations of the state that starts
+    in |g>, at times[k].  Closed case: unitaries[k] = U(times[k], 0).
     """
 
     times: np.ndarray
     populations: np.ndarray
     unitaries: Optional[np.ndarray] = field(default=None, repr=False)
-    states: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def final_unitary(self) -> np.ndarray:
         if self.unitaries is None:
             raise ValueError("trace has no unitaries (open-system run)")
         return self.unitaries[-1]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.states is None:
-            raise ValueError("trace has no states (closed-system run)")
-        return self.states[-1]
 
 
 @dataclass(frozen=True)
@@ -228,15 +220,11 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
 
 
 def propagate_unitary(schedule: PulseSchedule, frame: BrightFrame,
-                      step: float = DEFAULT_STEP_1Q,
-                      initial_state: Optional[np.ndarray] = None) -> EvolutionTrace:
-    """Closed-system trace of a schedule; populations track initial_state
-    (default |g>)."""
+                      step: float = DEFAULT_STEP_1Q) -> EvolutionTrace:
+    """Closed-system trace of a schedule; populations track |g>."""
     times, unitaries = propagate_unitary_h(schedule_hamiltonian(schedule, frame),
                                            schedule.tau, step)
-    psi0 = model.KET_G if initial_state is None else np.asarray(initial_state, complex)
-    psi_t = unitaries @ psi0
-    populations = np.abs(psi_t) ** 2
+    populations = np.abs(unitaries @ model.KET_G) ** 2
     return EvolutionTrace(times=times, populations=populations, unitaries=unitaries)
 
 
@@ -331,29 +319,6 @@ def _open_system(schedule: PulseSchedule, frame: BrightFrame,
     return schedule_hamiltonian(schedule, frame), model.collapse_operators(noise)
 
 
-def _state_trace(times: np.ndarray, states: np.ndarray) -> EvolutionTrace:
-    populations = np.einsum("nii->ni", states).real
-    return EvolutionTrace(times=times, populations=populations, states=states)
-
-
-def propagate_lindblad(schedule: PulseSchedule, frame: BrightFrame,
-                       noise: NoiseModel, step: float = DEFAULT_STEP_1Q,
-                       initial_state: Optional[np.ndarray] = None) -> EvolutionTrace:
-    """Open-system trace under the schedule plus relaxation/dephasing.
-
-    The Rabi-error fraction of the noise model scales the drive; rho(0)
-    defaults to |g><g|.  Raises on trace drift, as propagate_lindblad_h.
-    """
-    if initial_state is None:
-        rho0 = qmath.projector(model.KET_G)
-    else:
-        s = np.asarray(initial_state, complex)
-        rho0 = qmath.projector(s) if s.ndim == 1 else s
-    ham, c_ops = _open_system(schedule, frame, noise)
-    times, states = propagate_lindblad_h(ham, c_ops, schedule.tau, step, rho0[None])
-    return _state_trace(times, states[:, 0])
-
-
 def propagate_superoperator(schedule: PulseSchedule, frame: BrightFrame,
                             noise: Optional[NoiseModel] = None,
                             step: float = DEFAULT_STEP_1Q
@@ -362,7 +327,7 @@ def propagate_superoperator(schedule: PulseSchedule, frame: BrightFrame,
 
     vec(rho(tau)) = S vec(rho(0)).  The nine basis matrices |i><j| are
     the columns of one run; the first is |g><g|, so its record is the
-    ground-state trace that propagate_lindblad would give.  Noiseless if
+    ground-state trace that a one-state run would give.  Noiseless if
     noise is None.  Raises if the channel is not completely positive to
     within TRACE_DRIFT_LIMIT (minimum Choi eigenvalue), which RK4's trace
     drift cannot reveal when the step is too coarse.
@@ -379,7 +344,8 @@ def propagate_superoperator(schedule: PulseSchedule, frame: BrightFrame,
     # A C-ordered copy, not a transposed view, so that products with the
     # channel take the same BLAS path, and round alike, as any stored matrix.
     channel = np.ascontiguousarray(states[-1].reshape(9, 9).T)
-    return _state_trace(times, states[:, 0]), channel
+    populations = np.einsum("nii->ni", states[:, 0]).real
+    return EvolutionTrace(times=times, populations=populations), channel
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -394,8 +360,7 @@ def gate_channel(schedule: PulseSchedule, frame: BrightFrame,
     return propagate_superoperator(schedule, frame, noise, step)[1]
 
 
-def idle_channel(duration: float, noise: Optional[NoiseModel],
-                 step: float = DEFAULT_STEP_1Q) -> np.ndarray:
+def idle_channel(duration: float, noise: Optional[NoiseModel]) -> np.ndarray:
     """Superoperator of doing nothing for the given time under noise."""
     c_ops = [] if noise is None else model.collapse_operators(noise)
     if not c_ops:
@@ -403,15 +368,8 @@ def idle_channel(duration: float, noise: Optional[NoiseModel],
     return scipy.linalg.expm(lindblad_superoperator(np.zeros((3, 3)), c_ops) * duration)
 
 
-def unitary_superoperator(u: np.ndarray) -> np.ndarray:
-    return np.kron(u, u.conj())
-
-
-def trace_to_csv(trace: EvolutionTrace,
-                 labels: tuple[str, ...] = ("P_g", "P_e", "P_f")) -> str:
+def trace_to_csv(trace: EvolutionTrace) -> str:
     """CSV dump: t_ns plus one population column per level."""
-    if trace.populations.shape[1] != len(labels):
-        labels = tuple(f"P_{i}" for i in range(trace.populations.shape[1]))
-    return qmath.csv_text(["t_ns", *labels],
+    return qmath.csv_text(["t_ns", "P_g", "P_e", "P_f"],
                           ([f"{t:.6g}", *(f"{p:.10g}" for p in pops)]
                            for t, pops in zip(trace.times, trace.populations)))

@@ -10,27 +10,24 @@ D12 between the bright and excited states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import evolve, model, qmath
-from .model import BrightFrame, bright_frame
+from .model import bright_frame
 from .pulses import DEFAULT_STEP_1Q, GateSpec, PulseSchedule, build_schedule, rabi_scale
 
+# Infidelities at or below this sit on the double-precision round-off
+# plateau; fit_error_slope drops them.
 SLOPE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    """Time-resolved d_mn(t) (rad/ns) and their integrals D_mn (rad).
-
-    The direct entries come from <psi_m(t)|H|psi_n(t)>; the *_rec
-    fields re-derive the same quantities from evolved density matrices
-    of four initial states, the way a populations-only measurement
-    would, and must agree with the direct path.
-    """
+    """Time-resolved d_mn(t) = <psi_m(t)|H|psi_n(t)> (rad/ns) and their
+    integrals D_mn (rad)."""
 
     times: np.ndarray
     d11: np.ndarray
@@ -39,32 +36,18 @@ class PhaseRecord:
     D11: float
     D22: float
     D12: complex
-    d11_rec: np.ndarray = field(repr=False, default=None)
-    d22_rec: np.ndarray = field(repr=False, default=None)
-    d12_rec: np.ndarray = field(repr=False, default=None)
-    dark_max: float = 0.0
+    dark_max: float
 
 
-def phase_record(schedule: PulseSchedule, frame: Optional[BrightFrame] = None,
-                 step: float = DEFAULT_STEP_1Q) -> PhaseRecord:
-    """Compute d_mn(t) and D_mn along the closed-system evolution.
-
-    Two independent paths are evaluated: (a) direct matrix elements in
-    the transported frame, and (b) reconstruction from the evolved
-    density matrices of |b>, |e>, (|b>+|e>)/sqrt(2) and
-    (|b>-i|e>)/sqrt(2), using
-        Re d12 = Tr[rho_a1 H] - d11/2 - d22/2
-        Im d12 = Tr[rho_a2 H] - d11/2 - d22/2.
-    """
-    if frame is None:
-        frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
+def phase_record(schedule: PulseSchedule, step: float = DEFAULT_STEP_1Q) -> PhaseRecord:
+    """Compute d_mn(t) and D_mn along the closed-system evolution, as
+    matrix elements in the frame transported by the gate's own
+    bright/dark decomposition."""
+    frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
     ham = evolve.schedule_hamiltonian(schedule, frame)
     times, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
 
     b, d, e = frame.bright, frame.dark, model.KET_E
-    a1 = (b + e) / np.sqrt(2)
-    a2 = (b - 1j * e) / np.sqrt(2)
-
     h_stack = ham.hamiltonians(times)
     psi_d = unitaries @ d
     psi_b = unitaries @ b
@@ -78,22 +61,11 @@ def phase_record(schedule: PulseSchedule, frame: Optional[BrightFrame] = None,
         dark_row = np.maximum(
             dark_row, np.abs(np.einsum("ni,nij,nj->n", psi_d.conj(), h_stack, other)))
 
-    def rho_expect(psi0: np.ndarray) -> np.ndarray:
-        psi_t = unitaries @ psi0
-        return np.einsum("ni,nij,nj->n", psi_t.conj(), h_stack, psi_t).real
-
-    d11_rec = rho_expect(b)
-    d22_rec = rho_expect(e)
-    re12 = rho_expect(a1) - d11_rec / 2 - d22_rec / 2
-    im12 = rho_expect(a2) - d11_rec / 2 - d22_rec / 2
-    d12_rec = re12 + 1j * im12
-
     return PhaseRecord(
         times=times, d11=d11, d22=d22, d12=d12,
         D11=float(np.trapezoid(d11, times)),
         D22=float(np.trapezoid(d22, times)),
         D12=complex(np.trapezoid(d12, times)),
-        d11_rec=d11_rec, d22_rec=d22_rec, d12_rec=d12_rec,
         dark_max=float(np.max(dark_row)))
 
 
@@ -179,16 +151,15 @@ def robustness_sweep(gate: GateSpec, scheme: str, epsilons: Sequence[float],
             for eps, u in zip(epsilons, finals)]
 
 
-def fit_error_slope(epsilons: Sequence[float], fidelities: Sequence[float],
-                    floor: float = SLOPE_FLOOR) -> float:
+def fit_error_slope(epsilons: Sequence[float], fidelities: Sequence[float]) -> float:
     """Least-squares slope of log(1-F) against log|eps|.
 
-    Points with infidelity below the floor are dropped; they sit on the
-    double-precision round-off plateau and would bias the exponent.
+    Points with infidelity at or below SLOPE_FLOOR are dropped; they
+    would bias the exponent.
     """
     eps = np.abs(np.asarray(epsilons, float))
     inf = 1.0 - np.asarray(fidelities, float)
-    keep = (inf > floor) & (eps > 0)
+    keep = (inf > SLOPE_FLOOR) & (eps > 0)
     if np.count_nonzero(keep) < 2:
         raise ValueError("not enough points above the infidelity floor")
     slope, _ = np.polyfit(np.log(eps[keep]), np.log(inf[keep]), 1)

@@ -32,6 +32,9 @@ DEVICE = {
     "chi_storage_ge_MHz": 2.87, "chi_storage_ef_MHz": 2.08,
     "cavity_t1_us": 334.0, "cavity_t2star_us": 243.0,
 }
+# Fock levels kept for the storage cavity (0..N_FOCK-1): the default of
+# RunConfig.n_fock and DispersiveSystemParams.
+N_FOCK = 4
 
 
 @dataclass(frozen=True)
@@ -59,31 +62,10 @@ def bright_frame(theta: float, phi: float) -> BrightFrame:
     return BrightFrame(theta=theta, phi=phi, bright=b, dark=d)
 
 
-def qutrit_hamiltonian_at(omega_ge: float, omega_ef: float,
-                          phi0: float, phi1: float) -> np.ndarray:
-    """H = 1/2 [Omega_ge e^{i phi0} |g><e| + Omega_ef e^{i phi1} |f><e|] + h.c."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[G, E] = 0.5 * omega_ge * np.exp(1j * phi0)
-    h[F, E] = 0.5 * omega_ef * np.exp(1j * phi1)
-    return h + qmath.dagger(h)
-
-
 def bright_drive_operator(frame: BrightFrame) -> np.ndarray:
     """A = 1/2 |b><e|: the drive Hamiltonian is a A + conj(a) A^dag with
     the complex drive coefficient a = Omega e^{i phi1}."""
     return 0.5 * np.outer(frame.bright, KET_E.conj())
-
-
-def bright_drive_hamiltonian(frame: BrightFrame, omega, phi1) -> np.ndarray:
-    """H = 1/2 Omega e^{i phi1} |b><e| + h.c. assembled in the (g,e,f) basis.
-
-    Equivalent to qutrit_hamiltonian_at with Omega_ge = Omega sin(theta/2),
-    Omega_ef = Omega cos(theta/2), phi0 = phi1 - phi - pi.  omega and phi1
-    broadcast: arrays of shape s give a stack of shape s + (3, 3).
-    """
-    a = np.asarray(omega) * np.exp(1j * np.asarray(phi1))
-    h = a[..., None, None] * bright_drive_operator(frame)
-    return h + qmath.dagger(h)
 
 
 @dataclass(frozen=True)
@@ -170,7 +152,7 @@ class DispersiveSystemParams:
 
     chi_ge: float
     chi_ef: float
-    n_fock: int = 4
+    n_fock: int = N_FOCK
 
     def __post_init__(self):
         if self.n_fock < 3:
@@ -181,7 +163,7 @@ class DispersiveSystemParams:
     @classmethod
     def from_mhz(cls, chi_ge_mhz: float = DEVICE["chi_storage_ge_MHz"],
                  chi_ef_mhz: float = DEVICE["chi_storage_ef_MHz"],
-                 n_fock: int = 4) -> "DispersiveSystemParams":
+                 n_fock: int = N_FOCK) -> "DispersiveSystemParams":
         to_rad_ns = 2 * np.pi * 1e-3
         return cls(chi_ge=chi_ge_mhz * to_rad_ns, chi_ef=chi_ef_mhz * to_rad_ns,
                    n_fock=n_fock)
@@ -196,11 +178,3 @@ def dispersive_shift_hamiltonian(p: DispersiveSystemParams) -> np.ndarray:
     n_op = np.diag(np.arange(p.n_fock, dtype=float))
     shift = np.diag([0.0, -p.chi_ge, -(p.chi_ge + p.chi_ef)])
     return qmath.tensor(n_op, shift).astype(complex)
-
-
-def dispersive_hamiltonian(p: DispersiveSystemParams, h_drive: np.ndarray) -> np.ndarray:
-    """Full 3N x 3N Hamiltonian: dispersive diagonal + drive on every Fock block.
-
-    A stack of qutrit drives (..., 3, 3) gives a stack (..., 3N, 3N).
-    """
-    return dispersive_shift_hamiltonian(p) + qmath.tensor(np.eye(p.n_fock), h_drive)

@@ -36,9 +36,6 @@ DEFAULT_TAU_TWO_QUBIT = {SCHEME_SR: 2760.0, SCHEME_NHQC: 1380.0}
 DEFAULT_STEP_1Q = 0.05
 DEFAULT_STEP_2Q = 0.5
 
-ENVELOPE_COSINE = "cosine"
-ENVELOPE_SQUARE = "square"
-
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -71,28 +68,24 @@ NAMED_GATES = {"X": GATE_X, "Y": GATE_Y, "X/2": GATE_X2, "Y/2": GATE_Y2}
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One constant-phase rotation: area (rad), azimuth phase (rad), ns."""
+    """One constant-phase rotation with a cosine envelope: area (rad),
+    azimuth phase (rad), duration (ns)."""
 
     area: float
     phase: float
     duration: float
-    envelope: str = ENVELOPE_COSINE
 
 
 def sample_envelope(seg: PulseSegment, t):
     """Instantaneous Rabi amplitude Omega(t) in rad/ns, area-normalized.
 
-    Cosine: Omega = (area/T)(1 - cos(2 pi t / T)), zero at both ends.
-    t is a time within the segment or an array of them.
+    Omega = (area/T)(1 - cos(2 pi t / T)), zero at both ends.  t is a
+    time within the segment or an array of them.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > seg.duration + 1e-12):
         raise ValueError(f"t={t} outside segment of duration {seg.duration}")
-    if seg.envelope == ENVELOPE_COSINE:
-        return seg.area / seg.duration * (1.0 - np.cos(2 * np.pi * t / seg.duration))
-    if seg.envelope == ENVELOPE_SQUARE:
-        return np.full(t.shape, seg.area / seg.duration)[()]
-    raise ValueError(f"unknown envelope {seg.envelope!r}")
+    return seg.area / seg.duration * (1.0 - np.cos(2 * np.pi * t / seg.duration))
 
 
 @dataclass(frozen=True)
@@ -119,15 +112,17 @@ class PulseSchedule:
         elif self.sampler is None:
             raise ValueError("schedule needs segments or a sampler")
 
-    def segment_index(self, t: float) -> int:
+    def _segment_of(self, t: np.ndarray) -> np.ndarray:
+        """Segment of every time in t.
+
+        A time on a boundary belongs to the segment that ends there, and
+        times past the last end (within drive's tolerance) to the last
+        segment.  Sampled schedules split into halves at tau/2.
+        """
         if not self.segments:
-            return 0 if t <= self.tau / 2 else 1
-        t0 = 0.0
-        for i, seg in enumerate(self.segments):
-            t0 += seg.duration
-            if t <= t0 + 1e-12:
-                return i
-        return len(self.segments) - 1
+            return (t > self.tau / 2).astype(int)
+        ends = np.cumsum([seg.duration for seg in self.segments])
+        return np.minimum(np.searchsorted(ends + 1e-12, t), len(ends) - 1)
 
     def drive(self, t):
         """(Omega(t) in rad/ns, drive phase phi1(t) in rad).
@@ -145,29 +140,21 @@ class PulseSchedule:
             om, phi1 = self.sampler(np.minimum(t, self.tau))
             om = self.amp_scale * om
         else:
-            # A time on a boundary belongs to the segment that ends there;
-            # times past the last end (within the tolerance above) are idle.
-            ends = np.cumsum([seg.duration for seg in self.segments])
-            index = np.searchsorted(ends + 1e-12, t)
-            om, phi1 = np.zeros(t.shape), np.zeros(t.shape)
+            # Past the last end the time is clipped to it, where the
+            # envelope is zero.
+            index = self._segment_of(t)
+            om, phi1 = np.empty(t.shape), np.empty(t.shape)
+            t0 = 0.0
             for i, seg in enumerate(self.segments):
                 here = index == i
-                t0 = ends[i - 1] if i else 0.0
                 om[here] = self.amp_scale * sample_envelope(
                     seg, np.clip(t[here] - t0, 0.0, seg.duration))
                 phi1[here] = -seg.phase
+                t0 += seg.duration
         return om.reshape(shape)[()], phi1.reshape(shape)[()]
 
-    def total_area(self) -> float:
-        if self.segments:
-            return self.amp_scale * sum(s.area for s in self.segments)
-        from scipy.integrate import quad
-        val, _ = quad(lambda t: self.drive(t)[0], 0, self.tau, limit=400)
-        return val
 
-
-def build_sr_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_SR],
-                  envelope: str = ENVELOPE_COSINE) -> PulseSchedule:
+def build_sr_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_SR]) -> PulseSchedule:
     """Six-segment superrobust schedule.
 
     Segment (area, phase, duration/tau):
@@ -185,12 +172,11 @@ def build_sr_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_SR],
             (np.pi / 2, 0.0, tau / 8),
             (np.pi, np.pi / 2, tau / 4),
             (np.pi / 2, 0.0, tau / 8)]
-    segs = tuple(PulseSegment(a, p, d, envelope) for a, p, d in spec)
+    segs = tuple(PulseSegment(a, p, d) for a, p, d in spec)
     return PulseSchedule(SCHEME_SR, gate, tau, segments=segs)
 
 
-def build_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_NHQC],
-               envelope: str = ENVELOPE_COSINE) -> PulseSchedule:
+def build_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_NHQC]) -> PulseSchedule:
     """Conventional two-pi-pulse (orange-slice) holonomic schedule.
 
     Two pi-area rotations whose azimuths differ by gamma - pi send
@@ -200,8 +186,8 @@ def build_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_NHQC],
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    segs = (PulseSegment(np.pi, gate.gamma - np.pi, tau / 2, envelope),
-            PulseSegment(np.pi, 0.0, tau / 2, envelope))
+    segs = (PulseSegment(np.pi, gate.gamma - np.pi, tau / 2),
+            PulseSegment(np.pi, 0.0, tau / 2))
     return PulseSchedule(SCHEME_NHQC, gate, tau, segments=segs)
 
 
@@ -255,15 +241,14 @@ def build_dynamical(gate: GateSpec,
                          sampler=_dynamical_controls(tau, gamma_prime))
 
 
-def build_schedule(gate: GateSpec, scheme: str, tau: Optional[float] = None,
-                   envelope: str = ENVELOPE_COSINE) -> PulseSchedule:
+def build_schedule(gate: GateSpec, scheme: str, tau: Optional[float] = None) -> PulseSchedule:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     tau = DEFAULT_TAU[scheme] if tau is None else tau
     if scheme == SCHEME_SR:
-        return build_sr_nhqc(gate, tau, envelope)
+        return build_sr_nhqc(gate, tau)
     if scheme == SCHEME_NHQC:
-        return build_nhqc(gate, tau, envelope)
+        return build_nhqc(gate, tau)
     return build_dynamical(gate, tau)
 
 
@@ -283,6 +268,6 @@ def schedule_to_csv(schedule: PulseSchedule, dt: float = 0.1) -> str:
     """CSV dump of the sampled drive: t_ns, Omega_rad_per_ns, phi1_rad, segment_index."""
     times = np.minimum(np.arange(int(round(schedule.tau / dt)) + 1) * dt, schedule.tau)
     omega, phi1 = schedule.drive(times)
-    rows = ([f"{t:.6g}", f"{om:.12g}", f"{ph:.12g}", schedule.segment_index(t)]
-            for t, om, ph in zip(times, omega, phi1))
+    rows = ([f"{t:.6g}", f"{om:.12g}", f"{ph:.12g}", i]
+            for t, om, ph, i in zip(times, omega, phi1, schedule._segment_of(times)))
     return qmath.csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"], rows)

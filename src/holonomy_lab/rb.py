@@ -138,7 +138,7 @@ def default_channel_factory(noise: Optional[NoiseModel],
         if tag not in cache:
             spec = physical_gate_spec(tag)
             if spec is None:
-                cache[tag] = evolve.idle_channel(tau, noise, step)
+                cache[tag] = evolve.idle_channel(tau, noise)
             else:
                 frame = bright_frame(spec.theta, spec.phi)
                 cache[tag] = evolve.gate_channel(build_sr_nhqc(spec, tau),
@@ -194,7 +194,6 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
            n_seqs: int = 50,
            interleaved: Optional[str] = None,
            seed: int = 0,
-           readout: Optional[np.ndarray] = None,
            clifford_noise: Optional[np.ndarray] = None) -> RbResult:
     """Reference or interleaved benchmarking over random sequences.
 
@@ -202,8 +201,12 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
     superoperator.  clifford_noise, when given, is an extra channel
     composed after every Clifford; a depolarizing channel there makes
     the decay analytically solvable, which the tests exploit.  Results
-    are deterministic for a given seed.
+    are deterministic for a given seed.  Raises ValueError without a
+    sequence length or with n_seqs < 1, which leave nothing to fit.
     """
+    if n_seqs < 1 or len(m_values) == 0:
+        raise ValueError(f"need n_seqs >= 1 and at least one sequence length, "
+                         f"got n_seqs={n_seqs} and m_values={list(m_values)}")
     table, mul, inv, ident = _clifford_group()
 
     cliff_channels = []
@@ -243,13 +246,7 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
                     vec = inter_channel @ vec
                     net = mul[inter_index, net]
             vec = cliff_channels[inv[net]] @ vec
-            pops = np.real(vec.reshape(3, 3).diagonal())
-            if readout is not None:
-                from .tomography import apply_readout, correct_readout
-                pops = correct_readout(apply_readout(np.clip(pops, 0, None) /
-                                                     max(pops.sum(), 1e-12),
-                                                     readout), readout)
-            pg[s_idx] = pops[model.G]
+            pg[s_idx] = vec.reshape(3, 3)[model.G, model.G].real
         mean_pg[im] = pg.mean()
         std_pg[im] = pg.std(ddof=1) if n_seqs > 1 else 0.0
 

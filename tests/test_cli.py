@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from holonomy_lab import cohfit, evolve, twoqubit
+from holonomy_lab import cohfit, evolve, model, qmath, twoqubit
 from holonomy_lab.config import RunConfig
 from holonomy_lab.model import bright_frame
-from holonomy_lab.pulses import GATE_X, PulseSchedule, build_sr_nhqc
+from holonomy_lab.pulses import DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_sr_nhqc
 from holonomy_lab.cli import main
 
 
@@ -55,9 +55,11 @@ def test_noisy_gate_is_integrated_once(tmp_path, monkeypatch):
                - cohfit.lindblad_average_gate_error(GATE_X, noise=noise)) < 1e-12
     # The |g><g| column of the channel run is the trace a one-state run gives.
     last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
-    trace = evolve.propagate_lindblad(build_sr_nhqc(GATE_X),
-                                      bright_frame(GATE_X.theta, GATE_X.phi), noise)
-    assert np.allclose([float(x) for x in last[1:]], trace.populations[-1],
+    schedule = build_sr_nhqc(GATE_X)
+    ham = evolve.schedule_hamiltonian(schedule, bright_frame(GATE_X.theta, GATE_X.phi))
+    _, states = real(ham, model.collapse_operators(noise), schedule.tau,
+                     DEFAULT_STEP_1Q, qmath.projector(model.KET_G)[None])
+    assert np.allclose([float(x) for x in last[1:]], states[-1, 0].diagonal().real,
                        rtol=0, atol=1e-9)
 
 
@@ -103,6 +105,13 @@ def test_rb_reruns_byte_identical(tmp_path):
     assert (a / "rb_reference.csv").read_bytes() == \
         (b / "rb_reference.csv").read_bytes()
     assert (a / "rb_fit.json").read_bytes() == (b / "rb_fit.json").read_bytes()
+
+
+def test_rb_without_sequences_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["rb", "--n-seqs", "0", "--output-dir", str(out)]) == 2
+    assert "n_seqs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_respects_thread_cap(tmp_path, monkeypatch):

@@ -31,15 +31,17 @@ def test_envelope_area_normalization():
     assert np.isclose(np.trapezoid(vals, ts), np.pi, rtol=1e-6)
     assert np.isclose(vals[0], 0.0, atol=1e-12)
     assert np.isclose(vals[-1], 0.0, atol=1e-12)
-    sq = pulses.PulseSegment(np.pi, 0.0, 15.0, pulses.ENVELOPE_SQUARE)
-    assert np.isclose(sample_envelope(sq, 3.3), np.pi / 15.0)
+
+
+def _total_area(schedule):
+    return schedule.amp_scale * sum(seg.area for seg in schedule.segments)
 
 
 def test_sr_schedule_layout():
     s = build_sr_nhqc(GateSpec(np.pi / 2, 0.0, np.pi), 120.0)
     assert len(s.segments) == 6
     assert np.isclose(sum(seg.duration for seg in s.segments), 120.0)
-    assert np.isclose(s.total_area(), 4 * np.pi)
+    assert np.isclose(_total_area(s), 4 * np.pi)
     areas = [seg.area for seg in s.segments]
     assert np.allclose(areas, [np.pi / 2, np.pi, np.pi / 2,
                                np.pi / 2, np.pi, np.pi / 2])
@@ -49,14 +51,14 @@ def test_nhqc_schedule_layout():
     g = GateSpec(np.pi / 2, 0.0, 1.0)
     s = build_nhqc(g, 60.0)
     assert len(s.segments) == 2
-    assert np.isclose(s.total_area(), 2 * np.pi)
+    assert np.isclose(_total_area(s), 2 * np.pi)
     assert np.isclose(s.segments[0].phase - s.segments[1].phase, g.gamma - np.pi)
 
 
 def test_rabi_error_scales_area_not_phase():
     s = build_sr_nhqc(GateSpec(np.pi / 2, 0.0, np.pi), 120.0)
     se = apply_rabi_error(s, -0.05)
-    assert np.isclose(se.total_area(), 4 * np.pi * 0.95)
+    assert np.isclose(_total_area(se), 4 * np.pi * 0.95)
     om0, ph0 = s.drive(17.0)
     om1, ph1 = se.drive(17.0)
     assert np.isclose(om1, 0.95 * om0)
@@ -123,3 +125,30 @@ def test_schedule_csv_columns():
     lines = text.splitlines()
     assert lines[0] == "t_ns,Omega_rad_per_ns,phi1_rad,segment_index"
     assert len(lines) == 1 + 13
+
+
+def _segment_index_loop(schedule, t):
+    """Segment lookup one row at a time: the reference for PulseSchedule._segment_of."""
+    if not schedule.segments:
+        return 0 if t <= schedule.tau / 2 else 1
+    t0 = 0.0
+    for i, seg in enumerate(schedule.segments):
+        t0 += seg.duration
+        if t <= t0 + 1e-12:
+            return i
+    return len(schedule.segments) - 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_segment_lookup_matches_one_row_at_a_time(scheme):
+    s = build_schedule(GateSpec(1.1, 0.7, 2.3), scheme)
+    ends = np.cumsum([seg.duration for seg in s.segments])
+    edges = np.concatenate([[0.0, s.tau / 2, s.tau], ends])
+    near = np.concatenate([edges + d for d in (-2e-12, -5e-13, 5e-13, 2e-12)])
+    ts = np.concatenate([edges, np.clip(near, 0.0, s.tau), [s.tau + 5e-10],
+                         np.linspace(0.0, s.tau, 601)])
+    assert np.array_equal(s._segment_of(ts), [_segment_index_loop(s, t) for t in ts])
+    for dt in (0.1, 7.0):
+        rows = [line.split(",") for line in pulses.schedule_to_csv(s, dt).splitlines()[1:]]
+        times = np.minimum(np.arange(len(rows)) * dt, s.tau)
+        assert [int(r[3]) for r in rows] == [_segment_index_loop(s, t) for t in times]

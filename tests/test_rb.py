@@ -42,6 +42,14 @@ def test_noiseless_rb_is_degenerate():
     assert np.allclose(res.mean_pg, 1.0, atol=1e-12)
 
 
+def test_run_rb_rejects_empty_runs():
+    ident = {tag: np.eye(9, dtype=complex) for tag in rb.PHYSICAL_TAGS}
+    with pytest.raises(ValueError, match="n_seqs"):
+        rb.run_rb(lambda tag: ident[tag], m_values=(1, 5), n_seqs=0)
+    with pytest.raises(ValueError, match="sequence length"):
+        rb.run_rb(lambda tag: ident[tag], m_values=(), n_seqs=4)
+
+
 def test_depolarizing_oracle_recovers_p():
     # Compose an exact qubit depolarizing channel after every Clifford;
     # the fitted decay must equal its depolarizing parameter.
