@@ -7,9 +7,18 @@ Each propagation samples a(t) on its whole time grid in one call.
 Closed-system evolution composes midpoint exponentials
 U(t+dt, t) = exp(-i H(t+dt/2) dt) from one stack of Hamiltonians.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
-equation for a stack of initial states; its generator
-L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix,
-so each stage is one product with it and one weighted sum of its blocks.
+equation for a stack of m initial states; its generator
+L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix.
+RK4 has two drivers that give the same states to round-off.  When the
+m columns span the r integrated entries (m >= r, a gate channel), each
+step's RK4 map M_k is built in batch and the maps are chained, one
+product per step.  Otherwise (m < r, the two-state CNOT run) each of
+the four stages per step is one product with the stacked matrix and one
+weighted sum of its blocks.  Per step the maps cost r^3 work against
+the stages' m r^2, so the shape of the run picks the driver.  Measured
+on 2 CPUs: a default 1Q channel (r = m = 9, 2 400 steps) takes 0.04 s
+on the maps against 0.16 s on the stages; the CNOT run (r = 27, m = 2,
+5 520 steps) 0.41-0.62 s on the maps against 0.36-0.48 s on the stages.
 
 Both propagators integrate only what the operators couple, read off
 their sparsity pattern.  The closed one splits H into the index blocks
@@ -29,15 +38,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import model, qmath
 from .model import BrightFrame, NoiseModel
 from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
-# Steps per block of step exponentials in scaled_final_unitaries; keeps
-# memory flat in the number of steps.
+# Steps per block of step exponentials in scaled_final_unitaries and of
+# RK4 step maps in propagate_lindblad_h; keeps memory flat in the number
+# of steps.
 STEP_BLOCK = 128
 
 
@@ -255,18 +264,43 @@ def lindblad_generator(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray]) -> n
                            lindblad_superoperator(qmath.dagger(ham.a_op), ())])
 
 
+def _rk4_step_maps(gen: np.ndarray, nodes: np.ndarray, mids: np.ndarray,
+                   dt: np.ndarray) -> np.ndarray:
+    """RK4 maps M_k (steps x r x r) of y' = L(t) y, y(t_k+1) = M_k y(t_k).
+
+    gen is the stacked (3r x r) generator, nodes the (steps + 1) and
+    mids the (steps) rows of block weights at the grid points and the
+    step midpoints.  M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
+    K1 = L(t_k), K2 = L(t_k + h/2)(I + h/2 K1), K3 = L(t_k + h/2)(I + h/2 K2)
+    and K4 = L(t_k+1)(I + h K3).
+    """
+    r = gen.shape[1]
+    blocks = gen.reshape(3, r * r)
+    l_nodes = (nodes @ blocks).reshape(-1, r, r)
+    l_mids = (mids @ blocks).reshape(-1, r, r)
+    h = dt[:, None, None]
+    k1 = l_nodes[:-1]
+    k2 = l_mids + h / 2 * (l_mids @ k1)
+    k3 = l_mids + h / 2 * (l_mids @ k2)
+    k4 = l_nodes[1:] + h * (l_nodes[1:] @ k3)
+    return np.eye(r) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
                          tau: float, step: float,
                          rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices rho_m(t_k) of a stack of initial states rho0 (m x d x d).
 
     Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every initial
-    state as one column.  Only the entries of vec(rho) that the union
+    state as one column.  Only the r entries of vec(rho) that the union
     pattern of the generator blocks reaches from the support of rho0 are
     integrated; the others stay exactly 0, because no reachable row
     reads them.  The drive coefficient is sampled once at the grid
-    points and step midpoints; each stage applies the stacked generator
-    of lindblad_generator, restricted to the reachable entries.
+    points and step midpoints.  With m >= r columns (a channel) every
+    step's RK4 map comes from _rk4_step_maps and the maps are chained;
+    building a map is r^3 work per step.  With m < r each of the four
+    stages per step applies the stacked generator of lindblad_generator,
+    restricted to the reachable entries, to the m columns: m r^2 work.
     Returns (times, states) with states of shape (len(times), m, d, d).
     Raises if any state's trace drifts from its initial value beyond
     TRACE_DRIFT_LIMIT or is not finite.
@@ -286,18 +320,29 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     weights = np.stack([np.ones_like(a), a, a.conj()], axis=1)
     nodes, mids = weights[:n + 1], weights[n + 1:]
 
-    def lmul(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (w @ (gen @ y).reshape(3, r * m)).reshape(r, m)
-
     y = out[0][:, live].T.copy()
-    for k in range(n):
-        h = dt[k]
-        k1 = lmul(nodes[k], y)
-        k2 = lmul(mids[k], y + h / 2 * k1)
-        k3 = lmul(mids[k], y + h / 2 * k2)
-        k4 = lmul(nodes[k + 1], y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1][:, live] = y.T
+    if m >= r:
+        chain = np.empty((n + 1, r, m), dtype=complex)
+        chain[0] = y
+        for start in range(0, n, STEP_BLOCK):
+            stop = min(start + STEP_BLOCK, n)
+            maps = _rk4_step_maps(gen, nodes[start:stop + 1], mids[start:stop],
+                                  dt[start:stop])
+            for k, step_map in enumerate(maps, start):
+                np.matmul(step_map, chain[k], out=chain[k + 1])
+        out[:, :, live] = chain.transpose(0, 2, 1)
+    else:
+        def lmul(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return (w @ (gen @ y).reshape(3, r * m)).reshape(r, m)
+
+        for k in range(n):
+            h = dt[k]
+            k1 = lmul(nodes[k], y)
+            k2 = lmul(mids[k], y + h / 2 * k1)
+            k3 = lmul(mids[k], y + h / 2 * k2)
+            k4 = lmul(nodes[k + 1], y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            out[k + 1][:, live] = y.T
     states = out.reshape(n + 1, m, dim, dim)
 
     traces = np.einsum("nmii->nm", states).real
@@ -365,6 +410,7 @@ def idle_channel(duration: float, noise: Optional[NoiseModel]) -> np.ndarray:
     c_ops = [] if noise is None else model.collapse_operators(noise)
     if not c_ops:
         return np.eye(9, dtype=complex)
+    import scipy.linalg  # only RB's idle gate needs it; kept off the import path
     return scipy.linalg.expm(lindblad_superoperator(np.zeros((3, 3)), c_ops) * duration)
 
 

@@ -4,12 +4,14 @@ The package builds every Hamiltonian from the drive-linear form
 H = H0 + a A + conj(a) A^dag (evolve.DrivenHamiltonian).  The functions
 here write the same Hamiltonians out element by element, and rebuild
 the D_mn integrands the way a populations-only experiment measures
-them, so that the tests compare two independent derivations.
+them, so that the tests compare two independent derivations.  They also
+keep the plain loops that batched package code replaces: the per-step
+RK4 stage loop of the Lindblad equation and the per-sequence RB loop.
 """
 
 import numpy as np
 
-from holonomy_lab import evolve, model, qmath
+from holonomy_lab import evolve, model, qmath, rb
 from holonomy_lab.model import E, F, G
 from holonomy_lab.pulses import DEFAULT_STEP_1Q
 
@@ -70,3 +72,79 @@ def reconstructed_phase_integrands(schedule, step: float = DEFAULT_STEP_1Q):
     re12 = expect((b + e) / np.sqrt(2)) - d11 / 2 - d22 / 2
     im12 = expect((b - 1j * e) / np.sqrt(2)) - d11 / 2 - d22 / 2
     return d11, d22, re12 + 1j * im12
+
+
+def lindblad_stage_loop(ham, c_ops, tau: float, step: float, rho0: np.ndarray):
+    """(times, states) of evolve.propagate_lindblad_h from four RK4 stages per step.
+
+    Each stage is one product with the stacked generator, restricted to
+    the reachable entries, and one weighted sum of its blocks, whatever
+    the number of columns.
+    """
+    times = evolve._time_grid(tau, step)
+    n = len(times) - 1
+    m, dim = rho0.shape[0], rho0.shape[-1]
+    blocks = evolve.lindblad_generator(ham, c_ops).reshape(3, dim * dim, dim * dim)
+    out = np.zeros((n + 1, m, dim * dim), dtype=complex)
+    out[0] = rho0.reshape(m, dim * dim)
+    live = np.flatnonzero(evolve._reachable((blocks != 0).any(axis=0),
+                                            (out[0] != 0).any(axis=0)))
+    r = len(live)
+    gen = blocks[:, live[:, None], live].reshape(3 * r, r)
+    dt = np.diff(times)
+    a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
+    weights = np.stack([np.ones_like(a), a, a.conj()], axis=1)
+    nodes, mids = weights[:n + 1], weights[n + 1:]
+
+    def lmul(w, y):
+        return (w @ (gen @ y).reshape(3, r * m)).reshape(r, m)
+
+    y = out[0][:, live].T.copy()
+    for k in range(n):
+        h = dt[k]
+        k1 = lmul(nodes[k], y)
+        k2 = lmul(mids[k], y + h / 2 * k1)
+        k3 = lmul(mids[k], y + h / 2 * k2)
+        k4 = lmul(nodes[k + 1], y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[k + 1][:, live] = y.T
+    return times, out.reshape(n + 1, m, dim, dim)
+
+
+def rb_per_sequence(channel_factory, m_values, n_seqs: int, interleaved=None,
+                    seed: int = 0, clifford_noise=None):
+    """(mean_pg, std_pg) of rb.run_rb, one sequence and one draw at a time."""
+    table, mul, inv, ident = rb._clifford_group()
+    cliff_channels = []
+    for el in table:
+        s = np.eye(9, dtype=complex)
+        for tag in el.decomposition:
+            s = channel_factory(tag) @ s
+        cliff_channels.append(s)
+    inter_channel = inter_index = None
+    if interleaved is not None:
+        inter_channel = channel_factory(interleaved)
+        inter_index = rb._match_index(rb.physical_gate_unitary(interleaved), table)
+    rng = np.random.default_rng(seed)
+    rho0_vec = qmath.projector(model.KET_G).reshape(-1)
+    m_values = np.asarray(sorted(m_values), dtype=int)
+    mean_pg, std_pg = np.empty(len(m_values)), np.empty(len(m_values))
+    for im, m in enumerate(m_values):
+        pg = np.empty(n_seqs)
+        for s_idx in range(n_seqs):
+            picks = rng.integers(0, len(table), size=m)
+            vec = rho0_vec
+            net = ident
+            for c in picks:
+                vec = cliff_channels[c] @ vec
+                if clifford_noise is not None:
+                    vec = clifford_noise @ vec
+                net = mul[c, net]
+                if inter_channel is not None:
+                    vec = inter_channel @ vec
+                    net = mul[inter_index, net]
+            vec = cliff_channels[inv[net]] @ vec
+            pg[s_idx] = vec.reshape(3, 3)[model.G, model.G].real
+        mean_pg[im] = pg.mean()
+        std_pg[im] = pg.std(ddof=1) if n_seqs > 1 else 0.0
+    return mean_pg, std_pg

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,19 @@ def _read_json(path):
     text = path.read_text()
     body = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
     return json.loads(body)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where a fit or the idle channel needs it, so a
+    # closed-system command does not pay for loading it.
+    src = str(Path(evolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, holonomy_lab.cli; "
+         "print(sorted(k for k in sys.modules if k.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert loaded == "[]"
 
 
 def test_simulate_gate_ideal(tmp_path):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from holonomy_lab import evolve, model, qmath, twoqubit
 from holonomy_lab.model import NoiseModel, bright_frame
-from holonomy_lab.pulses import (NAMED_GATES, SCHEMES, GateSpec, apply_rabi_error,
-                                 build_schedule, build_sr_nhqc)
-from reference import bright_drive_hamiltonian, dispersive_hamiltonian
+from holonomy_lab.pulses import (DEFAULT_STEP_1Q, NAMED_GATES, SCHEMES, GateSpec,
+                                 apply_rabi_error, build_schedule, build_sr_nhqc)
+from reference import (bright_drive_hamiltonian, dispersive_hamiltonian,
+                       lindblad_stage_loop)
 
 GATE = GateSpec(np.pi / 2, 0.0, np.pi)
 FRAME = bright_frame(GATE.theta, GATE.phi)
@@ -91,13 +92,20 @@ def test_superoperator_matches_state_propagation():
     assert np.max(np.abs(rho_sup - rho)) < 1e-9
 
 
-def test_coarse_step_channel_is_not_completely_positive():
+def test_coarse_step_channel_is_not_completely_positive(monkeypatch):
     # RK4 keeps the trace at step 2 ns, but the channel's Choi matrix has
-    # an eigenvalue near -2e-4; at 0.5 ns the minimum is +9e-5.
+    # an eigenvalue near -2e-4; at 0.5 ns the minimum is +9e-5.  A channel
+    # carries all 9 entries as columns, so it runs on the step maps.
+    map_blocks = []
+    step_maps = evolve._rk4_step_maps
+    monkeypatch.setattr(evolve, "_rk4_step_maps",
+                        lambda *args: map_blocks.append(1) or step_maps(*args))
     noise = NoiseModel.from_coherence_times()
     evolve.gate_channel(SCHEDULE, FRAME, noise, step=0.5)
+    map_blocks.clear()
     with pytest.raises(RuntimeError, match="Choi"):
         evolve.gate_channel(SCHEDULE, FRAME, noise, step=2.0)
+    assert map_blocks
 
 
 def test_noiseless_gate_channel_is_unitary_conjugation():
@@ -154,12 +162,31 @@ def test_stacked_generator_matches_lindblad_superoperator():
 
 def test_non_finite_run_raises():
     # A collapse rate this large overflows the generator, so the states
-    # and their trace drift come out NaN.
+    # and their trace drift come out NaN.  One column runs the RK4
+    # stages, the 9-column basis the step maps.
     huge = [1e200 * np.outer(model.KET_G, model.KET_E)]
-    rho0 = qmath.projector(model.KET_E)[None]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
-        evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE, FRAME), huge,
-                                    SCHEDULE.tau, 10.0, rho0)
+    for rho0 in (qmath.projector(model.KET_E)[None],
+                 np.eye(9, dtype=complex).reshape(9, 3, 3)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
+            evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE, FRAME),
+                                        huge, SCHEDULE.tau, 10.0, rho0)
+
+
+@pytest.mark.parametrize("gate, scheme, noise", [
+    ("X", "sr-nhqc", NoiseModel.from_coherence_times()),
+    ("Y/2", "sr-nhqc", NoiseModel.from_coherence_times()),
+    ("X", "nhqc", None)], ids=["sr-X-noisy", "sr-Y/2-noisy", "nhqc-X-noiseless"])
+def test_step_maps_match_stage_loop(gate, scheme, noise):
+    spec = NAMED_GATES[gate]
+    schedule = build_schedule(spec, scheme)
+    ham, c_ops = evolve._open_system(schedule, bright_frame(spec.theta, spec.phi), noise)
+    basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    times, states = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau,
+                                                DEFAULT_STEP_1Q, basis)
+    ref_times, ref_states = lindblad_stage_loop(ham, c_ops, schedule.tau,
+                                                DEFAULT_STEP_1Q, basis)
+    assert np.array_equal(times, ref_times)
+    assert np.max(np.abs(states - ref_states)) < 1e-13
 
 
 def _cavity_open_system(gate, tau):

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from holonomy_lab import evolve, qmath, rb
 from holonomy_lab.model import NoiseModel
+from reference import rb_per_sequence
 
 
 def test_clifford_table_counts():
@@ -117,3 +120,34 @@ def test_seed_determinism():
     b = rb.run_rb(lambda t: ident[t], m_values=(1, 4, 9), n_seqs=6, seed=11,
                   clifford_noise=dep)
     assert np.array_equal(a.mean_pg, b.mean_pg)
+
+
+RB_DEFAULT_LENGTHS = inspect.signature(rb.run_rb).parameters["m_values"].default
+RB_DEFAULT_SEQS = inspect.signature(rb.run_rb).parameters["n_seqs"].default
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_one_draw_per_length_keeps_the_seeded_stream(seed):
+    batched, per_sequence = np.random.default_rng(seed), np.random.default_rng(seed)
+    for m in RB_DEFAULT_LENGTHS:
+        picks = batched.integers(0, 24, size=(RB_DEFAULT_SEQS, m))
+        expected = [per_sequence.integers(0, 24, size=m) for _ in range(RB_DEFAULT_SEQS)]
+        assert np.array_equal(picks, expected)
+
+
+@pytest.fixture(scope="module")
+def noisy_factory():
+    return rb.default_channel_factory(NoiseModel.from_coherence_times())
+
+
+@pytest.mark.parametrize("interleaved", [None, "X"])
+@pytest.mark.parametrize("with_noise", [False, True], ids=["plain", "clifford_noise"])
+def test_batched_sequences_match_per_sequence_loop(noisy_factory, interleaved, with_noise):
+    dep = 0.995 * np.eye(9, dtype=complex)
+    dep[0, 0] = dep[8, 8] = 1.0
+    kwargs = dict(m_values=(1, 6, 16, 36, 75), n_seqs=12, seed=5, interleaved=interleaved,
+                  clifford_noise=dep if with_noise else None)
+    res = rb.run_rb(noisy_factory, **kwargs)
+    mean_pg, std_pg = rb_per_sequence(noisy_factory, **kwargs)
+    assert np.array_equal(res.mean_pg, mean_pg)
+    assert np.array_equal(res.std_pg, std_pg)
