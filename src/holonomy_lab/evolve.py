@@ -4,8 +4,11 @@ Every Hamiltonian here is drive-linear: H(t) = H0 + a(t) A + conj(a(t)) A^dag
 with a = Omega e^{i phi1}, A = 1/2 |b><e| (times the Fock identity on the
 cavity) and H0 zero on the qutrit or the dispersive shift with the cavity.
 Each propagation samples a(t) on its whole time grid in one call.
-Closed-system evolution composes midpoint exponentials
-U(t+dt, t) = exp(-i H(t+dt/2) dt) from one stack of Hamiltonians.
+Closed-system evolution composes midpoint steps exp(-i s H(t+dt/2) dt)
+= sum_j exp(-i s w_j dt) P_j, at one or many scales s, from one stacked
+eigendecomposition and its spectral projectors P_j.  Chunks of at most
+STEP_BLOCK steps advance side by side, one batched matmul per position,
+and their totals are then chained, not one Python-level product per step.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
 equation for a stack of m initial states; its generator
 L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix.
@@ -44,9 +47,9 @@ from .model import BrightFrame, NoiseModel
 from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
-# Steps per block of step exponentials in scaled_final_unitaries and of
-# RK4 step maps in propagate_lindblad_h; keeps memory flat in the number
-# of steps.
+# Most steps per chunk of the closed product chain and per block of RK4
+# step maps in propagate_lindblad_h; keeps memory flat in the number of
+# steps.
 STEP_BLOCK = 128
 
 
@@ -139,35 +142,59 @@ def invariant_blocks(ham: DrivenHamiltonian) -> list[np.ndarray]:
     return [np.array(blocks) for blocks in groups.values()]
 
 
-def _midpoint_eigh(ham: DrivenHamiltonian, tau: float,
-                   step: float) -> tuple[np.ndarray, float, list[tuple]]:
-    """(times, dt, groups): the grid and, for every group of invariant_blocks,
-    (idx, w, v) with H(t_mid)[block, block] = v diag(w) v^dag at every step;
-    w is (steps, blocks, size) and v (steps, blocks, size, size)."""
-    times = _time_grid(tau, step)
-    mids = 0.5 * (times[:-1] + times[1:])
-    a = ham.coefficient(mids)
-    groups = []
-    for idx in invariant_blocks(ham):
-        rows, cols, size = idx[:, :, None], idx[:, None, :], idx.shape[1]
-        sub = DrivenHamiltonian(ham.h0[rows, cols], ham.a_op[rows, cols], ham.drive)
-        h = sub.at_coefficient(a)
-        w, v = np.linalg.eigh(h.reshape(-1, size, size))
-        groups.append((idx, w.reshape(h.shape[:-1]), v.reshape(h.shape)))
-    return times, times[1] - times[0], groups
-
-
-def _step_exponentials(w: np.ndarray, v: np.ndarray, v_conj: np.ndarray,
+def _step_exponentials(w: np.ndarray, proj: np.ndarray, scales: np.ndarray,
                        dt: float) -> np.ndarray:
-    """exp(-i H dt) = v exp(-i w dt) v^dag for a stack of steps; unitary to round-off.
+    """exp(-i s H dt) = sum_j exp(-i s w_j dt) P_j, (..., scales, size, size),
+    from eigenvalues w (..., size) and the flattened spectral projectors
+    P_j = v_j v_j^dag in proj (..., size, size^2): one product for all scales."""
+    phases = np.exp(-1j * (scales[:, None] * w[..., None, :]) * dt)
+    return (phases @ proj).reshape(*phases.shape, w.shape[-1])
 
-    v_conj is v.conj(), passed in so that callers that exponentiate the
-    same v at several scales conjugate it once.
+
+def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
+                     scales: np.ndarray, prefixes: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(times, U): U_s(t_k, 0) of s H(t), (steps + 1, scales, d, d), with
+    prefixes, else only U_s(tau, 0), (scales, d, d).
+
+    Chunks of at most STEP_BLOCK steps advance side by side, one batched
+    matmul per position, and then their totals are chained.  Identity
+    steps (w = 0, projectors e_j e_j^T) pad a ragged last chunk, so the
+    last prefix and the final are the same products in the same order.
     """
-    size = v.shape[-1]
-    return np.einsum("nij,nj,nkj->nik", v.reshape(-1, size, size),
-                     np.exp(-1j * w * dt).reshape(-1, size),
-                     v_conj.reshape(-1, size, size)).reshape(v.shape)
+    times = _time_grid(tau, step)
+    n, dt, dim = len(times) - 1, times[1] - times[0], ham.h0.shape[-1]
+    chunks = -(-n // STEP_BLOCK)
+    length = -(-n // chunks)
+    pad = [(0, chunks * length - n)] + [(0, 0)] * 3
+    a = ham.coefficient(0.5 * (times[:-1] + times[1:]))
+    out = np.zeros(((n + 1,) if prefixes else ()) + (len(scales), dim, dim), dtype=complex)
+    if prefixes:
+        out[0] = np.eye(dim)
+    for idx in invariant_blocks(ham):
+        size, rows, cols = idx.shape[1], idx[:, :, None], idx[:, None, :]
+        block = DrivenHamiltonian(ham.h0[rows, cols], ham.a_op[rows, cols], ham.drive)
+        h = block.at_coefficient(a)
+        # H(t_mid) on the blocks is v diag(w) v^dag, w (steps, blocks, size).
+        w, v = np.linalg.eigh(h.reshape(-1, size, size))
+        w = np.pad(w.reshape(h.shape[:-1]), pad[:3]).reshape(chunks, length, *h.shape[1:-1])
+        vt = np.pad(v.reshape(h.shape).swapaxes(-1, -2), pad)
+        vt[n:] = np.eye(size)
+        proj = (vt[..., :, None] * vt.conj()[..., None, :]).reshape(*w.shape, size * size)
+        run, kept = np.eye(size), []
+        for j in range(length):
+            run = _step_exponentials(w[:, j], proj[:, j], scales, dt) @ run
+            if prefixes:
+                kept.append(run)
+        carried = [np.broadcast_to(np.eye(size), run.shape[1:])]
+        for total in run[:-1]:
+            carried.append(total @ carried[-1])
+        # (..., blocks, scales, size, size) -> (..., scales, blocks, size, size)
+        if prefixes:
+            steps = (np.array(kept) @ np.array(carried)).swapaxes(0, 1)
+            out[1:, ..., rows, cols] = steps.reshape(-1, *run.shape[1:])[:n].swapaxes(1, 2)
+        else:
+            out[..., rows, cols] = (run[-1] @ carried[-1]).swapaxes(0, 1)
+    return times, out
 
 
 def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
@@ -179,28 +206,17 @@ def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
     invariant blocks of H are propagated side by side and assembled
     into the block-diagonal U.
     """
-    times, dt, groups = _midpoint_eigh(ham, tau, step)
-    dim = ham.h0.shape[-1]
-    unitaries = np.zeros((len(times), dim, dim), dtype=complex)
-    for idx, w, v in groups:
-        steps = _step_exponentials(w, v, v.conj(), dt)
-        chain = np.empty((len(times), *v.shape[1:]), dtype=complex)
-        chain[0] = np.eye(idx.shape[1])
-        for k in range(len(steps)):
-            chain[k + 1] = steps[k] @ chain[k]
-        unitaries[:, idx[:, :, None], idx[:, None, :]] = chain
-    return times, unitaries
+    times, unitaries = _closed_products(ham, tau, step, np.ones(1), prefixes=True)
+    return times, unitaries[:, 0]
 
 
 def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
                            scales: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(times, finals): the final propagator of s H(t) for every scale s.
 
-    Uses the grid, midpoint steps and invariant blocks of
-    propagate_unitary_h, and one eigendecomposition per step for all
-    scales: exp(-i s H dt) = v exp(-i s w dt) v^dag.  The product chain
-    runs over the whole stack of scales, one batched matmul per step,
-    with the step exponentials built STEP_BLOCK steps at a time.
+    Shares the grid, eigendecomposition and product chain of
+    propagate_unitary_h; every scale exponentiates the same projectors,
+    and only chunk products are kept, never one per step and scale.
     scales=(1.0,) gives the last unitary of propagate_unitary_h bit for
     bit, for any H0.
 
@@ -208,24 +224,7 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
     schedule_hamiltonian.  The cavity's H0 is the dispersive shift, so
     scaling its H is not a Rabi error; that needs one run per error.
     """
-    times, dt, groups = _midpoint_eigh(ham, tau, step)
-    scales = np.asarray(scales, dtype=float)
-    dim = ham.h0.shape[-1]
-    finals = np.zeros((len(scales), dim, dim), dtype=complex)
-    for idx, w, v in groups:
-        n, shape = len(w), (len(scales), *v.shape[1:])
-        chain = np.broadcast_to(np.eye(idx.shape[1], dtype=complex), shape).copy()
-        block = np.empty((min(n, STEP_BLOCK), *shape), dtype=complex)
-        for start in range(0, n, STEP_BLOCK):
-            wb, vb = w[start:start + STEP_BLOCK], v[start:start + STEP_BLOCK]
-            vb_conj = vb.conj()
-            steps = block[:len(wb)]
-            for e, s in enumerate(scales):
-                steps[:, e] = _step_exponentials(s * wb, vb, vb_conj, dt)
-            for factor in steps:
-                chain = factor @ chain
-        finals[:, idx[:, :, None], idx[:, None, :]] = chain
-    return times, finals
+    return _closed_products(ham, tau, step, np.asarray(scales, dtype=float), prefixes=False)
 
 
 def propagate_unitary(schedule: PulseSchedule, frame: BrightFrame,

@@ -91,25 +91,26 @@ def clifford_table() -> list[CliffordElement]:
     return out
 
 
-def _match_index(u: np.ndarray, table: Sequence[CliffordElement]) -> int:
-    for el in table:
-        if qmath.unitary_fidelity(u, el.unitary) > 1.0 - 1e-9:
-            return el.index
-    raise ValueError("unitary is not in the Clifford table")
+def _match_indices(products: np.ndarray, table: Sequence[CliffordElement]) -> np.ndarray:
+    """Index of the first table element that equals each unitary of the
+    stack products (..., 2, 2) up to a global phase: |Tr(P U_k^dag)| / 2
+    above 1 - 1e-9.  Raises if some unitary has no match."""
+    unitaries = np.array([el.unitary for el in table])
+    overlaps = np.abs(np.einsum("...ab,kab->...k", products, unitaries.conj())) / 2
+    match = overlaps > 1.0 - 1e-9
+    if not match.any(axis=-1).all():
+        raise ValueError("unitary is not in the Clifford table")
+    return match.argmax(axis=-1)
 
 
-def _group_tables(table: Sequence[CliffordElement]) -> tuple[np.ndarray, np.ndarray]:
-    """(multiplication table, inverse table) by unitary matching."""
-    n = len(table)
-    mul = np.empty((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            mul[i, j] = _match_index(table[i].unitary @ table[j].unitary, table)
-    inv = np.empty(n, dtype=int)
-    ident = _match_index(np.eye(2, dtype=complex), table)
-    for i in range(n):
-        inv[i] = int(np.where(mul[:, i] == ident)[0][0])
-    return mul, inv
+def _group_tables(table: Sequence[CliffordElement]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(multiplication table, inverse table, identity index) by unitary
+    matching of all 24 x 24 products at once."""
+    unitaries = np.array([el.unitary for el in table])
+    mul = _match_indices(np.einsum("iab,jbc->ijac", unitaries, unitaries), table)
+    ident = int(_match_indices(np.eye(2, dtype=complex), table))
+    inv = (mul == ident).argmax(axis=0)
+    return mul, inv, ident
 
 
 @functools.cache
@@ -117,9 +118,9 @@ def _clifford_group() -> tuple[tuple[CliffordElement, ...], np.ndarray, np.ndarr
     """(table, multiplication table, inverse table, identity index), built
     once per process and read-only, since every caller shares them."""
     table = tuple(clifford_table())
-    mul, inv = _group_tables(table)
+    mul, inv, ident = _group_tables(table)
     mul.flags.writeable = inv.flags.writeable = False
-    return table, mul, inv, _match_index(np.eye(2, dtype=complex), table)
+    return table, mul, inv, ident
 
 
 def default_channel_factory(noise: Optional[NoiseModel],
@@ -222,7 +223,7 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
             raise ValueError(f"unknown interleaved gate {interleaved!r}")
         s = channel_factory(interleaved)
         inter_channel = s
-        inter_index = _match_index(physical_gate_unitary(interleaved), table)
+        inter_index = int(_match_indices(physical_gate_unitary(interleaved), table))
 
     rng = np.random.default_rng(seed)
     rho0_vec = qmath.projector(model.KET_G).reshape(-1)

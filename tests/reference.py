@@ -6,10 +6,14 @@ here write the same Hamiltonians out element by element, and rebuild
 the D_mn integrands the way a populations-only experiment measures
 them, so that the tests compare two independent derivations.  They also
 keep the plain loops that batched package code replaces: the per-step
-RK4 stage loop of the Lindblad equation and the per-sequence RB loop.
+product chain of the closed propagator, the per-step RK4 stage loop of
+the Lindblad equation, the per-pair Clifford matching and the
+per-sequence RB loop.  segment_exact_unitary propagates a segmented
+schedule exactly, one matrix exponential per segment.
 """
 
 import numpy as np
+import scipy.linalg
 
 from holonomy_lab import evolve, model, qmath, rb
 from holonomy_lab.model import E, F, G
@@ -74,6 +78,30 @@ def reconstructed_phase_integrands(schedule, step: float = DEFAULT_STEP_1Q):
     return d11, d22, re12 + 1j * im12
 
 
+def sequential_unitaries(ham, tau: float, step: float):
+    """(times, unitaries) of evolve.propagate_unitary_h, one product per step.
+
+    On every invariant block, each step is v exp(-i w dt) v^dag from the
+    eigendecomposition of H(t_mid), and U(t_k+1, 0) = exp(-i H dt) U(t_k, 0).
+    """
+    times = evolve._time_grid(tau, step)
+    dt, dim = times[1] - times[0], ham.h0.shape[-1]
+    a = ham.coefficient(0.5 * (times[:-1] + times[1:]))
+    unitaries = np.zeros((len(times), dim, dim), dtype=complex)
+    for idx in evolve.invariant_blocks(ham):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        h = evolve.DrivenHamiltonian(ham.h0[rows, cols], ham.a_op[rows, cols],
+                                     ham.drive).at_coefficient(a)
+        w, v = np.linalg.eigh(h)
+        steps = np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * dt), v.conj())
+        chain = np.empty((len(times), *v.shape[1:]), dtype=complex)
+        chain[0] = np.eye(idx.shape[1])
+        for k in range(len(steps)):
+            chain[k + 1] = steps[k] @ chain[k]
+        unitaries[:, rows, cols] = chain
+    return times, unitaries
+
+
 def lindblad_stage_loop(ham, c_ops, tau: float, step: float, rho0: np.ndarray):
     """(times, states) of evolve.propagate_lindblad_h from four RK4 stages per step.
 
@@ -111,6 +139,26 @@ def lindblad_stage_loop(ham, c_ops, tau: float, step: float, rho0: np.ndarray):
     return times, out.reshape(n + 1, m, dim, dim)
 
 
+def match_index(u: np.ndarray, table) -> int:
+    """Index of the first Clifford whose unitary fidelity with u exceeds 1 - 1e-9."""
+    for el in table:
+        if qmath.unitary_fidelity(u, el.unitary) > 1.0 - 1e-9:
+            return el.index
+    raise ValueError("unitary is not in the Clifford table")
+
+
+def group_tables_per_pair(table):
+    """(multiplication table, inverse table, identity index), one match per pair."""
+    n = len(table)
+    mul = np.empty((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            mul[i, j] = match_index(table[i].unitary @ table[j].unitary, table)
+    ident = match_index(np.eye(2, dtype=complex), table)
+    inv = np.array([int(np.where(mul[:, i] == ident)[0][0]) for i in range(n)])
+    return mul, inv, ident
+
+
 def rb_per_sequence(channel_factory, m_values, n_seqs: int, interleaved=None,
                     seed: int = 0, clifford_noise=None):
     """(mean_pg, std_pg) of rb.run_rb, one sequence and one draw at a time."""
@@ -124,7 +172,7 @@ def rb_per_sequence(channel_factory, m_values, n_seqs: int, interleaved=None,
     inter_channel = inter_index = None
     if interleaved is not None:
         inter_channel = channel_factory(interleaved)
-        inter_index = rb._match_index(rb.physical_gate_unitary(interleaved), table)
+        inter_index = match_index(rb.physical_gate_unitary(interleaved), table)
     rng = np.random.default_rng(seed)
     rho0_vec = qmath.projector(model.KET_G).reshape(-1)
     m_values = np.asarray(sorted(m_values), dtype=int)
@@ -148,3 +196,18 @@ def rb_per_sequence(channel_factory, m_values, n_seqs: int, interleaved=None,
         mean_pg[im] = pg.mean()
         std_pg[im] = pg.std(ddof=1) if n_seqs > 1 else 0.0
     return mean_pg, std_pg
+
+
+def segment_exact_unitary(schedule, frame: model.BrightFrame,
+                          scale: float = 1.0) -> np.ndarray:
+    """Product over segments of expm(-i scale area H_seg), H_seg = H at a = e^{-i phase}.
+
+    Within a segment the drive direction is fixed, so H(t) = Omega(t) H_seg
+    commutes with itself and the segment's propagator is exact.
+    """
+    ham = evolve.schedule_hamiltonian(schedule, frame)
+    u = np.eye(3, dtype=complex)
+    for seg in schedule.segments:
+        h_seg = ham.at_coefficient(np.exp(-1j * seg.phase))
+        u = scipy.linalg.expm(-1j * scale * seg.area * h_seg) @ u
+    return u

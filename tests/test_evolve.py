@@ -9,7 +9,7 @@ from holonomy_lab.model import NoiseModel, bright_frame
 from holonomy_lab.pulses import (DEFAULT_STEP_1Q, NAMED_GATES, SCHEMES, GateSpec,
                                  apply_rabi_error, build_schedule, build_sr_nhqc)
 from reference import (bright_drive_hamiltonian, dispersive_hamiltonian,
-                       lindblad_stage_loop)
+                       lindblad_stage_loop, segment_exact_unitary, sequential_unitaries)
 
 GATE = GateSpec(np.pi / 2, 0.0, np.pi)
 FRAME = bright_frame(GATE.theta, GATE.phi)
@@ -47,6 +47,46 @@ def test_scaled_finals_match_per_point_rabi_errors(scheme, gate, step):
     times_1, finals_1 = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))
     assert np.array_equal(times_1, times)
     assert np.array_equal(finals_1[0], unitaries[-1])
+
+
+@pytest.mark.parametrize("step", [0.05, 0.5, 2.0])
+@pytest.mark.parametrize("gate", [GATE, GateSpec(1.3, 2.1, 2.7)], ids=["X", "generic"])
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+def test_closed_propagators_match_segment_exact_oracle(scheme, gate, step):
+    # Within a segment the drive direction is fixed, so the midpoint
+    # product of a segmented schedule is exact up to round-off.
+    schedule = build_schedule(gate, scheme)
+    frame = bright_frame(gate.theta, gate.phi)
+    ham = evolve.schedule_hamiltonian(schedule, frame)
+    _, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
+    assert np.max(np.abs(unitaries[-1] - segment_exact_unitary(schedule, frame))) < 1e-12
+    scales = (0.8, 1.0, 1.13)
+    _, finals = evolve.scaled_final_unitaries(ham, schedule.tau, step, scales)
+    for s, u in zip(scales, finals):
+        assert np.max(np.abs(u - segment_exact_unitary(schedule, frame, s))) < 1e-12
+
+
+def _ragged_cases():
+    """(Hamiltonian, tau, step) with 1, STEP_BLOCK - 1, STEP_BLOCK,
+    STEP_BLOCK + 1 and 2 400 qutrit steps, and the 5 520-step cavity gate."""
+    ham = evolve.schedule_hamiltonian(SCHEDULE, FRAME)
+    counts = (1, evolve.STEP_BLOCK - 1, evolve.STEP_BLOCK, evolve.STEP_BLOCK + 1, 2400)
+    _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0,
+                                          model.DispersiveSystemParams.from_mhz())
+    return [(ham, SCHEDULE.tau, SCHEDULE.tau / n, n) for n in counts] + \
+        [(cavity, 2760.0, 0.5, 5520)]
+
+
+@pytest.mark.parametrize("ham, tau, step, steps", _ragged_cases(),
+                         ids=["1", "block-1", "block", "block+1", "2400", "cavity"])
+def test_chunked_chain_matches_sequential_chain(ham, tau, step, steps):
+    times, unitaries = evolve.propagate_unitary_h(ham, tau, step)
+    ref_times, ref_unitaries = sequential_unitaries(ham, tau, step)
+    assert len(times) == steps + 1
+    assert np.array_equal(times, ref_times)
+    assert np.max(np.abs(unitaries - ref_unitaries)) < 1e-13
+    _, finals = evolve.scaled_final_unitaries(ham, tau, step, (1.0,))
+    assert np.array_equal(finals[0], unitaries[-1])
 
 
 def _lindblad_states(schedule, noise, step, ket=model.KET_G):

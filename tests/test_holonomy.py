@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import holonomy, qmath
+from holonomy_lab import evolve, holonomy, qmath
 from holonomy_lab.pulses import (GATE_X, GateSpec, build_dynamical,
                                  build_nhqc, build_schedule, build_sr_nhqc)
 from reference import reconstructed_phase_integrands
@@ -101,3 +101,16 @@ def test_csv_outputs():
     rows = holonomy.robustness_sweep(GATE_X, "sr-nhqc", [0.0, 0.1], step=0.5)
     sweep = holonomy.sweep_to_csv(rows)
     assert sweep.splitlines()[0] == "epsilon,F_sim,F_analytic"
+
+
+def test_sweep_kernel_calls_do_not_grow_with_scales(monkeypatch):
+    calls = []
+    kernel = evolve._step_exponentials
+    monkeypatch.setattr(evolve, "_step_exponentials",
+                        lambda *args: calls.append(1) or kernel(*args))
+    counts = []
+    for points in (5, 41):
+        calls.clear()
+        holonomy.robustness_sweep(GATE_X, "sr-nhqc", np.linspace(-0.2, 0.2, points))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= evolve.STEP_BLOCK

@@ -5,7 +5,7 @@ import pytest
 
 from holonomy_lab import evolve, qmath, rb
 from holonomy_lab.model import NoiseModel
-from reference import rb_per_sequence
+from reference import group_tables_per_pair, rb_per_sequence
 
 
 def test_clifford_table_counts():
@@ -27,14 +27,29 @@ def test_clifford_elements_distinct_and_unitary():
 
 def test_group_closure():
     table = rb.clifford_table()
-    mul, inv = rb._group_tables(table)
+    mul, inv, ident = rb._group_tables(table)
     # every row/column of the multiplication table is a permutation
     for i in range(24):
         assert sorted(mul[i]) == list(range(24))
         assert sorted(mul[:, i]) == list(range(24))
-    ident = rb._match_index(np.eye(2, dtype=complex), table)
     for i in range(24):
         assert mul[inv[i], i] == ident
+
+
+def test_group_tables_match_per_pair_reference():
+    table = rb.clifford_table()
+    mul, inv, ident = rb._group_tables(table)
+    ref_mul, ref_inv, ref_ident = group_tables_per_pair(table)
+    assert np.array_equal(mul, ref_mul)
+    assert np.array_equal(inv, ref_inv)
+    assert ident == ref_ident == 0
+
+
+def test_unknown_unitary_has_no_clifford_match():
+    table = rb.clifford_table()
+    t_gate = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    with pytest.raises(ValueError, match="not in the Clifford table"):
+        rb._match_indices(t_gate, table)
 
 
 def test_noiseless_rb_is_degenerate():
