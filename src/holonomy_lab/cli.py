@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__, cohfit, evolve, holonomy, qmath, rb, tomography, twoqubit
 from .config import ConfigError, RunConfig, config_hash, default_config_text, load_config
-from .model import bright_frame
 from .pulses import (NAMED_GATES, SCHEME_DYNAMICAL, SCHEME_SR, SCHEMES, GateSpec,
                      apply_rabi_error, build_schedule)
 from .tomography import ASSIGNMENT_DEFAULT
@@ -86,7 +85,6 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> int:
     scheme = cfg.scheme
     tau = cfg.tau_ns(scheme)
     schedule = build_schedule(gate, scheme, tau)
-    frame = bright_frame(gate.theta, gate.phi)
     outdir = Path(cfg.output_dir)
 
     payload = {"scheme": scheme, "theta": gate.theta, "phi": gate.phi,
@@ -94,13 +92,12 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> int:
                "noise": cfg.noise}
     if cfg.noise:
         noise = cfg.noise_model()
-        trace, channel = evolve.propagate_superoperator(schedule, frame, noise,
-                                                        cfg.step_1q_ns)
+        trace, channel = evolve.propagate_superoperator(schedule, noise, cfg.step_1q_ns)
         payload["avg_gate_error"] = cohfit.channel_average_gate_error(channel, gate)
         payload["fidelity"] = 1.0 - payload["avg_gate_error"]
     else:
         trace = evolve.propagate_unitary(apply_rabi_error(schedule, cfg.epsilon),
-                                         frame, cfg.step_1q_ns)
+                                         cfg.step_1q_ns)
         payload["fidelity"] = holonomy.gate_fidelity(trace.final_unitary, gate)
     payload["analytic_fidelity"] = holonomy.analytic_fidelity(gate.gamma, cfg.epsilon)
 
@@ -148,9 +145,8 @@ def cmd_qpt(cfg: RunConfig, args: argparse.Namespace) -> int:
     gate = _gate_from(cfg, args)
     scheme = cfg.scheme
     schedule = build_schedule(gate, scheme, cfg.tau_ns(scheme))
-    frame = bright_frame(gate.theta, gate.phi)
     noise = cfg.noise_model() if cfg.noise else None
-    sup = evolve.gate_channel(schedule, frame, noise, cfg.step_1q_ns)
+    sup = evolve.gate_channel(schedule, noise, cfg.step_1q_ns)
     readout = ASSIGNMENT_DEFAULT if args.readout else None
     chi = tomography.qpt(tomography.channel_from_superoperator(sup), readout)
     fid = tomography.process_fidelity(chi, gate.target_unitary())

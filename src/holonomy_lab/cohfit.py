@@ -227,15 +227,12 @@ def lindblad_average_gate_error(gate, scheme: str = "sr-nhqc",
     coherence_limited_error.
     """
     from . import evolve
-    from .model import bright_frame
     from .pulses import build_schedule
 
     if noise is None:
         noise = NoiseModel.from_coherence_times()
     schedule = build_schedule(gate, scheme, tau)
-    frame = bright_frame(gate.theta, gate.phi)
-    return channel_average_gate_error(evolve.gate_channel(schedule, frame, noise, step),
-                                      gate)
+    return channel_average_gate_error(evolve.gate_channel(schedule, noise, step), gate)
 
 
 def channel_average_gate_error(channel: np.ndarray, gate) -> float:

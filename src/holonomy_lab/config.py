@@ -9,9 +9,9 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .model import DEVICE, N_FOCK, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
@@ -80,12 +80,12 @@ class RunConfig:
     n_fock: int = N_FOCK
     output_dir: str = "out"
 
-    def noise_model(self, epsilon: Optional[float] = None) -> NoiseModel:
+    def noise_model(self) -> NoiseModel:
         return NoiseModel.from_coherence_times(
             t1_ge_us=self.t1_ge_us, t1_ef_us=self.t1_ef_us,
             t1_gf_us=self.t1_gf_us, t2e_ge_us=self.t2e_ge_us,
             t2e_ef_us=self.t2e_ef_us, t2e_gf_us=self.t2e_gf_us,
-            epsilon=self.epsilon if epsilon is None else epsilon)
+            epsilon=self.epsilon)
 
     def tau_ns(self, scheme: str, two_qubit: bool = False) -> float:
         """Configured gate duration of a scheme, single- or two-qubit."""
@@ -126,9 +126,8 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse flat key-value text into a RunConfig over the defaults."""
-    cfg = RunConfig() if base is None else base
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -140,12 +139,11 @@ def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _parse_value(key, raw)
-    return replace(cfg, **updates)
+    return RunConfig(**updates)
 
 
-def load_config(path: Union[str, Path],
-                base: Optional[RunConfig] = None) -> RunConfig:
-    return parse_config(Path(path).read_text(), base)
+def load_config(path: Union[str, Path]) -> RunConfig:
+    return parse_config(Path(path).read_text())
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -3,6 +3,8 @@
 Every Hamiltonian here is drive-linear: H(t) = H0 + a(t) A + conj(a(t)) A^dag
 with a = Omega e^{i phi1}, A = 1/2 |b><e| (times the Fock identity on the
 cavity) and H0 zero on the qutrit or the dispersive shift with the cavity.
+A schedule fixes its own H(t): |b> is the bright state of its gate's
+(theta, phi) frame, so schedule_hamiltonian needs nothing else.
 Each propagation samples a(t) on its whole time grid in one call.
 Closed-system evolution composes midpoint steps exp(-i s H(t+dt/2) dt)
 = sum_j exp(-i s w_j dt) P_j, at one or many scales s, from one stacked
@@ -12,6 +14,8 @@ and their totals are then chained, not one Python-level product per step.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
 equation for a stack of m initial states; its generator
 L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix.
+A run returns what its callers read: every state's populations at
+every grid time and the final states, never the whole history.
 RK4 has two drivers that give the same states to round-off.  When the
 m columns span the r integrated entries (m >= r, a gate channel), each
 step's RK4 map M_k is built in batch and the maps are chained, one
@@ -43,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import model, qmath
-from .model import BrightFrame, NoiseModel
+from .model import NoiseModel
 from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
@@ -102,8 +106,13 @@ class DrivenHamiltonian:
         return self.h0 + a * self.a_op + np.conj(a) * qmath.dagger(self.a_op)
 
 
-def schedule_hamiltonian(schedule: PulseSchedule, frame: BrightFrame) -> DrivenHamiltonian:
-    """The three-level Hamiltonian of a drive program (H0 = 0)."""
+def schedule_hamiltonian(schedule: PulseSchedule) -> DrivenHamiltonian:
+    """The three-level Hamiltonian of a drive program (H0 = 0).
+
+    Every gate drives the bright state of its own (theta, phi) frame, so
+    the schedule's gate fixes A = 1/2 |b><e|.
+    """
+    frame = model.bright_frame(schedule.gate.theta, schedule.gate.phi)
     return DrivenHamiltonian(np.zeros((3, 3), dtype=complex),
                              model.bright_drive_operator(frame), schedule.drive)
 
@@ -227,11 +236,10 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
     return _closed_products(ham, tau, step, np.asarray(scales, dtype=float), prefixes=False)
 
 
-def propagate_unitary(schedule: PulseSchedule, frame: BrightFrame,
+def propagate_unitary(schedule: PulseSchedule,
                       step: float = DEFAULT_STEP_1Q) -> EvolutionTrace:
     """Closed-system trace of a schedule; populations track |g>."""
-    times, unitaries = propagate_unitary_h(schedule_hamiltonian(schedule, frame),
-                                           schedule.tau, step)
+    times, unitaries = propagate_unitary_h(schedule_hamiltonian(schedule), schedule.tau, step)
     populations = np.abs(unitaries @ model.KET_G) ** 2
     return EvolutionTrace(times=times, populations=populations, unitaries=unitaries)
 
@@ -286,9 +294,9 @@ def _rk4_step_maps(gen: np.ndarray, nodes: np.ndarray, mids: np.ndarray,
 
 
 def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
-                         tau: float, step: float,
-                         rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Density matrices rho_m(t_k) of a stack of initial states rho0 (m x d x d).
+                         tau: float, step: float, rho0: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Populations and final states of a stack of initial states rho0 (m x d x d).
 
     Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every initial
     state as one column.  Only the r entries of vec(rho) that the union
@@ -300,7 +308,9 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     building a map is r^3 work per step.  With m < r each of the four
     stages per step applies the stacked generator of lindblad_generator,
     restricted to the reachable entries, to the m columns: m r^2 work.
-    Returns (times, states) with states of shape (len(times), m, d, d).
+    Returns (times, populations, finals): the real diagonals of every
+    state at every grid time, (len(times), m, d), and the states at tau,
+    (m, d, d); no run keeps the off-diagonals of its history.
     Raises if any state's trace drifts from its initial value beyond
     TRACE_DRIFT_LIMIT or is not finite.
     """
@@ -308,18 +318,23 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     n = len(times) - 1
     m, dim = rho0.shape[0], rho0.shape[-1]
     blocks = lindblad_generator(ham, c_ops).reshape(3, dim * dim, dim * dim)
-    out = np.zeros((n + 1, m, dim * dim), dtype=complex)
-    out[0] = rho0.reshape(m, dim * dim)
-    live = np.flatnonzero(_reachable((blocks != 0).any(axis=0), (out[0] != 0).any(axis=0)))
+    vec0 = rho0.reshape(m, dim * dim)
+    live = np.flatnonzero(_reachable((blocks != 0).any(axis=0), (vec0 != 0).any(axis=0)))
     r = len(live)
     gen = blocks[:, live[:, None], live].reshape(3 * r, r)
+    # Integrated rows diag are the rho_ii of the reachable levels; the
+    # populations of the other levels stay 0.
+    level = np.flatnonzero(np.isin(np.arange(dim) * (dim + 1), live))
+    diag = np.searchsorted(live, level * (dim + 1))
+    populations = np.zeros((n + 1, m, dim))
+    populations[0] = np.einsum("mii->mi", rho0).real
     dt = np.diff(times)
     a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
     # Row j weighs the three generator blocks at sample j: (1, a, conj(a)).
     weights = np.stack([np.ones_like(a), a, a.conj()], axis=1)
     nodes, mids = weights[:n + 1], weights[n + 1:]
 
-    y = out[0][:, live].T.copy()
+    y = vec0[:, live].T.astype(complex)
     if m >= r:
         chain = np.empty((n + 1, r, m), dtype=complex)
         chain[0] = y
@@ -329,7 +344,8 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
                                   dt[start:stop])
             for k, step_map in enumerate(maps, start):
                 np.matmul(step_map, chain[k], out=chain[k + 1])
-        out[:, :, live] = chain.transpose(0, 2, 1)
+        populations[1:, :, level] = chain[1:, diag].real.transpose(0, 2, 1)
+        y = chain[-1]
     else:
         def lmul(w: np.ndarray, y: np.ndarray) -> np.ndarray:
             return (w @ (gen @ y).reshape(3, r * m)).reshape(r, m)
@@ -341,55 +357,53 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
             k3 = lmul(mids[k], y + h / 2 * k2)
             k4 = lmul(nodes[k + 1], y + h * k3)
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out[k + 1][:, live] = y.T
-    states = out.reshape(n + 1, m, dim, dim)
+            populations[k + 1][:, level] = y[diag].real.T
+    finals = np.zeros((m, dim * dim), dtype=complex)
+    finals[:, live] = y.T
 
-    traces = np.einsum("nmii->nm", states).real
+    traces = populations.sum(axis=-1)
     drift = np.max(np.abs(traces - traces[0]))
     if not drift <= TRACE_DRIFT_LIMIT:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
                            "reduce the integration step")
-    return times, states
+    return times, populations, finals.reshape(m, dim, dim)
 
 
-def _open_system(schedule: PulseSchedule, frame: BrightFrame,
-                 noise: Optional[NoiseModel]
+def _open_system(schedule: PulseSchedule, noise: Optional[NoiseModel]
                  ) -> tuple[DrivenHamiltonian, list[np.ndarray]]:
     """Hamiltonian (Rabi error applied) and collapse operators under noise."""
     if noise is None:
-        return schedule_hamiltonian(schedule, frame), []
+        return schedule_hamiltonian(schedule), []
     if noise.epsilon != 0.0:
         schedule = apply_rabi_error(schedule, noise.epsilon)
-    return schedule_hamiltonian(schedule, frame), model.collapse_operators(noise)
+    return schedule_hamiltonian(schedule), model.collapse_operators(noise)
 
 
-def propagate_superoperator(schedule: PulseSchedule, frame: BrightFrame,
-                            noise: Optional[NoiseModel] = None,
+def propagate_superoperator(schedule: PulseSchedule, noise: Optional[NoiseModel] = None,
                             step: float = DEFAULT_STEP_1Q
                             ) -> tuple[EvolutionTrace, np.ndarray]:
     """(|g><g| trace, process map S) of the gate from one integration.
 
     vec(rho(tau)) = S vec(rho(0)).  The nine basis matrices |i><j| are
-    the columns of one run; the first is |g><g|, so its record is the
-    ground-state trace that a one-state run would give.  Noiseless if
-    noise is None.  Raises if the channel is not completely positive to
-    within TRACE_DRIFT_LIMIT (minimum Choi eigenvalue), which RK4's trace
-    drift cannot reveal when the step is too coarse.
+    the columns of one run; the first is |g><g|, so its populations are
+    the ground-state trace that a one-state run would give.  Noiseless
+    if noise is None.  Raises if the channel is not completely positive
+    to within TRACE_DRIFT_LIMIT (minimum Choi eigenvalue), which RK4's
+    trace drift cannot reveal when the step is too coarse.
     """
-    ham, c_ops = _open_system(schedule, frame, noise)
+    ham, c_ops = _open_system(schedule, noise)
     basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    times, states = propagate_lindblad_h(ham, c_ops, schedule.tau, step, basis)
-    # Choi matrix sum_ij |i><j| kron E(|i><j|); states[-1][3i+j] is E(|i><j|).
-    choi = states[-1].reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    times, populations, finals = propagate_lindblad_h(ham, c_ops, schedule.tau, step, basis)
+    # Choi matrix sum_ij |i><j| kron E(|i><j|); finals[3i+j] is E(|i><j|).
+    choi = finals.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     choi_min = np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[0]
     if not choi_min >= -TRACE_DRIFT_LIMIT:
         raise RuntimeError(f"channel Choi eigenvalue {choi_min:.2e} is below "
                            f"-{TRACE_DRIFT_LIMIT:g}; reduce the integration step")
     # A C-ordered copy, not a transposed view, so that products with the
     # channel take the same BLAS path, and round alike, as any stored matrix.
-    channel = np.ascontiguousarray(states[-1].reshape(9, 9).T)
-    populations = np.einsum("nii->ni", states[:, 0]).real
-    return EvolutionTrace(times=times, populations=populations), channel
+    channel = np.ascontiguousarray(finals.reshape(9, 9).T)
+    return EvolutionTrace(times=times, populations=populations[:, 0]), channel
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -397,11 +411,10 @@ def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (s @ rho.reshape(-1)).reshape(d, d)
 
 
-def gate_channel(schedule: PulseSchedule, frame: BrightFrame,
-                 noise: Optional[NoiseModel] = None,
+def gate_channel(schedule: PulseSchedule, noise: Optional[NoiseModel] = None,
                  step: float = DEFAULT_STEP_1Q) -> np.ndarray:
     """9x9 superoperator of the gate, noiseless if noise is None."""
-    return propagate_superoperator(schedule, frame, noise, step)[1]
+    return propagate_superoperator(schedule, noise, step)[1]
 
 
 def idle_channel(duration: float, noise: Optional[NoiseModel]) -> np.ndarray:

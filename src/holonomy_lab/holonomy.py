@@ -39,34 +39,34 @@ class PhaseRecord:
     dark_max: float
 
 
+def _interaction_frame(schedule: PulseSchedule, step: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, psi, M) along the closed-system evolution of the schedule.
+
+    psi[k] = U(t_k, 0) B carries the initial basis B = (dark, bright,
+    excited) of the gate's frame as columns, so psi[0] = B, and
+    M_mn(t_k) = <psi_m(t_k)|H(t_k)|psi_n(t_k)>.
+    """
+    frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
+    ham = evolve.schedule_hamiltonian(schedule)
+    times, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
+    psi = unitaries @ np.column_stack([frame.dark, frame.bright, model.KET_E])
+    m = np.einsum("nim,nij,njk->nmk", psi.conj(), ham.hamiltonians(times), psi)
+    return times, psi, m
+
+
 def phase_record(schedule: PulseSchedule, step: float = DEFAULT_STEP_1Q) -> PhaseRecord:
     """Compute d_mn(t) and D_mn along the closed-system evolution, as
     matrix elements in the frame transported by the gate's own
     bright/dark decomposition."""
-    frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
-    ham = evolve.schedule_hamiltonian(schedule, frame)
-    times, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
-
-    b, d, e = frame.bright, frame.dark, model.KET_E
-    h_stack = ham.hamiltonians(times)
-    psi_d = unitaries @ d
-    psi_b = unitaries @ b
-    psi_e = unitaries @ e
-
-    d11 = np.einsum("ni,nij,nj->n", psi_b.conj(), h_stack, psi_b).real
-    d22 = np.einsum("ni,nij,nj->n", psi_e.conj(), h_stack, psi_e).real
-    d12 = np.einsum("ni,nij,nj->n", psi_b.conj(), h_stack, psi_e)
-    dark_row = np.abs(np.einsum("ni,nij,nj->n", psi_d.conj(), h_stack, psi_d))
-    for other in (psi_b, psi_e):
-        dark_row = np.maximum(
-            dark_row, np.abs(np.einsum("ni,nij,nj->n", psi_d.conj(), h_stack, other)))
-
+    times, _, m = _interaction_frame(schedule, step)
+    d11, d22, d12 = m[:, 1, 1].real, m[:, 2, 2].real, m[:, 1, 2]
     return PhaseRecord(
         times=times, d11=d11, d22=d22, d12=d12,
         D11=float(np.trapezoid(d11, times)),
         D22=float(np.trapezoid(d22, times)),
         D12=complex(np.trapezoid(d12, times)),
-        dark_max=float(np.max(dark_row)))
+        dark_max=float(np.max(np.abs(m[:, 0, :]))))
 
 
 def analytic_fidelity(gamma: float, epsilon: float) -> float:
@@ -143,8 +143,8 @@ def robustness_sweep(gate: GateSpec, scheme: str, epsilons: Sequence[float],
     epsilons = [float(eps) for eps in epsilons]
     scales = [rabi_scale(eps) for eps in epsilons]
     schedule = build_schedule(gate, scheme, tau)
-    ham = evolve.schedule_hamiltonian(schedule, bright_frame(gate.theta, gate.phi))
-    _, finals = evolve.scaled_final_unitaries(ham, schedule.tau, step, scales)
+    _, finals = evolve.scaled_final_unitaries(evolve.schedule_hamiltonian(schedule),
+                                              schedule.tau, step, scales)
     target = gate.target_unitary()
     return [SweepRow(eps, gate_fidelity(u, gate),
                      qmath.unitary_fidelity(analytic_noisy_gate(gate, eps), target))
@@ -180,18 +180,10 @@ def perturbative_expansion_check(schedule: PulseSchedule, epsilon: float,
     """
     if order < 0 or order > 6:
         raise ValueError("order must be in 0..6")
-    frame = bright_frame(schedule.gate.theta, schedule.gate.phi)
-    basis = np.column_stack([frame.dark, frame.bright, model.KET_E])
-
-    ham = evolve.schedule_hamiltonian(schedule, frame)
-    times, u0 = evolve.propagate_unitary_h(ham, schedule.tau, step)
-
-    _, u_eps = evolve.scaled_final_unitaries(ham, schedule.tau, step,
-                                             [rabi_scale(epsilon)])
-
-    h_stack = ham.hamiltonians(times)
-    frames = u0 @ basis
-    m = np.einsum("nim,nij,njk->nmk", frames.conj(), h_stack, frames)
+    times, psi, m = _interaction_frame(schedule, step)
+    basis = psi[0]
+    _, u_eps = evolve.scaled_final_unitaries(evolve.schedule_hamiltonian(schedule),
+                                             schedule.tau, step, [rabi_scale(epsilon)])
 
     series = np.eye(3, dtype=complex)
     prev = np.broadcast_to(np.eye(3, dtype=complex), m.shape).copy()
@@ -204,7 +196,7 @@ def perturbative_expansion_check(schedule: PulseSchedule, epsilon: float,
         prev = cur
 
     lhs = qmath.dagger(basis) @ u_eps[0] @ basis
-    rhs = (qmath.dagger(basis) @ u0[-1] @ basis) @ series
+    rhs = (qmath.dagger(basis) @ psi[-1]) @ series
     return float(np.linalg.norm(lhs - rhs))
 
 

@@ -31,15 +31,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(a, -1, -2))
 
 
-def ket(amplitudes) -> np.ndarray:
-    """Normalized state vector from a sequence of amplitudes."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / norm
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).ravel()
     return np.outer(psi, psi.conj())
@@ -87,13 +78,6 @@ def matrix_to_json(a: np.ndarray) -> dict:
         "re": a.real.tolist(),
         "im": a.imag.tolist(),
     }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    a = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    if a.shape != (obj["rows"], obj["cols"]):
-        raise ValueError("shape fields disagree with data")
-    return a
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:

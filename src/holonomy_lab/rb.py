@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import evolve, model, qmath
-from .model import NoiseModel, bright_frame
+from .model import NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_TAU, NAMED_GATES, SCHEME_SR, GateSpec,
                      build_sr_nhqc)
 
@@ -140,9 +140,7 @@ def default_channel_factory(noise: Optional[NoiseModel],
             if spec is None:
                 cache[tag] = evolve.idle_channel(tau, noise)
             else:
-                frame = bright_frame(spec.theta, spec.phi)
-                cache[tag] = evolve.gate_channel(build_sr_nhqc(spec, tau),
-                                                 frame, noise, step)
+                cache[tag] = evolve.gate_channel(build_sr_nhqc(spec, tau), noise, step)
         return cache[tag]
 
     return factory

@@ -10,7 +10,6 @@ leaving |2g>, |2f> ideally untouched: a controlled gate on the
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import evolve, model, qmath
-from .model import N_FOCK, DispersiveSystemParams, NoiseModel, bright_frame
+from .model import N_FOCK, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_2Q, DEFAULT_TAU_TWO_QUBIT, SCHEME_SR, GateSpec,
                      PulseSchedule, apply_rabi_error, build_schedule)
 
@@ -27,10 +26,6 @@ LEVEL_NAMES = ("g", "e", "f")
 
 def state_index(n: int, level: str) -> int:
     return 3 * n + LEVEL_NAMES.index(level)
-
-
-def state_label(i: int) -> str:
-    return f"{i // 3}{LEVEL_NAMES[i % 3]}"
 
 
 def computational_indices() -> list[int]:
@@ -70,7 +65,8 @@ def _selective_drive(gate: GateSpec, scheme: str, tau: Optional[float],
                      ) -> tuple[PulseSchedule, evolve.DrivenHamiltonian]:
     """(schedule, Hamiltonian on the full space) of the two-qubit gate.
 
-    H0 is the dispersive shift and the drive acts on every Fock block.
+    H0 is the dispersive shift and the schedule's qutrit drive acts on
+    every Fock block.
     """
     if scheme not in DEFAULT_TAU_TWO_QUBIT:
         raise ValueError(f"scheme must be one of {tuple(DEFAULT_TAU_TWO_QUBIT)}")
@@ -78,7 +74,7 @@ def _selective_drive(gate: GateSpec, scheme: str, tau: Optional[float],
                               DEFAULT_TAU_TWO_QUBIT[scheme] if tau is None else tau)
     if epsilon != 0.0:
         schedule = apply_rabi_error(schedule, epsilon)
-    a_op = model.bright_drive_operator(bright_frame(gate.theta, gate.phi))
+    a_op = evolve.schedule_hamiltonian(schedule).a_op
     return schedule, evolve.DrivenHamiltonian(
         model.dispersive_shift_hamiltonian(params),
         qmath.tensor(np.eye(params.n_fock), a_op), schedule.drive)
@@ -121,7 +117,6 @@ def calibration_phase_correction(u_zz_removed: np.ndarray, gamma: float,
 class TwoQubitGateResult:
     schedule: PulseSchedule
     params: DispersiveSystemParams
-    propagator: np.ndarray = field(repr=False)
     corrected: np.ndarray = field(repr=False)
     leakage: float = 0.0
 
@@ -156,7 +151,7 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
                       "exceeds 1%; drive is not photon-number selective",
                       RuntimeWarning, stacklevel=2)
     return TwoQubitGateResult(schedule=schedule, params=params,
-                              propagator=u, corrected=corrected, leakage=leak)
+                              corrected=corrected, leakage=leak)
 
 
 def prepare_fock(target: str,
@@ -218,14 +213,9 @@ class RobustnessRow:
     p_f: float
 
 
-def transmon_populations(state: np.ndarray) -> np.ndarray:
-    """(P_g, P_e, P_f) traced over the Fock mode; accepts kets or rho."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        probs = np.abs(state) ** 2
-    else:
-        probs = np.real(np.diag(state))
-    return probs.reshape(-1, 3).sum(axis=0)
+def transmon_populations(psi: np.ndarray) -> np.ndarray:
+    """(P_g, P_e, P_f) of a ket, traced over the Fock mode."""
+    return (np.abs(psi) ** 2).reshape(-1, 3).sum(axis=0)
 
 
 def cnot_robustness(epsilons: Sequence[float], scheme: str = SCHEME_SR,
@@ -279,10 +269,10 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     dim = 3 * params.n_fock
     rho0 = np.zeros((2, dim, dim), dtype=complex)
     rho0[[0, 1], start, start] = 1.0
-    _, states = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau, step, rho0)
+    _, populations, _ = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau, step, rho0)
     # Populations are frame-invariant, so the ZZ correction is a no-op
     # here; kept implicit.
-    return float(np.mean(states[-1, [0, 1], goal, goal].real))
+    return float(np.mean(populations[-1, [0, 1], goal]))
 
 
 def robustness_to_csv(rows: Sequence[RobustnessRow]) -> str:
@@ -290,12 +280,3 @@ def robustness_to_csv(rows: Sequence[RobustnessRow]) -> str:
                           ([f"{r.epsilon:.6g}", f"{r.p_g:.10g}", f"{r.p_e:.10g}",
                             f"{r.p_f:.10g}"] for r in rows))
 
-
-def state_to_json(state: np.ndarray) -> str:
-    state = np.asarray(state, dtype=complex)
-    payload = {
-        "labels": [state_label(i) for i in range(state.shape[0])],
-        "re": state.real.tolist(),
-        "im": state.imag.tolist(),
-    }
-    return json.dumps(payload, indent=2)

@@ -62,7 +62,7 @@ def reconstructed_phase_integrands(schedule, step: float = DEFAULT_STEP_1Q):
     own drive-linear stack.
     """
     frame = model.bright_frame(schedule.gate.theta, schedule.gate.phi)
-    ham = evolve.schedule_hamiltonian(schedule, frame)
+    ham = evolve.schedule_hamiltonian(schedule)
     times, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
     h_stack = bright_drive_hamiltonian(frame, *schedule.drive(times))
 
@@ -198,14 +198,13 @@ def rb_per_sequence(channel_factory, m_values, n_seqs: int, interleaved=None,
     return mean_pg, std_pg
 
 
-def segment_exact_unitary(schedule, frame: model.BrightFrame,
-                          scale: float = 1.0) -> np.ndarray:
+def segment_exact_unitary(schedule, scale: float = 1.0) -> np.ndarray:
     """Product over segments of expm(-i scale area H_seg), H_seg = H at a = e^{-i phase}.
 
     Within a segment the drive direction is fixed, so H(t) = Omega(t) H_seg
     commutes with itself and the segment's propagator is exact.
     """
-    ham = evolve.schedule_hamiltonian(schedule, frame)
+    ham = evolve.schedule_hamiltonian(schedule)
     u = np.eye(3, dtype=complex)
     for seg in schedule.segments:
         h_seg = ham.at_coefficient(np.exp(-1j * seg.phase))

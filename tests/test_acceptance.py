@@ -34,8 +34,7 @@ def noisy_channels():
     out = {}
     for name, gate in NAMED_GATES.items():
         schedule = build_schedule(gate, "sr-nhqc")
-        frame = bright_frame(gate.theta, gate.phi)
-        out[name] = evolve.gate_channel(schedule, frame, NOISE, step=0.05)
+        out[name] = evolve.gate_channel(schedule, NOISE, step=0.05)
     return out
 
 
@@ -127,7 +126,7 @@ def test_criterion_5_perturbative_bright_element():
     worst = 0.0
     for eps in (0.05, 0.1, 0.15):
         schedule = apply_rabi_error(build_schedule(GATE_X, "sr-nhqc"), eps)
-        u = evolve.propagate_unitary(schedule, frame).final_unitary
+        u = evolve.propagate_unitary(schedule).final_unitary
         u_bb = np.conj(frame.bright) @ u @ frame.bright
         x = holonomy.bright_amplitude_factor(GATE_X.gamma, eps)
         worst = max(worst, abs(u_bb - x))

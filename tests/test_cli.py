@@ -10,7 +10,6 @@ import pytest
 
 from holonomy_lab import cohfit, evolve, model, qmath, twoqubit
 from holonomy_lab.config import RunConfig
-from holonomy_lab.model import bright_frame
 from holonomy_lab.pulses import DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_sr_nhqc
 from holonomy_lab.cli import main
 
@@ -72,11 +71,10 @@ def test_noisy_gate_is_integrated_once(tmp_path, monkeypatch):
     # The |g><g| column of the channel run is the trace a one-state run gives.
     last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
     schedule = build_sr_nhqc(GATE_X)
-    ham = evolve.schedule_hamiltonian(schedule, bright_frame(GATE_X.theta, GATE_X.phi))
-    _, states = real(ham, model.collapse_operators(noise), schedule.tau,
-                     DEFAULT_STEP_1Q, qmath.projector(model.KET_G)[None])
-    assert np.allclose([float(x) for x in last[1:]], states[-1, 0].diagonal().real,
-                       rtol=0, atol=1e-9)
+    ham = evolve.schedule_hamiltonian(schedule)
+    _, populations, _ = real(ham, model.collapse_operators(noise), schedule.tau,
+                             DEFAULT_STEP_1Q, qmath.projector(model.KET_G)[None])
+    assert np.allclose([float(x) for x in last[1:]], populations[-1, 0], rtol=0, atol=1e-9)
 
 
 def test_invalid_gamma_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,8 +52,8 @@ def test_bad_values_rejected():
 
 def test_hash_tracks_physics_not_output_dir():
     a = RunConfig()
-    b = parse_config("output_dir = elsewhere", base=a)
-    c = parse_config("t1_ge_us = 21.0", base=a)
+    b = replace(a, output_dir="elsewhere")
+    c = replace(a, t1_ge_us=21.0)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
 
@@ -64,7 +66,7 @@ def test_default_config_text_round_trips():
 
 def test_noise_model_and_dispersive_helpers():
     cfg = RunConfig()
-    n = cfg.noise_model(epsilon=0.05)
+    n = replace(cfg, epsilon=0.05).noise_model()
     assert np.isclose(n.gamma_ge, 1 / 18.9)
     assert n.epsilon == 0.05
     p = cfg.dispersive_params()

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy_lab import evolve, model, qmath, twoqubit
+from holonomy_lab import cohfit, evolve, model, qmath, twoqubit
 from holonomy_lab.model import NoiseModel, bright_frame
 from holonomy_lab.pulses import (DEFAULT_STEP_1Q, NAMED_GATES, SCHEMES, GateSpec,
                                  apply_rabi_error, build_schedule, build_sr_nhqc)
@@ -17,15 +17,15 @@ SCHEDULE = build_sr_nhqc(GATE, 120.0)
 
 
 def test_closed_propagators_unitary():
-    trace = evolve.propagate_unitary(SCHEDULE, FRAME, step=0.1)
+    trace = evolve.propagate_unitary(SCHEDULE, step=0.1)
     for u in trace.unitaries[:: len(trace.unitaries) // 7]:
         assert np.allclose(u @ qmath.dagger(u), np.eye(3), atol=1e-10)
     assert np.allclose(trace.populations.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_step_refinement_converges():
-    u_fine = evolve.propagate_unitary(SCHEDULE, FRAME, step=0.02).final_unitary
-    u_coarse = evolve.propagate_unitary(SCHEDULE, FRAME, step=0.2).final_unitary
+    u_fine = evolve.propagate_unitary(SCHEDULE, step=0.02).final_unitary
+    u_coarse = evolve.propagate_unitary(SCHEDULE, step=0.2).final_unitary
     assert np.max(np.abs(u_fine - u_coarse)) < 1e-5
 
 
@@ -34,14 +34,12 @@ def test_step_refinement_converges():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_scaled_finals_match_per_point_rabi_errors(scheme, gate, step):
     schedule = build_schedule(gate, scheme)
-    frame = bright_frame(gate.theta, gate.phi)
-    ham = evolve.schedule_hamiltonian(schedule, frame)
+    ham = evolve.schedule_hamiltonian(schedule)
     epsilons = (-0.2, 0.0, 0.13)
     _, finals = evolve.scaled_final_unitaries(ham, schedule.tau, step,
                                               [1.0 + e for e in epsilons])
     for eps, u in zip(epsilons, finals):
-        ref = evolve.propagate_unitary(apply_rabi_error(schedule, eps), frame,
-                                       step).final_unitary
+        ref = evolve.propagate_unitary(apply_rabi_error(schedule, eps), step).final_unitary
         assert np.max(np.abs(u - ref)) < 1e-12
     times, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
     times_1, finals_1 = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))
@@ -56,20 +54,19 @@ def test_closed_propagators_match_segment_exact_oracle(scheme, gate, step):
     # Within a segment the drive direction is fixed, so the midpoint
     # product of a segmented schedule is exact up to round-off.
     schedule = build_schedule(gate, scheme)
-    frame = bright_frame(gate.theta, gate.phi)
-    ham = evolve.schedule_hamiltonian(schedule, frame)
+    ham = evolve.schedule_hamiltonian(schedule)
     _, unitaries = evolve.propagate_unitary_h(ham, schedule.tau, step)
-    assert np.max(np.abs(unitaries[-1] - segment_exact_unitary(schedule, frame))) < 1e-12
+    assert np.max(np.abs(unitaries[-1] - segment_exact_unitary(schedule))) < 1e-12
     scales = (0.8, 1.0, 1.13)
     _, finals = evolve.scaled_final_unitaries(ham, schedule.tau, step, scales)
     for s, u in zip(scales, finals):
-        assert np.max(np.abs(u - segment_exact_unitary(schedule, frame, s))) < 1e-12
+        assert np.max(np.abs(u - segment_exact_unitary(schedule, s))) < 1e-12
 
 
 def _ragged_cases():
     """(Hamiltonian, tau, step) with 1, STEP_BLOCK - 1, STEP_BLOCK,
     STEP_BLOCK + 1 and 2 400 qutrit steps, and the 5 520-step cavity gate."""
-    ham = evolve.schedule_hamiltonian(SCHEDULE, FRAME)
+    ham = evolve.schedule_hamiltonian(SCHEDULE)
     counts = (1, evolve.STEP_BLOCK - 1, evolve.STEP_BLOCK, evolve.STEP_BLOCK + 1, 2400)
     _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0,
                                           model.DispersiveSystemParams.from_mhz())
@@ -89,24 +86,24 @@ def test_chunked_chain_matches_sequential_chain(ham, tau, step, steps):
     assert np.array_equal(finals[0], unitaries[-1])
 
 
-def _lindblad_states(schedule, noise, step, ket=model.KET_G):
-    """rho(t_k) of the pure state ket under the schedule and the noise."""
-    _, states = evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(schedule, FRAME),
-                                            model.collapse_operators(noise), schedule.tau,
-                                            step, qmath.projector(ket)[None])
-    return states[:, 0]
+def _lindblad_run(schedule, noise, step, ket=model.KET_G):
+    """(populations, final rho) of the pure state ket under the schedule
+    and the noise."""
+    _, populations, finals = evolve.propagate_lindblad_h(
+        evolve.schedule_hamiltonian(schedule), model.collapse_operators(noise),
+        schedule.tau, step, qmath.projector(ket)[None])
+    return populations[:, 0], finals[0]
 
 
 def test_lindblad_reduces_to_closed_without_noise():
-    states = _lindblad_states(SCHEDULE, NoiseModel(), step=0.05)
-    trace_closed = evolve.propagate_unitary(SCHEDULE, FRAME, step=0.05)
-    populations = np.einsum("nii->ni", states).real
+    populations, _ = _lindblad_run(SCHEDULE, NoiseModel(), step=0.05)
+    trace_closed = evolve.propagate_unitary(SCHEDULE, step=0.05)
     assert np.max(np.abs(populations - trace_closed.populations)) < 1e-5
 
 
 def test_lindblad_trace_and_positivity():
     noise = NoiseModel.from_coherence_times()
-    rho = _lindblad_states(SCHEDULE, noise, step=0.05, ket=model.KET_F)[-1]
+    _, rho = _lindblad_run(SCHEDULE, noise, step=0.05, ket=model.KET_F)
     assert np.isclose(np.trace(rho).real, 1.0, atol=1e-7)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
 
@@ -118,17 +115,17 @@ def test_relaxation_only_decay_rate():
     idle = PulseSchedule("sr-nhqc", GATE, 1000.0,
                          segments=(PulseSegment(0.0, 0.0, 1000.0),))
     noise = NoiseModel(gamma_ge=1 / 18.9)
-    rho = _lindblad_states(idle, noise, step=1.0, ket=model.KET_E)[-1]
+    _, rho = _lindblad_run(idle, noise, step=1.0, ket=model.KET_E)
     p_e = rho[model.E, model.E].real
     assert np.isclose(p_e, np.exp(-1.0 / 18.9), rtol=1e-6)
 
 
 def test_superoperator_matches_state_propagation():
     noise = NoiseModel.from_coherence_times()
-    sup = evolve.gate_channel(SCHEDULE, FRAME, noise, step=0.05)
+    sup = evolve.gate_channel(SCHEDULE, noise, step=0.05)
     rho0 = qmath.projector(model.KET_G)
     rho_sup = evolve.apply_superoperator(sup, rho0)
-    rho = _lindblad_states(SCHEDULE, noise, step=0.05)[-1]
+    _, rho = _lindblad_run(SCHEDULE, noise, step=0.05)
     assert np.max(np.abs(rho_sup - rho)) < 1e-9
 
 
@@ -141,16 +138,16 @@ def test_coarse_step_channel_is_not_completely_positive(monkeypatch):
     monkeypatch.setattr(evolve, "_rk4_step_maps",
                         lambda *args: map_blocks.append(1) or step_maps(*args))
     noise = NoiseModel.from_coherence_times()
-    evolve.gate_channel(SCHEDULE, FRAME, noise, step=0.5)
+    evolve.gate_channel(SCHEDULE, noise, step=0.5)
     map_blocks.clear()
     with pytest.raises(RuntimeError, match="Choi"):
-        evolve.gate_channel(SCHEDULE, FRAME, noise, step=2.0)
+        evolve.gate_channel(SCHEDULE, noise, step=2.0)
     assert map_blocks
 
 
 def test_noiseless_gate_channel_is_unitary_conjugation():
-    sup = evolve.gate_channel(SCHEDULE, FRAME, None, step=0.05)
-    u = evolve.propagate_unitary(SCHEDULE, FRAME, step=0.05).final_unitary
+    sup = evolve.gate_channel(SCHEDULE, None, step=0.05)
+    u = evolve.propagate_unitary(SCHEDULE, step=0.05).final_unitary
     assert np.max(np.abs(sup - np.kron(u, u.conj()))) < 1e-8
 
 
@@ -170,11 +167,11 @@ def test_idle_channel_decays_excited_state():
 
 def test_invalid_step_rejected():
     with pytest.raises(ValueError):
-        evolve.propagate_unitary(SCHEDULE, FRAME, step=0.0)
+        evolve.propagate_unitary(SCHEDULE, step=0.0)
 
 
 def test_trace_csv_header():
-    trace = evolve.propagate_unitary(SCHEDULE, FRAME, step=10.0)
+    trace = evolve.propagate_unitary(SCHEDULE, step=10.0)
     text = evolve.trace_to_csv(trace)
     assert text.splitlines()[0] == "t_ns,P_g,P_e,P_f"
 
@@ -183,7 +180,7 @@ def test_stacked_generator_matches_lindblad_superoperator():
     params = model.DispersiveSystemParams.from_mhz()
     schedule_2q, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0, params)
     qutrit_ops = model.collapse_operators(NoiseModel.from_coherence_times())
-    cases = [(SCHEDULE, evolve.schedule_hamiltonian(SCHEDULE, FRAME), qutrit_ops,
+    cases = [(SCHEDULE, evolve.schedule_hamiltonian(SCHEDULE), qutrit_ops,
               lambda hd: hd),
              (schedule_2q, cavity,
               [qmath.tensor(np.eye(params.n_fock), c) for c in qutrit_ops]
@@ -208,7 +205,7 @@ def test_non_finite_run_raises():
     for rho0 in (qmath.projector(model.KET_E)[None],
                  np.eye(9, dtype=complex).reshape(9, 3, 3)):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
-            evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE, FRAME),
+            evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE),
                                         huge, SCHEDULE.tau, 10.0, rho0)
 
 
@@ -219,14 +216,27 @@ def test_non_finite_run_raises():
 def test_step_maps_match_stage_loop(gate, scheme, noise):
     spec = NAMED_GATES[gate]
     schedule = build_schedule(spec, scheme)
-    ham, c_ops = evolve._open_system(schedule, bright_frame(spec.theta, spec.phi), noise)
+    ham, c_ops = evolve._open_system(schedule, noise)
     basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    times, states = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau,
-                                                DEFAULT_STEP_1Q, basis)
+    times, populations, finals = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau,
+                                                             DEFAULT_STEP_1Q, basis)
     ref_times, ref_states = lindblad_stage_loop(ham, c_ops, schedule.tau,
                                                 DEFAULT_STEP_1Q, basis)
     assert np.array_equal(times, ref_times)
-    assert np.max(np.abs(states - ref_states)) < 1e-13
+    assert np.max(np.abs(populations - np.einsum("nmii->nmi", ref_states).real)) < 1e-13
+    assert np.max(np.abs(finals - ref_states[-1])) < 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2 * np.pi),
+       gamma=st.floats(0.1, 2 * np.pi - 0.1))
+def test_noiseless_channel_of_any_gate_is_cptp_and_on_target(theta, phi, gamma):
+    gate = GateSpec(theta, phi, gamma)
+    for scheme in SCHEMES:
+        channel = evolve.gate_channel(build_schedule(gate, scheme))
+        choi = channel.T.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+        assert np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[0] > -1e-8
+        assert cohfit.channel_average_gate_error(channel, gate) < 1e-9
 
 
 def _cavity_open_system(gate, tau):
@@ -239,39 +249,43 @@ def _cavity_open_system(gate, tau):
 
 
 def _reduced_and_full_runs(gate, seed=0):
-    """States of the CNOT's two initial states (|0f>, |2g>) run alone and
-    with a full-support random density matrix as a third column."""
+    """(populations, finals) of the CNOT's two initial states (|0f>, |2g>)
+    run alone and with a full-support random density matrix as a third
+    column."""
     ham, c_ops = _cavity_open_system(gate, 13.8)
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     rho0 = np.zeros((3, 12, 12), dtype=complex)
     rho0[[0, 1], [2, 6], [2, 6]] = 1.0
     rho0[2] = m @ qmath.dagger(m) / np.trace(m @ qmath.dagger(m))
-    _, reduced = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0[:2])
-    _, full = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0)
+    reduced = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0[:2])[1:]
+    full = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0)[1:]
     return reduced, full
 
 
 def test_lindblad_integrates_only_reachable_entries():
     # Cavity decay only lowers n and dephasing is diagonal, so from Fock
     # blocks 0 and 2 only the (0,0), (1,1) and (2,2) blocks of rho fill.
-    reduced, full = _reduced_and_full_runs(GATE)
+    (pops, reduced), (full_pops, full) = _reduced_and_full_runs(GATE)
     fock = np.arange(12) // 3
     reachable = (fock[:, None] == fock[None, :]) & (fock[:, None] <= 2)
     assert reachable.sum() == 27
-    assert np.max(np.abs(full[:, :2] - reduced)) <= 1e-15
-    assert np.all(reduced[..., ~reachable] == 0)
-    assert np.all(full[:, :2][..., ~reachable] == 0)
-    assert np.all(np.any(full[:, 2] != 0, axis=0))
-    assert np.all(np.any(reduced[:, :, reachable] != 0, axis=(0, 1)))
+    assert np.max(np.abs(full_pops[:, :2] - pops)) <= 1e-15
+    assert np.max(np.abs(full[:2] - reduced)) <= 1e-15
+    assert np.all(reduced[:, ~reachable] == 0)
+    assert np.all(full[:2, ~reachable] == 0)
+    assert np.all(full[2] != 0)
+    assert np.all(np.any(reduced[:, reachable] != 0, axis=0))
+    assert np.all(pops[:, :, fock > 2] == 0)
 
 
 @settings(max_examples=10, deadline=None)
 @given(theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2 * np.pi),
        gamma=st.floats(0.1, 2 * np.pi - 0.1))
 def test_reduced_cnot_run_matches_full_support_run(theta, phi, gamma):
-    reduced, full = _reduced_and_full_runs(GateSpec(theta, phi, gamma))
-    assert np.max(np.abs(full[:, :2] - reduced)) <= 1e-15
+    (pops, reduced), (full_pops, full) = _reduced_and_full_runs(GateSpec(theta, phi, gamma))
+    assert np.max(np.abs(full_pops[:, :2] - pops)) <= 1e-15
+    assert np.max(np.abs(full[:2] - reduced)) <= 1e-15
 
 
 def test_invariant_blocks_of_cavity_and_qutrit():
@@ -280,8 +294,7 @@ def test_invariant_blocks_of_cavity_and_qutrit():
     [fock_blocks] = evolve.invariant_blocks(cavity)
     assert np.array_equal(fock_blocks, np.arange(12).reshape(4, 3))
     for gate in NAMED_GATES.values():
-        frame = bright_frame(gate.theta, gate.phi)
-        [qutrit] = evolve.invariant_blocks(evolve.schedule_hamiltonian(SCHEDULE, frame))
+        [qutrit] = evolve.invariant_blocks(evolve.schedule_hamiltonian(build_sr_nhqc(gate)))
         assert np.array_equal(qutrit, [[0, 1, 2]])
 
 
@@ -299,8 +312,7 @@ def test_block_diagonal_gate_matches_dense_midpoint_product():
     # theta = 0 drives e-f only, so |g> is a block of its own: two groups
     # of different sizes.
     split = GateSpec(0.0, 0.0, np.pi)
-    qutrit = evolve.schedule_hamiltonian(build_sr_nhqc(split, 120.0),
-                                         bright_frame(split.theta, split.phi))
+    qutrit = evolve.schedule_hamiltonian(build_sr_nhqc(split, 120.0))
     assert [g.shape for g in evolve.invariant_blocks(qutrit)] == [(1, 1), (1, 2)]
     for ham, tau, step in ((cavity, 13.8, 0.69), (qutrit, 120.0, 1.0)):
         _, unitaries = evolve.propagate_unitary_h(ham, tau, step)

@@ -14,8 +14,8 @@ def test_dagger():
     assert np.allclose(qmath.dagger(a), a.conj().T)
 
 
-def test_ket_and_projector():
-    v = qmath.ket([1, 1j])
+def test_projector():
+    v = np.array([1, 1j]) / np.sqrt(2)
     p = qmath.projector(v)
     assert np.allclose(p @ p, p)
     assert np.isclose(np.trace(p).real, 1.0)
@@ -45,7 +45,11 @@ def test_tensor_shape_and_values():
     assert np.allclose(np.diag(t), [1, 2, 3, 1, 2, 3])
 
 
-def test_matrix_json_round_trip():
+def test_matrix_to_json_fields():
     rng = np.random.default_rng(11)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.allclose(qmath.matrix_from_json(qmath.matrix_to_json(m)), m)
+    m = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    obj = qmath.matrix_to_json(m)
+    assert list(obj) == ["rows", "cols", "re", "im"]
+    assert (obj["rows"], obj["cols"]) == (2, 3)
+    assert obj["re"] == m.real.tolist()
+    assert obj["im"] == m.imag.tolist()

@@ -21,7 +21,6 @@ def test_state_indexing():
     assert state_index(2, "g") == 6
     assert state_index(2, "f") == 8
     assert twoqubit.computational_indices() == [0, 2, 6, 8]
-    assert twoqubit.state_label(7) == "2e"
 
 
 def test_two_qubit_target_structure():
@@ -116,9 +115,6 @@ def test_outputs():
     rows = [twoqubit.RobustnessRow(0.0, 1.0, 0.0, 0.0)]
     text = twoqubit.robustness_to_csv(rows)
     assert text.splitlines()[0] == "epsilon,P_g,P_e,P_f"
-    psi = twoqubit.target_prepared_state("2")
-    payload = twoqubit.state_to_json(psi)
-    assert '"2g"' in payload
 
 
 def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
