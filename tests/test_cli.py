@@ -10,7 +10,8 @@ import pytest
 
 from holonomy_lab import cohfit, evolve, model, qmath, twoqubit
 from holonomy_lab.config import RunConfig
-from holonomy_lab.pulses import DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_sr_nhqc
+from holonomy_lab.pulses import (DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_schedule,
+                                 build_sr_nhqc)
 from holonomy_lab.cli import main
 
 
@@ -164,6 +165,11 @@ def test_sweep_without_points_writes_header_only(tmp_path):
 
 
 def test_sweep_is_propagated_once(tmp_path, monkeypatch):
+    cfg = RunConfig()
+    schedule = build_schedule(GATE_X, cfg.scheme, cfg.tau_ns(cfg.scheme))
+    times = evolve._time_grid(schedule.tau, cfg.step_1q_ns)
+    samples = np.unique(evolve.schedule_hamiltonian(schedule).coefficient(
+        0.5 * (times[:-1] + times[1:])))
     drive_calls, eigh_calls = [], []
     real_drive, real_eigh = PulseSchedule.drive, np.linalg.eigh
 
@@ -180,10 +186,11 @@ def test_sweep_is_propagated_once(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert main(["sweep-epsilon", "--gate", "X", "--points", "41",
                  "--output-dir", str(out)]) == 0
-    # One drive call on the 2400 step midpoints and one stacked eigh serve
-    # all 41 Rabi errors.
+    # One drive call on the 2400 step midpoints and one stacked eigh of
+    # the distinct midpoint samples serve all 41 Rabi errors.
     assert drive_calls == [2400]
-    assert eigh_calls == [(2400, 3, 3)]
+    assert len(samples) < 2400
+    assert eigh_calls == [(len(samples), 3, 3)]
     assert len(_sweep_lines(out)) == 42
 
 
