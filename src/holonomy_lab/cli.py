@@ -17,6 +17,7 @@ but sizes nothing: every command runs in one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,10 +216,9 @@ def cmd_budget(cfg: RunConfig, args: argparse.Namespace) -> int:
         ("two_qubit_sr", cfg.tau_2q_sr_ns),
         ("two_qubit_nhqc", cfg.tau_2q_nhqc_ns),
     ]
-    body = qmath.csv_text(["label", "tau_ns", "e_coherence"],
-                          ([label, f"{tau:.6g}",
-                            f"{cohfit.coherence_limited_error(noise, tau):.4f}"]
-                           for label, tau in rows))
+    body = qmath.csv_text(["label", "tau_ns", "e_coherence"], "%s,%.6g,%.4f",
+                          [(label, tau, cohfit.coherence_limited_error(noise, tau))
+                           for label, tau in rows])
     path = _write(Path(cfg.output_dir), "budget.csv", body, cfg)
     print(f"{len(rows)} rows -> {path}")
     return 0
@@ -235,7 +235,9 @@ def _add_gate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="holonomy-lab",
         description="Pulse-level simulator for superrobust holonomic control")

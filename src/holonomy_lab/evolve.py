@@ -439,6 +439,5 @@ def idle_channel(duration: float, noise: Optional[NoiseModel]) -> np.ndarray:
 
 def trace_to_csv(trace: EvolutionTrace) -> str:
     """CSV dump: t_ns plus one population column per level."""
-    return qmath.csv_text(["t_ns", "P_g", "P_e", "P_f"],
-                          ([f"{t:.6g}", *(f"{p:.10g}" for p in pops)]
-                           for t, pops in zip(trace.times, trace.populations)))
+    return qmath.csv_text(["t_ns", "P_g", "P_e", "P_f"], "%.6g,%.10g,%.10g,%.10g",
+                          np.column_stack((trace.times, trace.populations)))

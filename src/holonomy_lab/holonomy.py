@@ -202,12 +202,11 @@ def perturbative_expansion_check(schedule: PulseSchedule, epsilon: float,
 
 def phase_record_to_csv(rec: PhaseRecord) -> str:
     return qmath.csv_text(["t_ns", "d11", "d22", "Re_d12", "Im_d12"],
-                          ([f"{t:.6g}", f"{a:.10g}", f"{b:.10g}",
-                            f"{c.real:.10g}", f"{c.imag:.10g}"]
-                           for t, a, b, c in zip(rec.times, rec.d11, rec.d22, rec.d12)))
+                          "%.6g,%.10g,%.10g,%.10g,%.10g",
+                          np.column_stack((rec.times, rec.d11, rec.d22,
+                                           rec.d12.real, rec.d12.imag)))
 
 
 def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    return qmath.csv_text(["epsilon", "F_sim", "F_analytic"],
-                          ([f"{r.epsilon:.6g}", f"{r.f_sim:.10g}", f"{r.f_analytic:.10g}"]
-                           for r in rows))
+    return qmath.csv_text(["epsilon", "F_sim", "F_analytic"], "%.6g,%.10g,%.10g",
+                          [(r.epsilon, r.f_sim, r.f_analytic) for r in rows])

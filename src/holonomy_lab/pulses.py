@@ -268,6 +268,6 @@ def schedule_to_csv(schedule: PulseSchedule, dt: float = 0.1) -> str:
     """CSV dump of the sampled drive: t_ns, Omega_rad_per_ns, phi1_rad, segment_index."""
     times = np.minimum(np.arange(int(round(schedule.tau / dt)) + 1) * dt, schedule.tau)
     omega, phi1 = schedule.drive(times)
-    rows = ([f"{t:.6g}", f"{om:.12g}", f"{ph:.12g}", i]
-            for t, om, ph, i in zip(times, omega, phi1, schedule._segment_of(times)))
-    return qmath.csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"], rows)
+    return qmath.csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"],
+                          "%.6g,%.12g,%.12g,%d",
+                          np.column_stack((times, omega, phi1, schedule._segment_of(times))))

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra used throughout the simulator.
+"""Dense complex linear algebra used throughout the simulator, and the
+JSON and CSV text its results are written as.
 
 States are 1-D complex ndarrays, operators are square 2-D complex
 ndarrays.  Everything here is pure: no function mutates its inputs, so
@@ -7,9 +8,7 @@ values can be shared freely between callers.
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,11 +79,13 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
-def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV with one header row; cells are written as given, so callers
-    format their numbers."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    w.writerows(rows)
-    return buf.getvalue()
+def csv_text(columns: Sequence[str], row_format: str,
+             rows: np.ndarray | Sequence[Sequence]) -> str:
+    """The header line, then every row through one %-format such as "%s,%.6g,%d".
+
+    Nothing is quoted, so no value may hold a comma or a quote."""
+    if row_format.count(",") + 1 != len(columns):
+        raise ValueError(f"row format {row_format!r} does not fit columns {list(columns)}")
+    rows = np.asarray(rows, dtype=object)
+    body = ((row_format + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+    return ",".join(columns) + "\n" + body

@@ -275,10 +275,9 @@ def interleaved_gate_fidelity(reference: RbResult, interleaved: RbResult) -> flo
 
 
 def rb_to_csv(result: RbResult) -> str:
-    return qmath.csv_text(["m", "mean_Pg", "std_Pg", "n_seqs"],
-                          ([int(m), f"{mu:.10g}", f"{sd:.10g}", result.n_seqs]
-                           for m, mu, sd in zip(result.m_values, result.mean_pg,
-                                                result.std_pg)))
+    return qmath.csv_text(["m", "mean_Pg", "std_Pg", "n_seqs"], "%d,%.10g,%.10g,%d",
+                          [(m, mu, sd, result.n_seqs) for m, mu, sd in
+                           zip(result.m_values, result.mean_pg, result.std_pg)])
 
 
 def rb_fit_json(result: RbResult) -> str:

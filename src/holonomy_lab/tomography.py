@@ -250,8 +250,6 @@ def chi_to_json(chi: ChiMatrix) -> dict:
 
 def chi_to_csv(chi: ChiMatrix) -> str:
     """Bar-chart data: one row per (basis_row, basis_col) entry."""
-    return qmath.csv_text(["basis_row", "basis_col", "re", "im"],
-                          ([bi, bj, f"{chi.full[i, j].real:.10g}",
-                            f"{chi.full[i, j].imag:.10g}"]
-                           for i, bi in enumerate(BASIS_LABELS)
-                           for j, bj in enumerate(BASIS_LABELS)))
+    return qmath.csv_text(["basis_row", "basis_col", "re", "im"], "%s,%s,%.10g,%.10g",
+                          [(bi, bj, z.real, z.imag) for bi, row in zip(BASIS_LABELS, chi.full)
+                           for bj, z in zip(BASIS_LABELS, row)])

@@ -276,7 +276,6 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
 
 
 def robustness_to_csv(rows: Sequence[RobustnessRow]) -> str:
-    return qmath.csv_text(["epsilon", "P_g", "P_e", "P_f"],
-                          ([f"{r.epsilon:.6g}", f"{r.p_g:.10g}", f"{r.p_e:.10g}",
-                            f"{r.p_f:.10g}"] for r in rows))
+    return qmath.csv_text(["epsilon", "P_g", "P_e", "P_f"], "%.6g,%.10g,%.10g,%.10g",
+                          [(r.epsilon, r.p_g, r.p_e, r.p_f) for r in rows])
 

@@ -9,13 +9,18 @@ keep the plain loops that batched package code replaces: the per-step
 product chain of the closed propagator, the per-step RK4 stage loop of
 the Lindblad equation, the per-pair Clifford matching and the
 per-sequence RB loop.  segment_exact_unitary propagates a segmented
-schedule exactly, one matrix exponential per segment.
+schedule exactly, one matrix exponential per segment.  The *_to_csv
+writers format every value on its own and write the cells through
+csv.writer, the path the package's one-format-per-row writer replaces.
 """
+
+import csv
+import io
 
 import numpy as np
 import scipy.linalg
 
-from holonomy_lab import evolve, model, qmath, rb
+from holonomy_lab import evolve, model, qmath, rb, tomography
 from holonomy_lab.model import E, F, G
 from holonomy_lab.pulses import DEFAULT_STEP_1Q
 
@@ -210,3 +215,62 @@ def segment_exact_unitary(schedule, scale: float = 1.0) -> np.ndarray:
         h_seg = ham.at_coefficient(np.exp(-1j * seg.phase))
         u = scipy.linalg.expm(-1j * scale * seg.area * h_seg) @ u
     return u
+
+
+def csv_text(columns, rows) -> str:
+    """CSV with one header row; cells are written as given."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def trace_to_csv(trace) -> str:
+    return csv_text(["t_ns", "P_g", "P_e", "P_f"],
+                    ([f"{t:.6g}", *(f"{p:.10g}" for p in pops)]
+                     for t, pops in zip(trace.times, trace.populations)))
+
+
+def phase_record_to_csv(rec) -> str:
+    return csv_text(["t_ns", "d11", "d22", "Re_d12", "Im_d12"],
+                    ([f"{t:.6g}", f"{a:.10g}", f"{b:.10g}",
+                      f"{c.real:.10g}", f"{c.imag:.10g}"]
+                     for t, a, b, c in zip(rec.times, rec.d11, rec.d22, rec.d12)))
+
+
+def sweep_to_csv(rows) -> str:
+    return csv_text(["epsilon", "F_sim", "F_analytic"],
+                    ([f"{r.epsilon:.6g}", f"{r.f_sim:.10g}", f"{r.f_analytic:.10g}"]
+                     for r in rows))
+
+
+def chi_to_csv(chi) -> str:
+    labels = tomography.BASIS_LABELS
+    return csv_text(["basis_row", "basis_col", "re", "im"],
+                    ([bi, bj, f"{chi.full[i, j].real:.10g}",
+                      f"{chi.full[i, j].imag:.10g}"]
+                     for i, bi in enumerate(labels)
+                     for j, bj in enumerate(labels)))
+
+
+def rb_to_csv(result) -> str:
+    return csv_text(["m", "mean_Pg", "std_Pg", "n_seqs"],
+                    ([int(m), f"{mu:.10g}", f"{sd:.10g}", result.n_seqs]
+                     for m, mu, sd in zip(result.m_values, result.mean_pg,
+                                          result.std_pg)))
+
+
+def robustness_to_csv(rows) -> str:
+    return csv_text(["epsilon", "P_g", "P_e", "P_f"],
+                    ([f"{r.epsilon:.6g}", f"{r.p_g:.10g}", f"{r.p_e:.10g}",
+                      f"{r.p_f:.10g}"] for r in rows))
+
+
+def schedule_to_csv(schedule, dt: float = 0.1) -> str:
+    times = np.minimum(np.arange(int(round(schedule.tau / dt)) + 1) * dt, schedule.tau)
+    omega, phi1 = schedule.drive(times)
+    return csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"],
+                    ([f"{t:.6g}", f"{om:.12g}", f"{ph:.12g}", i]
+                     for t, om, ph, i in zip(times, omega, phi1,
+                                             schedule._segment_of(times))))

@@ -12,7 +12,7 @@ from holonomy_lab import cohfit, evolve, model, qmath, twoqubit
 from holonomy_lab.config import RunConfig
 from holonomy_lab.pulses import (DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_schedule,
                                  build_sr_nhqc)
-from holonomy_lab.cli import main
+from holonomy_lab.cli import build_parser, main
 
 
 def _read_json(path):
@@ -162,6 +162,19 @@ def test_sweep_without_points_writes_header_only(tmp_path):
     assert main(["sweep-epsilon", "--gate", "X", "--points", "0",
                  "--output-dir", str(out)]) == 0
     assert _sweep_lines(out) == ["epsilon,F_sim,F_analytic"]
+
+
+def test_shared_parser_keeps_each_command_defaults(tmp_path):
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate-gate", "--noise", "--gate", "X", "--output-dir", str(first)]) == 0
+    assert main(["simulate-gate", "--gate", "X", "--output-dir", str(second)]) == 0
+    assert _read_json(first / "fidelity.json")["noise"] is True
+    assert _read_json(second / "fidelity.json")["noise"] is False
+    assert main(["sweep-epsilon", "--points", "5", "--output-dir", str(first)]) == 0
+    assert main(["sweep-epsilon", "--output-dir", str(second)]) == 0
+    assert len(_sweep_lines(first)) == 1 + 5
+    assert len(_sweep_lines(second)) == 1 + 41
 
 
 def test_sweep_is_propagated_once(tmp_path, monkeypatch):
