@@ -81,34 +81,40 @@ def analytic_fidelity(gamma: float, epsilon: float) -> float:
     return float(np.sqrt(val))
 
 
-def bright_amplitude_factor(gamma: float, epsilon: float) -> complex:
+def bright_amplitude_factor(gamma: float, epsilon: float | np.ndarray) -> complex | np.ndarray:
     """X(epsilon): amplitude the erroneous loop leaves on the bright state.
 
     X = 1 - (1 - e^{i gamma}) cos^2(pi e/2)(1 + sin^2(pi e/2)); exact
-    for the six-segment composite, not just perturbative.
+    for the six-segment composite, not just perturbative.  An array of
+    errors gives an array of amplitudes.
     """
     a = np.cos(np.pi * epsilon / 2) ** 2 * (1 + np.sin(np.pi * epsilon / 2) ** 2)
-    return complex(1.0 - (1.0 - np.exp(1j * gamma)) * a)
+    return 1.0 - (1.0 - np.exp(1j * gamma)) * a
 
 
-def analytic_noisy_gate(gate: GateSpec, epsilon: float) -> np.ndarray:
+def analytic_noisy_gate(gate: GateSpec, epsilon: float | Sequence[float]) -> np.ndarray:
     """Erroneous gate |d><d| + X|b><b| on the ordered basis (|g>, |f>).
 
     At epsilon = 0 this equals e^{i gamma/2} U1(theta, phi, gamma); the
-    global phase drops out of every fidelity metric.
+    global phase drops out of every fidelity metric.  An array of errors
+    gives a stack of gates, epsilon.shape + (2, 2).
     """
-    x = bright_amplitude_factor(gate.gamma, epsilon)
+    x = bright_amplitude_factor(gate.gamma, np.asarray(epsilon, dtype=float))
     c, s = np.cos(gate.theta / 2), np.sin(gate.theta / 2)
     ph = np.exp(-1j * gate.phi)
-    return np.array([
+    return np.moveaxis(np.array([
         [c * c + x * s * s, s * c * ph * (1.0 - x)],
         [s * c * np.conj(ph) * (1.0 - x), s * s + x * c * c],
-    ])
+    ]), (0, 1), (-2, -1))
 
 
 def truncate_to_qubit(u3: np.ndarray) -> np.ndarray:
-    """Project a 3x3 propagator onto the computational pair (|g>, |f>)."""
-    return u3[np.ix_([model.G, model.F], [model.G, model.F])]
+    """Project a 3x3 propagator, or a stack of them, onto the
+    computational pair (|g>, |f>)."""
+    # np.take returns C-contiguous blocks, so a stack of them takes the
+    # same BLAS path in products, and rounds alike, as one block does.
+    pair = [model.G, model.F]
+    return np.take(np.take(u3, pair, axis=-2), pair, axis=-1)
 
 
 def gate_fidelity(u3: np.ndarray, gate: GateSpec) -> float:
@@ -145,10 +151,16 @@ def robustness_sweep(gate: GateSpec, scheme: str, epsilons: Sequence[float],
     schedule = build_schedule(gate, scheme, tau)
     _, finals = evolve.scaled_final_unitaries(evolve.schedule_hamiltonian(schedule),
                                               schedule.tau, step, scales)
-    target = gate.target_unitary()
-    return [SweepRow(eps, gate_fidelity(u, gate),
-                     qmath.unitary_fidelity(analytic_noisy_gate(gate, eps), target))
-            for eps, u in zip(epsilons, finals)]
+    target = qmath.dagger(gate.target_unitary())
+
+    def fidelities(qubit: np.ndarray) -> list[float]:
+        # qmath.unitary_fidelity, |Tr(U V^dag)| / 2, of every gate in the
+        # stack; hypot rounds as abs of one complex does, np.abs may not.
+        trace = np.trace(qubit @ target, axis1=-2, axis2=-1)
+        return (np.hypot(trace.real, trace.imag) / 2).tolist()
+
+    return [SweepRow(*row) for row in zip(epsilons, fidelities(truncate_to_qubit(finals)),
+                                          fidelities(analytic_noisy_gate(gate, epsilons)))]
 
 
 def fit_error_slope(epsilons: Sequence[float], fidelities: Sequence[float]) -> float:

@@ -149,6 +149,14 @@ def _sweep_lines(out):
             if not l.startswith("#")]
 
 
+def test_sweep_reruns_byte_identical(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["sweep-epsilon", "--gate", "X", "--points", "41",
+                     "--output-dir", str(out)]) == 0
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
 def test_sweep_rejects_rabi_error_above_one(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["sweep-epsilon", "--gate", "X", "--eps-max", "1.5", "--points", "3",

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -170,6 +171,46 @@ def test_scaled_finals_of_any_gate_match_oracles(theta, phi, gamma, step, scales
                 assert np.max(np.abs(u - ref_s)) < 2 * eps * n
             else:
                 assert np.max(np.abs(u - segment_exact_unitary(schedule, s))) < 6 * eps * n
+
+
+def _default_x(scheme):
+    """(Hamiltonian, tau) of the default X gate of a scheme."""
+    schedule = build_schedule(NAMED_GATES["X"], scheme)
+    return evolve.schedule_hamiltonian(schedule), schedule.tau
+
+
+# The eigenvectors LAPACK returns are long by about 1e-16 on average, so
+# the closed chains drift off unitarity linearly in the step count: every
+# prefix of the default X runs (2 400, 1 200 and 2 100 steps) stays within
+# 4.3-8.1e-13 of unitary.  The bound leaves room for platform round-off,
+# not for a chain that loses accuracy.
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_closed_chain_unitarity_drift_is_bounded(scheme):
+    ham, tau = _default_x(scheme)
+    _, unitaries = evolve.propagate_unitary_h(ham, tau, DEFAULT_STEP_1Q)
+    assert np.max(np.abs(qmath.dagger(unitaries) @ unitaries - np.eye(3))) <= 2e-12
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while fn runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Transient memory of one call on the default X runs: 1.0-2.4 MB for a
+# 41-scale sweep and 1.4-3.1 MB with every prefix.  The chain keeps one
+# product per chunk and scale, never one per step and scale.
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_closed_chain_transient_memory_is_bounded(scheme):
+    ham, tau = _default_x(scheme)
+    scales = np.linspace(0.9, 1.1, 41)
+    assert _traced_peak(lambda: evolve.scaled_final_unitaries(
+        ham, tau, DEFAULT_STEP_1Q, scales)) <= 3e6
+    assert _traced_peak(lambda: evolve.propagate_unitary_h(ham, tau, DEFAULT_STEP_1Q)) <= 4e6
 
 
 def _lindblad_run(schedule, noise, step, ket=model.KET_G):

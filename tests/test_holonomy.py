@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy_lab import evolve, holonomy, qmath
-from holonomy_lab.pulses import (GATE_X, GateSpec, build_dynamical,
-                                 build_nhqc, build_schedule, build_sr_nhqc)
+from holonomy_lab.pulses import (GATE_X, SCHEMES, GateSpec, build_dynamical,
+                                 build_nhqc, build_schedule, build_sr_nhqc, rabi_scale)
 from reference import reconstructed_phase_integrands
 
 
@@ -114,3 +116,21 @@ def test_sweep_kernel_calls_do_not_grow_with_scales(monkeypatch):
         holonomy.robustness_sweep(GATE_X, "sr-nhqc", np.linspace(-0.2, 0.2, points))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= evolve.STEP_BLOCK
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2 * np.pi),
+       gamma=st.floats(0.1, 2 * np.pi - 0.1), scheme=st.sampled_from(SCHEMES),
+       epsilons=st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=6))
+def test_sweep_rows_match_per_point_fidelities(theta, phi, gamma, scheme, epsilons):
+    gate = GateSpec(theta, phi, gamma)
+    rows = holonomy.robustness_sweep(gate, scheme, epsilons, step=0.5)
+    schedule = build_schedule(gate, scheme)
+    _, finals = evolve.scaled_final_unitaries(evolve.schedule_hamiltonian(schedule),
+                                              schedule.tau, 0.5,
+                                              [rabi_scale(e) for e in epsilons])
+    assert [r.epsilon for r in rows] == epsilons
+    for row, eps, u in zip(rows, epsilons, finals):
+        noisy = holonomy.analytic_noisy_gate(gate, eps)
+        assert abs(row.f_sim - holonomy.gate_fidelity(u, gate)) <= 1e-15
+        assert abs(row.f_analytic - qmath.unitary_fidelity(noisy, gate.target_unitary())) <= 1e-15

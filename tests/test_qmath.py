@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from holonomy_lab import evolve, holonomy, pulses, qmath, rb, tomography, twoqubit
@@ -32,6 +34,19 @@ def test_unitary_fidelity_global_phase_invariant():
     u, _ = np.linalg.qr(a)
     assert np.isclose(qmath.unitary_fidelity(u, u), 1.0)
     assert np.isclose(qmath.unitary_fidelity(u, np.exp(1j * 0.7) * u), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+       phase_u=st.floats(-np.pi, np.pi), phase_v=st.floats(-np.pi, np.pi))
+def test_unitary_fidelity_ignores_a_global_phase_on_either_side(seed, dim, phase_u, phase_v):
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            for _ in range(2))
+    f = qmath.unitary_fidelity(u, v)
+    assert 0.0 <= f <= 1.0 + 1e-15
+    assert abs(qmath.unitary_fidelity(np.exp(1j * phase_u) * u, v) - f) < 1e-14
+    assert abs(qmath.unitary_fidelity(u, np.exp(1j * phase_v) * v) - f) < 1e-14
 
 
 def test_pair_rotation_matches_generator_exponential():
