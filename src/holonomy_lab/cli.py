@@ -149,7 +149,7 @@ def cmd_qpt(cfg: RunConfig, args: argparse.Namespace) -> int:
     noise = cfg.noise_model() if cfg.noise else None
     sup = evolve.gate_channel(schedule, noise, cfg.step_1q_ns)
     readout = ASSIGNMENT_DEFAULT if args.readout else None
-    chi = tomography.qpt(tomography.channel_from_superoperator(sup), readout)
+    chi = tomography.qpt(sup, readout)
     fid = tomography.process_fidelity(chi, gate.target_unitary())
     outdir = Path(cfg.output_dir)
     _write(outdir, "chi.csv", tomography.chi_to_csv(chi), cfg)

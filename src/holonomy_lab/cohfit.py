@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import NoiseModel, US_TO_NS
+from .model import F, G, NoiseModel, US_TO_NS
 from .pulses import DEFAULT_STEP_1Q
 
 # Decay rates below 1% over the record length are indistinguishable
@@ -242,21 +242,15 @@ def channel_average_gate_error(channel: np.ndarray, gate) -> float:
     the error is one minus the mean overlap with the ideal outputs of
     the gate's target rotation.
     """
-    from . import evolve, model, qmath
-
-    u2 = gate.target_unitary()
-    g, f = model.KET_G, model.KET_F
     r2 = np.sqrt(2)
-    cardinal = [np.array([1, 0]), np.array([0, 1]),
-                np.array([1, 1]) / r2, np.array([1, -1]) / r2,
-                np.array([1, 1j]) / r2, np.array([1, -1j]) / r2]
-    fids = []
-    for c in cardinal:
-        psi_in = c[0] * g + c[1] * f
-        rho_out = evolve.apply_superoperator(channel, qmath.projector(psi_in))
-        tgt = u2 @ c
-        psi_tgt = tgt[0] * g + tgt[1] * f
-        fids.append(np.real(np.conj(psi_tgt) @ rho_out @ psi_tgt))
+    cardinal = np.array([[1, 0], [0, 1], [1 / r2, 1 / r2], [1 / r2, -1 / r2],
+                         [1 / r2, 1j / r2], [1 / r2, -1j / r2]])
+    psi_in, psi_tgt = np.zeros((2, 6, 3), dtype=complex)
+    psi_in[:, [G, F]] = cardinal
+    psi_tgt[:, [G, F]] = cardinal @ gate.target_unitary().T
+    rho_in = psi_in[:, :, None] * psi_in[:, None, :].conj()
+    rho_out = (rho_in.reshape(6, 9) @ channel.T).reshape(6, 3, 3)
+    fids = np.einsum("ia,iab,ib->i", psi_tgt.conj(), rho_out, psi_tgt).real
     return float(1.0 - np.mean(fids))
 
 

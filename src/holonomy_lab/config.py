@@ -15,7 +15,7 @@ from typing import Union
 
 from .model import DEVICE, N_FOCK, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
-                     SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR)
+                     SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR, SCHEMES)
 
 
 class ConfigError(ValueError):
@@ -79,6 +79,10 @@ class RunConfig:
     seed: int = 0
     n_fock: int = N_FOCK
     output_dir: str = "out"
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"key 'scheme': expected one of {SCHEMES}, got {self.scheme!r}")
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_coherence_times(

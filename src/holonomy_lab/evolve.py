@@ -438,11 +438,6 @@ def propagate_superoperator(schedule: PulseSchedule, noise: Optional[NoiseModel]
     return EvolutionTrace(times=times, populations=populations[:, 0]), channel
 
 
-def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    return (s @ rho.reshape(-1)).reshape(d, d)
-
-
 def gate_channel(schedule: PulseSchedule, noise: Optional[NoiseModel] = None,
                  step: float = DEFAULT_STEP_1Q) -> np.ndarray:
     """9x9 superoperator of the gate, noiseless if noise is None."""

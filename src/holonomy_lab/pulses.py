@@ -76,6 +76,11 @@ class PulseSegment:
     duration: float
 
 
+def _envelope(area, duration, t):
+    """Omega = (area/T)(1 - cos(2 pi t / T)); the arguments broadcast."""
+    return area / duration * (1.0 - np.cos(2 * np.pi * t / duration))
+
+
 def sample_envelope(seg: PulseSegment, t):
     """Instantaneous Rabi amplitude Omega(t) in rad/ns, area-normalized.
 
@@ -85,7 +90,7 @@ def sample_envelope(seg: PulseSegment, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > seg.duration + 1e-12):
         raise ValueError(f"t={t} outside segment of duration {seg.duration}")
-    return seg.area / seg.duration * (1.0 - np.cos(2 * np.pi * t / seg.duration))
+    return _envelope(seg.area, seg.duration, t)
 
 
 @dataclass(frozen=True)
@@ -142,15 +147,14 @@ class PulseSchedule:
         else:
             # Past the last end the time is clipped to it, where the
             # envelope is zero.
+            area, phase, duration = np.array(
+                [(seg.area, seg.phase, seg.duration) for seg in self.segments]).T
+            start = np.concatenate(([0.0], np.cumsum(duration)[:-1]))
             index = self._segment_of(t)
-            om, phi1 = np.empty(t.shape), np.empty(t.shape)
-            t0 = 0.0
-            for i, seg in enumerate(self.segments):
-                here = index == i
-                om[here] = self.amp_scale * sample_envelope(
-                    seg, np.clip(t[here] - t0, 0.0, seg.duration))
-                phi1[here] = -seg.phase
-                t0 += seg.duration
+            om = self.amp_scale * _envelope(
+                area[index], duration[index],
+                np.clip(t - start[index], 0.0, duration[index]))
+            phi1 = -phase[index]
         return om.reshape(shape)[()], phi1.reshape(shape)[()]
 
 

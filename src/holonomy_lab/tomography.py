@@ -1,18 +1,19 @@
 """Process tomography of three-level gates and readout-error modeling.
 
-The channel under test maps qutrit density matrices to qutrit density
-matrices.  Nine input states and nine prerotations followed by a
-ground-state projective measurement give 81 probabilities, from which
-the 9x9 process matrix chi is recovered by linear inversion and
-projected to the nearest Hermitian PSD matrix.  The reduced 4x4 block
-on the computational pair scores the gate.
+The channel under test is the 9x9 row-major superoperator of a map on
+qutrit density matrices, the form evolve.gate_channel returns.  Nine
+input states and nine prerotations followed by a ground-state
+projective measurement give 81 probabilities, computed as one stacked
+product; the 9x9 process matrix chi is recovered from them by linear
+inversion and projected to the nearest Hermitian PSD matrix.  The
+reduced 4x4 block on the computational pair scores the gate.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -119,102 +120,97 @@ def validate_assignment(m: np.ndarray) -> np.ndarray:
 
 
 def apply_readout(p: np.ndarray, m: np.ndarray = ASSIGNMENT_DEFAULT) -> np.ndarray:
-    """Declared-outcome distribution M p of true populations p."""
+    """Declared-outcome distributions M p of true populations p.
+
+    p is one probability vector or a stack of them along the last axis.
+    """
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    if np.any(p < -1e-12) or np.max(np.abs(p.sum(axis=-1) - 1.0)) > 1e-9:
         raise ValueError("input must be a probability vector")
-    return validate_assignment(m) @ p
+    return p @ validate_assignment(m).T
 
 
 def correct_readout(measured: np.ndarray,
                     m: np.ndarray = ASSIGNMENT_DEFAULT) -> np.ndarray:
-    """Invert the assignment matrix: p = M^-1 P.
+    """Invert the assignment matrix: p = M^-1 P, for one P or a stack along the last axis.
 
     Statistical noise can push corrected entries slightly negative;
-    they are preserved (with a warning) rather than clipped, since
-    clipping would bias downstream averages.
+    they are preserved (with one warning per call) rather than clipped,
+    since clipping would bias downstream averages.
     """
-    p = np.linalg.solve(validate_assignment(m), np.asarray(measured, dtype=float))
+    measured = np.asarray(measured, dtype=float)
+    p = np.linalg.solve(validate_assignment(m), measured[..., None])[..., 0]
     if np.any(p < -1e-12):
         warnings.warn("readout correction produced negative probabilities",
                       RuntimeWarning, stacklevel=2)
     return p
 
 
-def channel_from_unitary(u3: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def chan(rho: np.ndarray) -> np.ndarray:
-        return u3 @ rho @ qmath.dagger(u3)
-    return chan
+def channel_from_unitary(u3: np.ndarray) -> np.ndarray:
+    """Row-major superoperator of rho -> U rho U^+."""
+    return np.kron(u3, u3.conj())
 
 
-def channel_from_superoperator(s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def chan(rho: np.ndarray) -> np.ndarray:
-        return (s @ rho.reshape(-1)).reshape(3, 3)
-    return chan
+def _nearest_density(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the nearest PSD matrix with the same trace.
+
+    w is ascending, as eigh returns it.  Smolin, Gambetta & Smith, PRL
+    108, 070502 (2012): going up from the most negative eigenvalue,
+    zero each one that stays negative after an equal share of the mass
+    zeroed so far is added to it and to every larger one; that share
+    then lifts all the eigenvalues kept.
+    """
+    mu = w[::-1]
+    share = (w.sum() - np.cumsum(mu)) / np.arange(1, len(w) + 1)
+    keep = np.count_nonzero(mu + share > 0)
+    return np.where(np.arange(len(w)) >= len(w) - keep, w + share[keep - 1], 0.0)
 
 
-def qpt(channel: Callable[[np.ndarray], np.ndarray],
-        readout: Optional[np.ndarray] = None) -> ChiMatrix:
+def qpt(channel: np.ndarray, readout: Optional[np.ndarray] = None) -> ChiMatrix:
     """Reconstruct chi of a qutrit channel from simulated measurements.
 
+    channel is the 9x9 row-major superoperator, vec(rho') = channel
+    vec(rho) with vec = reshape(-1), as evolve.gate_channel returns it.
     For each of the 81 (input, prerotation) pairs, the ground-state
     probability Tr[|g><g| U_k rho' U_k^+] is recorded; with a readout
     model the populations pass through M and are corrected by M^-1.
     Output states are recovered by inverting the nine projective
     observables, then chi by inverting rho' = sum chi_mn E_m rho E_n^+.
-    The result is Hermitized and projected to PSD by eigenvalue
-    clipping, preserving the trace.
+    The result is Hermitized and, if an eigenvalue is below -1e-6,
+    replaced by the nearest PSD matrix of the same trace.
     """
-    states = input_states()
-    rots = prerotations()
+    rho_in = np.stack([qmath.projector(psi) for psi in input_states()])
+    rots = np.stack(prerotations())
     basis = process_basis()
 
     # Observables O_k = U_k^+ |g><g| U_k; their span must cover all
     # Hermitian 3x3 matrices for the state inversion to be unique.
-    obs = np.stack([qmath.dagger(u) @ qmath.projector(model.KET_G) @ u
-                    for u in rots])
+    obs = qmath.dagger(rots) @ qmath.projector(model.KET_G) @ rots
     a_state = obs.conj().reshape(9, 9)
     if not np.linalg.cond(a_state) < 1e6:
         raise RuntimeError("prerotation set is not tomographically complete")
 
-    rho_out = []
-    for psi in states:
-        rho_prime = channel(qmath.projector(psi))
-        meas = np.empty(9)
-        for k, u in enumerate(rots):
-            rho_meas = u @ rho_prime @ qmath.dagger(u)
-            pops = np.real(np.diag(rho_meas))
-            if readout is not None:
-                pops = correct_readout(apply_readout(pops, readout), readout)
-            meas[k] = pops[_G]
-        rho_vec = np.linalg.solve(a_state, meas.astype(complex))
-        rho = rho_vec.reshape(3, 3)
-        rho_out.append(0.5 * (rho + qmath.dagger(rho)))
+    # pops[i, k] are the populations of U_k E(rho_i) U_k^+.
+    rho_prime = (rho_in.reshape(9, 9) @ channel.T).reshape(9, 3, 3)
+    pops = np.einsum("kab,ibc,kac->ika", rots, rho_prime, rots.conj()).real
+    if readout is not None:
+        pops = correct_readout(apply_readout(pops, readout), readout)
+    rho_out = np.linalg.solve(a_state, pops[..., _G].T).T.reshape(9, 3, 3)
+    rho_out = 0.5 * (rho_out + qmath.dagger(rho_out))
 
     # Design matrix of the process-inversion problem:
     # rho'_i = sum_mn chi_mn E_m rho_i E_n^+.
-    design = np.empty((9 * 9, 9 * 9), dtype=complex)
-    for i, psi in enumerate(states):
-        rho_i = qmath.projector(psi)
-        blocks = np.einsum("mab,bc,ndc->mnad", basis, rho_i, basis.conj())
-        design[i * 9:(i + 1) * 9] = blocks.transpose(2, 3, 0, 1).reshape(9, 81)
-    target = np.concatenate([r.reshape(-1) for r in rho_out])
-    chi_vec, *_ = np.linalg.lstsq(design, target, rcond=None)
-    chi = chi_vec.reshape(9, 9)
+    design = np.einsum("mab,ibc,ndc->iadmn", basis, rho_in, basis.conj()).reshape(81, 81)
+    chi = np.linalg.solve(design, rho_out.reshape(-1)).reshape(9, 9)
     chi = 0.5 * (chi + qmath.dagger(chi))
 
     # PSD projection in the orthonormalized operator basis, where chi
     # is a legitimate Gram matrix.
     norms = np.sqrt(np.einsum("mab,mab->m", basis.conj(), basis).real)
-    chi_on = chi * np.outer(norms, norms)
-    w, v = np.linalg.eigh(chi_on)
+    scale = np.outer(norms, norms)
+    w, v = np.linalg.eigh(chi * scale)
     if np.min(w) < -1e-6:
-        w = np.clip(w, 0.0, None)
-        chi_on_psd = (v * w) @ qmath.dagger(v)
-        tr = np.trace(chi_on).real
-        if np.trace(chi_on_psd).real > 0:
-            chi_on_psd *= tr / np.trace(chi_on_psd).real
-        chi = chi_on_psd / np.outer(norms, norms)
+        chi = (v * _nearest_density(w)) @ qmath.dagger(v) / scale
 
     return ChiMatrix(full=chi, reduced=chi[:4, :4].copy())
 

@@ -7,11 +7,14 @@ the D_mn integrands the way a populations-only experiment measures
 them, so that the tests compare two independent derivations.  They also
 keep the plain loops that batched package code replaces: the per-step
 product chain of the closed propagator, the per-step RK4 stage loop of
-the Lindblad equation, the per-pair Clifford matching and the
-per-sequence RB loop.  segment_exact_unitary propagates a segmented
-schedule exactly, one matrix exponential per segment.  The *_to_csv
-writers format every value on its own and write the cells through
-csv.writer, the path the package's one-format-per-row writer replaces.
+the Lindblad equation, the per-pair Clifford matching, the
+per-sequence RB loop and the per-pair QPT loop with the clip-and-rescale
+projection it once used; nearest_density_eigenvalues is the PSD
+projection of Smolin, Gambetta and Smith written out step by step.
+segment_exact_unitary propagates a segmented schedule exactly, one
+matrix exponential per segment.  The *_to_csv writers format every
+value on its own and write the cells through csv.writer, the path the
+package's one-format-per-row writer replaces.
 """
 
 import csv
@@ -201,6 +204,89 @@ def rb_per_sequence(channel_factory, m_values, n_seqs: int, interleaved=None,
         mean_pg[im] = pg.mean()
         std_pg[im] = pg.std(ddof=1) if n_seqs > 1 else 0.0
     return mean_pg, std_pg
+
+
+def qpt_raw_chi_per_pair(channel: np.ndarray, readout=None) -> np.ndarray:
+    """Hermitized linear-inversion chi, one (input, prerotation) pair at a time.
+
+    channel is the 9x9 row-major superoperator; it is applied to one
+    input state at a time, and every pair's populations go through the
+    readout model on their own.
+    """
+    states = tomography.input_states()
+    rots = tomography.prerotations()
+    basis = tomography.process_basis()
+    obs = np.stack([qmath.dagger(u) @ qmath.projector(model.KET_G) @ u for u in rots])
+    a_state = obs.conj().reshape(9, 9)
+
+    rho_out = []
+    for psi in states:
+        rho_prime = (channel @ qmath.projector(psi).reshape(-1)).reshape(3, 3)
+        meas = np.empty(9)
+        for k, u in enumerate(rots):
+            rho_meas = u @ rho_prime @ qmath.dagger(u)
+            pops = np.real(np.diag(rho_meas))
+            if readout is not None:
+                pops = tomography.correct_readout(
+                    tomography.apply_readout(pops, readout), readout)
+            meas[k] = pops[G]
+        rho = np.linalg.solve(a_state, meas.astype(complex)).reshape(3, 3)
+        rho_out.append(0.5 * (rho + qmath.dagger(rho)))
+
+    design = np.empty((9 * 9, 9 * 9), dtype=complex)
+    for i, psi in enumerate(states):
+        rho_i = qmath.projector(psi)
+        blocks = np.einsum("mab,bc,ndc->mnad", basis, rho_i, basis.conj())
+        design[i * 9:(i + 1) * 9] = blocks.transpose(2, 3, 0, 1).reshape(9, 81)
+    target = np.concatenate([r.reshape(-1) for r in rho_out])
+    chi = np.linalg.lstsq(design, target, rcond=None)[0].reshape(9, 9)
+    return 0.5 * (chi + qmath.dagger(chi))
+
+
+def orthonormal_scale() -> np.ndarray:
+    """outer(norms, norms) of the process basis: chi * this is chi in the
+    orthonormalized basis, where it is a Gram matrix."""
+    basis = tomography.process_basis()
+    norms = np.sqrt(np.einsum("mab,mab->m", basis.conj(), basis).real)
+    return np.outer(norms, norms)
+
+
+def clip_and_rescale(chi: np.ndarray) -> np.ndarray:
+    """Clip negative eigenvalues of chi in the orthonormalized basis, then
+    rescale to the original trace: the projection qpt once used."""
+    scale = orthonormal_scale()
+    chi_on = chi * scale
+    w, v = np.linalg.eigh(chi_on)
+    if np.min(w) < -1e-6:
+        w = np.clip(w, 0.0, None)
+        chi_on_psd = (v * w) @ qmath.dagger(v)
+        tr = np.trace(chi_on).real
+        if np.trace(chi_on_psd).real > 0:
+            chi_on_psd *= tr / np.trace(chi_on_psd).real
+        chi = chi_on_psd / scale
+    return chi
+
+
+def nearest_density_eigenvalues(mu: np.ndarray) -> np.ndarray:
+    """Smolin, Gambetta & Smith (PRL 108, 070502 (2012)), step by step.
+
+    mu is sorted in decreasing order; the result is the spectrum of the
+    nearest PSD matrix with the same trace, in the same order.
+    """
+    lam = np.array(mu, dtype=float)
+    i, a = len(lam), 0.0
+    while lam[i - 1] + a / i < 0:
+        a += lam[i - 1]
+        lam[i - 1] = 0.0
+        i -= 1
+    lam[:i] += a / i
+    return lam
+
+
+def qpt_per_pair(channel: np.ndarray, readout=None) -> tomography.ChiMatrix:
+    """tomography.qpt written as the plain loop over the 81 pairs."""
+    chi = clip_and_rescale(qpt_raw_chi_per_pair(channel, readout))
+    return tomography.ChiMatrix(full=chi, reduced=chi[:4, :4].copy())
 
 
 def segment_exact_unitary(schedule, scale: float = 1.0) -> np.ndarray:

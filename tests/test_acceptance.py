@@ -156,8 +156,7 @@ def test_criterion_7_process_tomography(noisy_channels):
         chi_ideal = tomography.qpt(tomography.channel_from_unitary(u3))
         ideal_fids.append(tomography.process_fidelity(chi_ideal,
                                                       gate.target_unitary()))
-        chi_noisy = tomography.qpt(
-            tomography.channel_from_superoperator(noisy_channels[name]))
+        chi_noisy = tomography.qpt(noisy_channels[name])
         noisy_fids.append(tomography.process_fidelity(chi_noisy,
                                                       gate.target_unitary()))
     mean_noisy = float(np.mean(noisy_fids))

@@ -95,6 +95,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate-gate", "dynphase", "twoqubit"])
+def test_unknown_scheme_in_config_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scheme = foo\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), command, "--output-dir", str(out)]) == 2
+    assert "'scheme'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dynphase_nhqc_cross_term(tmp_path):
     out = tmp_path / "o"
     assert main(["dynphase", "--scheme", "nhqc", "--gate", "X",

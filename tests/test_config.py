@@ -1,12 +1,15 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy_lab import twoqubit
 from holonomy_lab.config import (ConfigError, RunConfig, config_hash,
                                  default_config_text, parse_config)
 from holonomy_lab.model import DispersiveSystemParams, NoiseModel
+from holonomy_lab.pulses import SCHEMES
 
 
 def test_defaults_match_device_values():
@@ -48,6 +51,8 @@ def test_bad_values_rejected():
         parse_config("noise = maybe")
     with pytest.raises(ConfigError):
         parse_config("just a line without equals")
+    with pytest.raises(ConfigError, match="'scheme'"):
+        parse_config("scheme = foo")
 
 
 def test_hash_tracks_physics_not_output_dir():
@@ -56,6 +61,19 @@ def test_hash_tracks_physics_not_output_dir():
     c = replace(a, t1_ge_us=21.0)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+
+
+_VALUES = {"float": st.floats(allow_nan=False), "int": st.integers(),
+           "bool": st.booleans(), "str": st.sampled_from(SCHEMES)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.fixed_dictionaries({}, optional={f.name: _VALUES[f.type] for f in fields(RunConfig)
+                                           if f.name != "output_dir"}))
+def test_parse_config_round_trips_values(values):
+    # Every numeric, boolean and scheme key, written as Python prints it.
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    assert parse_config(text) == RunConfig(**values)
 
 
 def test_default_config_text_round_trips():

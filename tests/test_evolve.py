@@ -251,7 +251,7 @@ def test_superoperator_matches_state_propagation():
     noise = NoiseModel.from_coherence_times()
     sup = evolve.gate_channel(SCHEDULE, noise, step=0.05)
     rho0 = qmath.projector(model.KET_G)
-    rho_sup = evolve.apply_superoperator(sup, rho0)
+    rho_sup = (sup @ rho0.reshape(-1)).reshape(3, 3)
     _, rho = _lindblad_run(SCHEDULE, noise, step=0.05)
     assert np.max(np.abs(rho_sup - rho)) < 1e-9
 
@@ -285,7 +285,7 @@ def test_idle_channel_identity_without_noise():
 def test_idle_channel_decays_excited_state():
     noise = NoiseModel.from_coherence_times()
     sup = evolve.idle_channel(120.0, noise)
-    rho = evolve.apply_superoperator(sup, qmath.projector(model.KET_E))
+    rho = (sup @ qmath.projector(model.KET_E).reshape(-1)).reshape(3, 3)
     assert np.isclose(np.trace(rho).real, 1.0, atol=1e-10)
     assert rho[model.E, model.E].real < 1.0
     assert np.isclose(rho[model.E, model.E].real,

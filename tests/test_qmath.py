@@ -128,8 +128,7 @@ def _real_records(rb_result):
             ("phase_record_to_csv", holonomy.phase_record(schedule)),
             ("sweep_to_csv", holonomy.robustness_sweep(NAMED_GATES["Y/2"], scheme,
                                                        np.linspace(-0.2, 0.2, 5))),
-            ("chi_to_csv", tomography.qpt(tomography.channel_from_superoperator(
-                evolve.gate_channel(schedule, step=0.5)))),
+            ("chi_to_csv", tomography.qpt(evolve.gate_channel(schedule, step=0.5))),
             ("schedule_to_csv", schedule),
         ]
     noisy = build_schedule(NAMED_GATES["X"], "sr-nhqc")

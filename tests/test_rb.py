@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy_lab import evolve, qmath, rb
 from holonomy_lab.model import NoiseModel
@@ -126,15 +128,15 @@ def test_rb_outputs(rb_noisy_reference):
     assert '"F_ref"' in payload
 
 
-def test_seed_determinism():
-    ident = {tag: np.eye(9, dtype=complex) for tag in rb.PHYSICAL_TAGS}
-    dep = np.eye(9, dtype=complex) * 0.995
-    dep[0, 0] = dep[8, 8] = 1.0
-    a = rb.run_rb(lambda t: ident[t], m_values=(1, 4, 9), n_seqs=6, seed=11,
-                  clifford_noise=dep)
-    b = rb.run_rb(lambda t: ident[t], m_values=(1, 4, 9), n_seqs=6, seed=11,
-                  clifford_noise=dep)
-    assert np.array_equal(a.mean_pg, b.mean_pg)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), interleaved=st.sampled_from([None, "X/2"]))
+def test_seed_determinism(noisy_factory, seed, interleaved):
+    # Noisy physical channels make every sequence's outcome depend on
+    # the Cliffords drawn, so a change in the draws would show.
+    runs = [rb.run_rb(noisy_factory, m_values=(1, 3, 6, 10), n_seqs=4, seed=seed,
+                      interleaved=interleaved) for _ in range(2)]
+    assert rb.rb_to_csv(runs[0]) == rb.rb_to_csv(runs[1])
+    assert rb.rb_fit_json(runs[0]) == rb.rb_fit_json(runs[1])
 
 
 RB_DEFAULT_LENGTHS = inspect.signature(rb.run_rb).parameters["m_values"].default

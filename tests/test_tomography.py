@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import model, qmath, tomography
-from holonomy_lab.pulses import NAMED_GATES
+from holonomy_lab import evolve, model, qmath, tomography
+from holonomy_lab.model import NoiseModel
+from holonomy_lab.pulses import NAMED_GATES, build_schedule
 from holonomy_lab.tomography import ASSIGNMENT_DEFAULT
+from reference import (clip_and_rescale, nearest_density_eigenvalues, orthonormal_scale,
+                       qpt_per_pair, qpt_raw_chi_per_pair)
 
 
 def test_assignment_matrix_valid():
@@ -89,10 +92,7 @@ def test_qpt_depolarizing_oracle():
         [np.sqrt(p / 4) * m for m in emb]
     assert np.allclose(sum(qmath.dagger(k) @ k for k in kraus), np.eye(3))
 
-    def chan(rho):
-        return sum(k @ rho @ qmath.dagger(k) for k in kraus)
-
-    chi = tomography.qpt(chan)
+    chi = tomography.qpt(sum(np.kron(k, k.conj()) for k in kraus))
     fid = tomography.process_fidelity(chi, np.eye(2))
     assert np.isclose(fid, 1 - 3 * p / 4, atol=1e-8)
 
@@ -131,3 +131,62 @@ def test_qpt_rejects_incomplete_prerotations(monkeypatch):
     monkeypatch.setattr(tomography, "prerotations", lambda: rank_deficient)
     with pytest.raises(RuntimeError, match="complete"):
         tomography.qpt(tomography.channel_from_unitary(np.eye(3)))
+
+
+@pytest.fixture(scope="module")
+def noisy_channels():
+    noise = NoiseModel.from_coherence_times()
+    return {name: evolve.gate_channel(build_schedule(NAMED_GATES[name], "sr-nhqc"), noise)
+            for name in ("X", "Y/2")}
+
+
+@pytest.mark.parametrize("readout", [None, ASSIGNMENT_DEFAULT], ids=["plain", "readout"])
+@pytest.mark.parametrize("name", ["X", "Y/2"])
+def test_qpt_matches_per_pair_loop(noisy_channels, name, readout):
+    chi = tomography.qpt(noisy_channels[name], readout)
+    oracle = qpt_per_pair(noisy_channels[name], readout)
+    assert np.max(np.abs(chi.full - oracle.full)) < 1e-12
+    assert np.max(np.abs(chi.reduced - oracle.reduced)) < 1e-12
+
+
+def test_qpt_validates_the_assignment_matrix_at_most_twice(monkeypatch, noisy_channels):
+    calls = []
+    validate = tomography.validate_assignment
+    monkeypatch.setattr(tomography, "validate_assignment",
+                        lambda m: calls.append(1) or validate(m))
+    tomography.qpt(noisy_channels["X"], ASSIGNMENT_DEFAULT)
+    assert 0 < len(calls) <= 2
+
+
+def test_readout_functions_take_stacks():
+    p = np.random.default_rng(1).dirichlet(np.ones(3), size=(4, 5))
+    measured = tomography.apply_readout(p)
+    assert measured.shape == (4, 5, 3)
+    assert np.allclose(measured[2, 3], tomography.apply_readout(p[2, 3]), rtol=0, atol=1e-15)
+    assert np.max(np.abs(tomography.correct_readout(measured) - p)) < 1e-12
+
+
+TRANSPOSE = np.eye(9)[[0, 3, 6, 1, 4, 7, 2, 5, 8]]
+
+
+@pytest.mark.parametrize("p", [1.0, 0.6, 0.3])
+def test_qpt_projects_a_non_cp_channel_to_the_nearest_psd_chi(p):
+    # The transpose map is positive but not completely positive, so its
+    # chi has eigenvalues -p; mixing in a gate makes the spectrum uneven.
+    rho = np.arange(9.0).reshape(3, 3)
+    assert np.array_equal((TRANSPOSE @ rho.reshape(-1)).reshape(3, 3), rho.T)
+    u3 = np.eye(3, dtype=complex)
+    u3[np.ix_([model.G, model.F], [model.G, model.F])] = NAMED_GATES["Y/2"].target_unitary()
+    channel = p * TRANSPOSE + (1 - p) * tomography.channel_from_unitary(u3)
+
+    scale = orthonormal_scale()
+    raw = qpt_raw_chi_per_pair(channel) * scale
+    chi = tomography.qpt(channel).full * scale
+    clipped = clip_and_rescale(raw / scale) * scale
+    raw_w = np.linalg.eigvalsh(raw)
+    assert raw_w[0] < -0.3 * p
+    w = np.linalg.eigvalsh(chi)
+    assert w[0] > -1e-12
+    assert abs(np.trace(chi) - np.trace(raw)) < 1e-12
+    assert np.allclose(w[::-1], nearest_density_eigenvalues(raw_w[::-1]), rtol=0, atol=1e-12)
+    assert np.linalg.norm(chi - raw) <= np.linalg.norm(clipped - raw) + 1e-12
