@@ -11,27 +11,30 @@ Closed-system evolution composes midpoint steps exp(-i s H(t+dt/2) dt)
 eigendecomposition and its spectral projectors P_j.  Steps with the same
 drive sample share one eigendecomposition: the default cavity gate has
 1 697 distinct samples among its 5 520 steps, because its six segments
-share one envelope and two phases.  Chunks of at most STEP_BLOCK steps
-advance side by side and their totals are then chained, not one
-Python-level product per step.  The chain's stacks keep the matrix axes
-first and the batch axes (chunks, blocks, scales) last, and every 3x3
-product is one plain np.einsum over the whole batch: numpy's batched
-matmul spends about 0.43 us per small complex product, 4-5x more.
+share one envelope and two phases.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
 equation for a stack of m initial states; its generator
 L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix.
 A run returns what its callers read: every state's populations at
 every grid time and the final states, never the whole history.
-RK4 has two drivers that give the same states to round-off.  When the
-m columns span the r integrated entries (m >= r, a gate channel), each
-step's RK4 map M_k is built in batch and the maps are chained, one
-product per step.  Otherwise (m < r, the two-state CNOT run) each of
-the four stages per step is one product with the stacked matrix and one
-weighted sum of its blocks.  Per step the maps cost r^3 work against
-the stages' m r^2, so the shape of the run picks the driver.  Measured
-on 2 CPUs: a default 1Q channel (r = m = 9, 2 400 steps) takes 0.04 s
-on the maps against 0.16 s on the stages; the CNOT run (r = 27, m = 2,
-5 520 steps) 0.41-0.62 s on the maps against 0.36-0.48 s on the stages.
+
+One chain, _chain, multiplies the step maps of both: the closed step
+exponentials, and the RK4 step maps M_k when the m columns span the r
+integrated entries (m >= r, a gate channel).  Chunks of at most
+STEP_BLOCK steps advance side by side and their totals are then chained
+from the initial columns: about 2 sqrt(n) Python-level products for n
+steps, not n.  The chain's stacks keep the matrix axes first and the
+batch axes (chunks, blocks, scales) last.  A 3x3 product is one plain
+np.einsum over the whole batch, because numpy's batched matmul spends
+about 0.43 us per small complex product, 4-5x more; larger maps go
+through matmul.  RK4 has a second driver for m < r (the two-state CNOT
+run): each of the four stages per step is one product with the stacked
+matrix and one weighted sum of its blocks.  Per step the maps cost r^3
+work against the stages' m r^2, so the shape of the run picks the
+driver.  Measured on 2 CPUs: a default 1Q channel (r = m = 9, 2 400
+steps) takes 0.04 s on the maps against 0.16 s on the stages; the CNOT
+run (r = 27, m = 2, 5 520 steps) 0.41-0.62 s on the maps against
+0.36-0.48 s on the stages.
 
 Both propagators integrate only what the operators couple, read off
 their sparsity pattern.  The closed one splits H into the index blocks
@@ -57,9 +60,8 @@ from .model import NoiseModel
 from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
-# Most steps per chunk of the closed product chain and per block of RK4
-# step maps in propagate_lindblad_h; keeps memory flat in the number of
-# steps.
+# Most steps per chunk of the product chain (_chain) and per block of RK4
+# step maps built at once in propagate_lindblad_h.
 STEP_BLOCK = 128
 
 
@@ -124,8 +126,8 @@ def schedule_hamiltonian(schedule: PulseSchedule) -> DrivenHamiltonian:
 
 
 def _time_grid(tau: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (0 < tau < np.inf and 0 < step < np.inf):
+        raise ValueError(f"tau ({tau}) and step ({step}) must be finite and positive")
     n = max(1, int(np.ceil(tau / step - 1e-12)))
     return np.linspace(0.0, tau, n + 1)
 
@@ -167,10 +169,58 @@ def _step_exponentials(w: np.ndarray, proj: np.ndarray, scales: np.ndarray,
     return np.einsum("j...s,jik...->ik...s", phases, proj)
 
 
-def _products(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """a @ b over the leading two axes of (size, size, ...) stacks whose
-    batch axes come last and broadcast against each other."""
-    return np.einsum("ij...,jk...->ik...", a, b, out=out)
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the leading two axes of (rows, inner, ...) stacks whose
+    batch axes come last and broadcast against each other.
+
+    Up to 3x3 each product is one plain einsum whose C loop runs over the
+    whole contiguous batch: 800 3x3 complex products take 100 us against
+    matmul's 470 us.  Larger matrices go through matmul, which calls BLAS
+    per matrix: 19 9x9 products take 23 us against einsum's 100 us.
+    """
+    if a.shape[1] <= 3:
+        return np.einsum("ij...,jk...->ik...", a, b)
+    return np.matmul(a, b, axes=[(0, 1), (0, 1), (0, 1)])
+
+
+def _chain(step: Callable[[np.ndarray], np.ndarray], n: int, y0: np.ndarray,
+           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(final, prefixes) of y(t_n) = M_{n-1} ... M_0 y0 for n step maps.
+
+    step(k) returns the maps M_k, (size, size, chunks, ...), for one step
+    index per chunk in k, as a new array: _chain writes identity steps
+    over the end of a ragged last chunk.  y0 (size, m, ...) holds the
+    m >= size initial columns and every batch axis but chunks.  Chunks of
+    at most STEP_BLOCK steps advance side by side, one product per
+    position, and their totals are then chained from y0, so a run takes
+    about 2 sqrt(n) Python-level products, not n; the last prefix and
+    the final are the same products.  final is y(t_n), (size, m, ...);
+    prefixes[:, :, c, j] are the given rows (none for only the final) of
+    y at step c L + j + 1, L the chunk length: (len(rows), m, chunks, L,
+    ...), whose padded entries repeat the final.
+    """
+    chunks = -(-n // STEP_BLOCK)
+    length = -(-n // chunks)
+    starts = length * np.arange(chunks)
+    (size, m), batch = y0.shape[:2], y0.shape[2:]
+    # The rows of each chunk's running product, turned into the rows of
+    # the prefixes in place once the chunk's start is known: a second
+    # buffer this size makes glibc trim and refault its heap on every
+    # gate channel.
+    prefixes = np.empty((len(rows), m, chunks, length) + batch, dtype=complex)
+    run = np.eye(size)
+    for j in range(length):
+        maps = step(np.minimum(starts + j, n - 1))
+        if starts[-1] + j >= n:
+            maps[:, :, -1] = np.eye(size).reshape((size, size) + (1,) * len(batch))
+        run = _products(maps, run)
+        prefixes[:, :size, :, j] = run[rows]
+    # y runs through the chunk starts and ends at y(t_n).
+    y = y0
+    for c in range(chunks):
+        prefixes[:, :, c] = _products(prefixes[:, :size, c], y[:, :, None])
+        y = _products(run[:, :, c], y)
+    return y, prefixes
 
 
 def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
@@ -180,28 +230,16 @@ def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
 
     Steps with the same drive sample a(t_mid) share one
     eigendecomposition and one set of projectors: the default cavity
-    gate has 1 697 distinct samples among its 5 520 steps.  Chunks of at
-    most STEP_BLOCK steps advance side by side, one step exponential and
-    one product per position, gathering each step's sample, and then
-    their totals are chained and applied to the kept prefixes.  Every
-    array of the chain is (size, size, chunks, blocks, scales): the
-    matrix axes first and the batch axes last, so each product is one
-    plain einsum whose C loop runs over the whole contiguous batch.
-    numpy's batched matmul costs about 0.43 us per 3x3 complex product
-    whatever the batch; an einsum with the batch axes first is only
-    about 1.2x cheaper, and batch-last 4-5x.  Identity steps
-    (w = 0, projectors e_j e_j^T) pad a ragged last chunk, so the last
-    prefix and the final are the same products in the same order.
+    gate has 1 697 distinct samples among its 5 520 steps.  _chain
+    multiplies the step exponentials, built per chain position from each
+    step's sample.  Every array of the chain is (size, size, chunks,
+    blocks, scales): the matrix axes first and the batch axes last, so
+    each 3x3 product is one plain einsum over the whole contiguous batch.
     """
     times = _time_grid(tau, step)
     n, dt, dim = len(times) - 1, times[1] - times[0], ham.h0.shape[-1]
-    chunks = -(-n // STEP_BLOCK)
-    length = -(-n // chunks)
-    pad = [(0, 1)] + [(0, 0)] * 3
+    # which[k] is the drive sample of step k.
     a, which = np.unique(ham.coefficient(0.5 * (times[:-1] + times[1:])), return_inverse=True)
-    # which[c, j] is the sample of step c * length + j; index len(a) is
-    # the identity step.
-    which = np.pad(which, (0, chunks * length - n), constant_values=len(a)).reshape(chunks, length)
     out = np.zeros(((n + 1,) if prefixes else ()) + (len(scales), dim, dim), dtype=complex)
     if prefixes:
         out[0] = np.eye(dim)
@@ -211,29 +249,24 @@ def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
         # H at each sample on the blocks is v diag(w) v^dag.
         w, v = np.linalg.eigh(block.at_coefficient(a).reshape(-1, size, size))
         # Batch last and C-contiguous, or np.take copies them at every position:
-        # w (size, samples + 1, blocks) and vt[j, i] = v_ij.
-        w = np.pad(w.reshape(len(a), blocks, size), pad[:3]).transpose(2, 0, 1).copy()
-        vt = np.pad(v.reshape(len(a), blocks, size, size), pad).transpose(3, 2, 0, 1).copy()
-        vt[:, :, -1] = np.eye(size)[..., None]
+        # w (size, samples, blocks) and vt[j, i] = v_ij.
+        w = w.reshape(len(a), blocks, size).transpose(2, 0, 1).copy()
+        vt = v.reshape(len(a), blocks, size, size).transpose(3, 2, 0, 1).copy()
         proj = vt[:, :, None] * vt.conj()[:, None, :]
-        if prefixes:
-            kept = np.empty((size, size, length, chunks, blocks, len(scales)), dtype=complex)
-        run = np.eye(size)
-        for j in range(length):
-            step_j = _step_exponentials(np.take(w, which[:, j], axis=1),
-                                        np.take(proj, which[:, j], axis=3), scales, dt)
-            run = _products(step_j, run, kept[:, :, j] if prefixes else None)
-        carried = np.empty_like(run)
-        carried[:, :, 0] = np.eye(size)[..., None, None]
-        for c in range(1, chunks):
-            _products(run[:, :, c - 1], carried[:, :, c - 1], carried[:, :, c])
-        # (size, size, [length,] chunks, blocks, scales) -> ([chunks, length,] scales,
+
+        def step_maps(k: np.ndarray) -> np.ndarray:
+            return _step_exponentials(np.take(w, which[k], axis=1),
+                                      np.take(proj, which[k], axis=3), scales, dt)
+
+        eye = np.broadcast_to(np.eye(size)[..., None, None], (size, size, blocks, len(scales)))
+        final, kept = _chain(step_maps, n, eye, np.arange(size if prefixes else 0))
+        # (size, size, [chunks, length,] blocks, scales) -> ([chunks, length,] scales,
         # blocks, size, size)
         if prefixes:
-            steps = _products(kept, carried).transpose(3, 2, 5, 4, 0, 1)
+            steps = kept.transpose(2, 3, 5, 4, 0, 1)
             out[1:, ..., rows, cols] = steps.reshape(-1, *steps.shape[2:])[:n]
         else:
-            out[..., rows, cols] = _products(run[:, :, -1], carried[:, :, -1]).transpose(3, 2, 0, 1)
+            out[..., rows, cols] = final.transpose(3, 2, 0, 1)
     return times, out
 
 
@@ -336,10 +369,12 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     integrated; the others stay exactly 0, because no reachable row
     reads them.  The drive coefficient is sampled once at the grid
     points and step midpoints.  With m >= r columns (a channel) every
-    step's RK4 map comes from _rk4_step_maps and the maps are chained;
-    building a map is r^3 work per step.  With m < r each of the four
-    stages per step applies the stacked generator of lindblad_generator,
-    restricted to the reachable entries, to the m columns: m r^2 work.
+    step's RK4 map comes from _rk4_step_maps, STEP_BLOCK steps at a time,
+    and _chain multiplies them from the initial columns, keeping only the
+    diagonal rows of every prefix; building a map is r^3 work per step.
+    With m < r each of the four stages per step applies the stacked
+    generator of lindblad_generator, restricted to the reachable entries,
+    to the m columns: m r^2 work.
     Returns (times, populations, finals): the real diagonals of every
     state at every grid time, (len(times), m, d), and the states at tau,
     (m, d, d); no run keeps the off-diagonals of its history.
@@ -368,16 +403,13 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
 
     y = vec0[:, live].T.astype(complex)
     if m >= r:
-        chain = np.empty((n + 1, r, m), dtype=complex)
-        chain[0] = y
+        maps = np.empty((n, r, r), dtype=complex)
         for start in range(0, n, STEP_BLOCK):
-            stop = min(start + STEP_BLOCK, n)
-            maps = _rk4_step_maps(gen, nodes[start:stop + 1], mids[start:stop],
-                                  dt[start:stop])
-            for k, step_map in enumerate(maps, start):
-                np.matmul(step_map, chain[k], out=chain[k + 1])
-        populations[1:, :, level] = chain[1:, diag].real.transpose(0, 2, 1)
-        y = chain[-1]
+            block = slice(start, start + STEP_BLOCK)
+            maps[block] = _rk4_step_maps(gen, nodes[start:start + STEP_BLOCK + 1], mids[block],
+                                         dt[block])
+        y, kept = _chain(lambda k: maps[k].transpose(1, 2, 0), n, y, diag)
+        populations[1:, :, level] = kept.real.transpose(2, 3, 1, 0).reshape(-1, m, len(diag))[:n]
     else:
         def lmul(w: np.ndarray, y: np.ndarray) -> np.ndarray:
             return (w @ (gen @ y).reshape(3, r * m)).reshape(r, m)

@@ -110,6 +110,8 @@ class PulseSchedule:
     amp_scale: float = 1.0
 
     def __post_init__(self):
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau ({self.tau}) must be finite and positive")
         if self.segments:
             total = sum(s.duration for s in self.segments)
             if abs(total - self.tau) > 1e-9:
@@ -167,8 +169,6 @@ def build_sr_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_SR]) -> PulseS
     All six accumulated drive integrals D_mn vanish, which is what buys
     the quartic error suppression.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     g = gate.gamma
     spec = [(np.pi / 2, g - np.pi, tau / 8),
             (np.pi, g - np.pi / 2, tau / 4),
@@ -188,8 +188,6 @@ def build_nhqc(gate: GateSpec, tau: float = DEFAULT_TAU[SCHEME_NHQC]) -> PulseSc
     transport holds (d11 = d22 = 0) but the bright-ancilla cross term
     D12 does not vanish, so the robustness stays second order.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     segs = (PulseSegment(np.pi, gate.gamma - np.pi, tau / 2),
             PulseSegment(np.pi, 0.0, tau / 2))
     return PulseSchedule(SCHEME_NHQC, gate, tau, segments=segs)
@@ -238,8 +236,6 @@ def build_dynamical(gate: GateSpec,
     gamma' = gamma - pi makes the computational action equal
     U1(theta, phi, gamma).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     gamma_prime = gate.gamma - np.pi
     return PulseSchedule(SCHEME_DYNAMICAL, gate, tau,
                          sampler=_dynamical_controls(tau, gamma_prime))
@@ -248,12 +244,9 @@ def build_dynamical(gate: GateSpec,
 def build_schedule(gate: GateSpec, scheme: str, tau: Optional[float] = None) -> PulseSchedule:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    tau = DEFAULT_TAU[scheme] if tau is None else tau
-    if scheme == SCHEME_SR:
-        return build_sr_nhqc(gate, tau)
-    if scheme == SCHEME_NHQC:
-        return build_nhqc(gate, tau)
-    return build_dynamical(gate, tau)
+    builder = {SCHEME_SR: build_sr_nhqc, SCHEME_NHQC: build_nhqc,
+               SCHEME_DYNAMICAL: build_dynamical}[scheme]
+    return builder(gate, DEFAULT_TAU[scheme] if tau is None else tau)
 
 
 def rabi_scale(epsilon: float) -> float:

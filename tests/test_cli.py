@@ -105,6 +105,28 @@ def test_unknown_scheme_in_config_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# A non-finite duration or step has no time grid.  Unchecked, tau = inf
+# overflows, step = inf runs a single step and nan fails to convert.
+@pytest.mark.parametrize("text", [
+    "tau_sr_ns = inf\n", "scheme = dynamical\ntau_dynamical_ns = inf\n",
+    "step_1q_ns = inf\n", "step_1q_ns = nan\n"],
+    ids=["tau-sr", "tau-dyn", "step-inf", "step-nan"])
+def test_non_finite_grid_in_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "simulate-gate", "--output-dir", str(out)]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_coherence_time_in_config_is_legal(tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("t1_ge_us = inf\n")
+    assert main(["--config", str(cfg), "simulate-gate", "--noise",
+                 "--output-dir", str(tmp_path / "o")]) == 0
+
+
 def test_dynphase_nhqc_cross_term(tmp_path):
     out = tmp_path / "o"
     assert main(["dynphase", "--scheme", "nhqc", "--gate", "X",

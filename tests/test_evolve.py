@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,14 +71,18 @@ def test_closed_propagators_match_segment_exact_oracle(scheme, gate, step):
         assert np.max(np.abs(u - segment_exact_unitary(schedule, s))) < 1e-12
 
 
+# Step counts around one chunk of the chain and the 2 400 of a default
+# qutrit gate (19 chunks of 127 positions, the last 13 of them padding).
+RAGGED_COUNTS = (1, evolve.STEP_BLOCK - 1, evolve.STEP_BLOCK, evolve.STEP_BLOCK + 1, 2400)
+
+
 def _ragged_cases():
-    """(Hamiltonian, tau, step) with 1, STEP_BLOCK - 1, STEP_BLOCK,
-    STEP_BLOCK + 1 and 2 400 qutrit steps, and the 5 520-step cavity gate."""
+    """(Hamiltonian, tau, step) with the RAGGED_COUNTS of qutrit steps, and
+    the 5 520-step cavity gate."""
     ham = evolve.schedule_hamiltonian(SCHEDULE)
-    counts = (1, evolve.STEP_BLOCK - 1, evolve.STEP_BLOCK, evolve.STEP_BLOCK + 1, 2400)
     _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0,
                                           model.DispersiveSystemParams.from_mhz())
-    return [(ham, SCHEDULE.tau, SCHEDULE.tau / n, n) for n in counts] + \
+    return [(ham, SCHEDULE.tau, SCHEDULE.tau / n, n) for n in RAGGED_COUNTS] + \
         [(cavity, 2760.0, 0.5, 5520)]
 
 
@@ -213,6 +221,62 @@ def test_closed_chain_transient_memory_is_bounded(scheme):
     assert _traced_peak(lambda: evolve.propagate_unitary_h(ham, tau, DEFAULT_STEP_1Q)) <= 4e6
 
 
+# One noisy sr-nhqc X channel (2 400 steps, r = m = 9).  The chain of
+# one matmul per step into a (steps + 1, r, m) buffer peaked at 5.5 MB
+# and took 117 minor page faults per call in a fresh interpreter; the
+# chunked chain, with its (steps, r, r) step maps and the diagonal rows
+# of every prefix, peaks at 5.6 MB and takes 125.  glibc trims its heap
+# when a call's transient exceeds twice the largest block freed so far,
+# and then faults it back in on the next call: a build that multiplied
+# the prefix rows into a second buffer, not in place, peaked at 6.2 MB
+# and took about 1 460 faults per call, and one that built the maps per
+# chain position, without the 3.1 MB maps block, peaked at 2.4 MB and
+# took about 500.  Keeping the chain buffer as well would add 3.1 MB.
+# The faults are counted in a fresh interpreter, because a larger block
+# freed earlier in this process raises glibc's thresholds and hides them.
+FAULT_SCRIPT = """
+import resource
+from holonomy_lab import evolve
+from holonomy_lab.model import NoiseModel
+from holonomy_lab.pulses import NAMED_GATES, build_schedule
+noise = NoiseModel.from_coherence_times()
+schedule = build_schedule(NAMED_GATES["X"], "sr-nhqc")
+evolve.gate_channel(schedule, noise)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    evolve.gate_channel(schedule, noise)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_open_channel_transient_memory_and_faults_are_bounded():
+    noise = NoiseModel.from_coherence_times()
+    schedule = build_schedule(NAMED_GATES["X"], "sr-nhqc")
+    evolve.gate_channel(schedule, noise)
+    assert _traced_peak(lambda: evolve.gate_channel(schedule, noise)) <= 7e6
+    src = str(Path(evolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    faults = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env,
+                            capture_output=True, text=True, check=True).stdout
+    assert int(faults) <= 300 * 10
+
+
+def test_every_propagator_runs_on_the_one_chain(monkeypatch):
+    calls, chain = [], evolve._chain
+    monkeypatch.setattr(evolve, "_chain", lambda *args: calls.append(1) or chain(*args))
+    ham = evolve.schedule_hamiltonian(SCHEDULE)
+    runs = {"propagate_unitary": lambda: evolve.propagate_unitary(SCHEDULE, step=1.0),
+            "scaled_final_unitaries": lambda: evolve.scaled_final_unitaries(
+                ham, SCHEDULE.tau, 1.0, (1.0, 1.1)),
+            "gate_channel": lambda: evolve.gate_channel(
+                SCHEDULE, NoiseModel.from_coherence_times(), step=0.5)}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, name
+
+
 def _lindblad_run(schedule, noise, step, ket=model.KET_G):
     """(populations, final rho) of the pure state ket under the schedule
     and the noise."""
@@ -297,6 +361,13 @@ def test_invalid_step_rejected():
         evolve.propagate_unitary(SCHEDULE, step=0.0)
 
 
+@pytest.mark.parametrize("tau, step", [(np.inf, 0.05), (np.nan, 0.05), (120.0, np.inf),
+                                       (120.0, np.nan), (0.0, 0.05), (120.0, -1.0)])
+def test_grid_needs_finite_positive_tau_and_step(tau, step):
+    with pytest.raises(ValueError, match="finite and positive"):
+        evolve.propagate_unitary_h(evolve.schedule_hamiltonian(SCHEDULE), tau, step)
+
+
 def test_trace_csv_header():
     trace = evolve.propagate_unitary(SCHEDULE, step=10.0)
     text = evolve.trace_to_csv(trace)
@@ -341,17 +412,18 @@ def test_non_finite_run_raises():
     ("Y/2", "sr-nhqc", NoiseModel.from_coherence_times()),
     ("X", "nhqc", None)], ids=["sr-X-noisy", "sr-Y/2-noisy", "nhqc-X-noiseless"])
 def test_step_maps_match_stage_loop(gate, scheme, noise):
+    # The ragged step counts pin the identity steps that pad the last chunk.
     spec = NAMED_GATES[gate]
     schedule = build_schedule(spec, scheme)
     ham, c_ops = evolve._open_system(schedule, noise)
     basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    times, populations, finals = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau,
-                                                             DEFAULT_STEP_1Q, basis)
-    ref_times, ref_states = lindblad_stage_loop(ham, c_ops, schedule.tau,
-                                                DEFAULT_STEP_1Q, basis)
-    assert np.array_equal(times, ref_times)
-    assert np.max(np.abs(populations - np.einsum("nmii->nmi", ref_states).real)) < 1e-13
-    assert np.max(np.abs(finals - ref_states[-1])) < 1e-13
+    for step in (DEFAULT_STEP_1Q, *(schedule.tau / n for n in RAGGED_COUNTS)):
+        times, populations, finals = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau,
+                                                                 step, basis)
+        ref_times, ref_states = lindblad_stage_loop(ham, c_ops, schedule.tau, step, basis)
+        assert np.array_equal(times, ref_times)
+        assert np.max(np.abs(populations - np.einsum("nmii->nmi", ref_states).real)) < 1e-13
+        assert np.max(np.abs(finals - ref_states[-1])) < 1e-13
 
 
 @settings(max_examples=25, deadline=None)
