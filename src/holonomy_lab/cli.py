@@ -191,7 +191,9 @@ def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> int:
     outdir = Path(cfg.output_dir)
     grid = [float(x) for x in args.eps_grid.split(",")] if args.eps_grid else \
         [-0.1, -0.05, 0.0, 0.05, 0.1]
-    rows = twoqubit.cnot_robustness(grid, scheme, params, tau, cfg.step_2q_ns)
+    rows = twoqubit.cnot_robustness(grid, scheme, tau, cfg.step_2q_ns)
+    # No artifact reads the 12x12 gate; it is built once for its leakage warning.
+    twoqubit.build_two_qubit_gate(twoqubit.CNOT_GATE, scheme, tau, params, step=cfg.step_2q_ns)
     _write(outdir, "cnot_robustness.csv", twoqubit.robustness_to_csv(rows), cfg)
     payload = {"scheme": scheme, "tau_ns": tau,
                "robustness": [{"epsilon": r.epsilon, "P_g": r.p_g,

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .model import F, G, NoiseModel, US_TO_NS
-from .pulses import DEFAULT_STEP_1Q
 
 # Decay rates below 1% over the record length are indistinguishable
 # from zero; the Ramsey fit then reports a lower bound on T2*.
@@ -214,25 +213,6 @@ def fit_ramsey(times: np.ndarray, signal: np.ndarray,
         t2_is_lower_bound=bool(bound),
         residual_rms=float(np.sqrt(np.mean(resid ** 2))),
         n_evaluations=int(info["nfev"]))
-
-
-def lindblad_average_gate_error(gate, scheme: str = "sr-nhqc",
-                                noise: Optional[NoiseModel] = None,
-                                step: float = DEFAULT_STEP_1Q,
-                                tau: Optional[float] = None) -> float:
-    """Open-system average gate error on the computational pair.
-
-    Integrates the noisy gate channel and scores it with
-    channel_average_gate_error.  Cross-checks the closed-form budget of
-    coherence_limited_error.
-    """
-    from . import evolve
-    from .pulses import build_schedule
-
-    if noise is None:
-        noise = NoiseModel.from_coherence_times()
-    schedule = build_schedule(gate, scheme, tau)
-    return channel_average_gate_error(evolve.gate_channel(schedule, noise, step), gate)
 
 
 def channel_average_gate_error(channel: np.ndarray, gate) -> float:

@@ -15,7 +15,7 @@ from typing import Union
 
 from .model import DEVICE, N_FOCK, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
-                     SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR, SCHEMES)
+                     SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR, SCHEMES, rabi_scale)
 
 
 class ConfigError(ValueError):
@@ -83,6 +83,10 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"key 'scheme': expected one of {SCHEMES}, got {self.scheme!r}")
+        try:
+            rabi_scale(self.epsilon)
+        except ValueError as exc:
+            raise ConfigError(f"key 'epsilon': {exc}") from exc
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_coherence_times(

@@ -294,9 +294,10 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
     scales=(1.0,) gives the last unitary of propagate_unitary_h bit for
     bit, for any H0.
 
-    s H(t) is a Rabi error s = 1 + epsilon only where H0 = 0, as for
-    schedule_hamiltonian.  The cavity's H0 is the dispersive shift, so
-    scaling its H is not a Rabi error; that needs one run per error.
+    s H(t) is a Rabi error s = 1 + epsilon only where H0 = 0: for
+    schedule_hamiltonian, and so for the n = 0 Fock block of the cavity
+    gate (twoqubit.cnot_robustness).  On the other Fock blocks H0 is the
+    dispersive shift, and scaling it is not a Rabi error.
     """
     return _closed_products(ham, tau, step, np.asarray(scales, dtype=float), prefixes=False)
 
@@ -425,7 +426,7 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     finals = np.zeros((m, dim * dim), dtype=complex)
     finals[:, live] = y.T
 
-    traces = populations.sum(axis=-1)
+    traces = np.einsum("nmi->nm", populations)
     drift = np.max(np.abs(traces - traces[0]))
     if not drift <= TRACE_DRIFT_LIMIT:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "

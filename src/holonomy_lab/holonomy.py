@@ -122,12 +122,6 @@ def gate_fidelity(u3: np.ndarray, gate: GateSpec) -> float:
     return qmath.unitary_fidelity(truncate_to_qubit(u3), gate.target_unitary())
 
 
-def simulated_gate_fidelity(gate: GateSpec, scheme: str, epsilon: float,
-                            step: float = DEFAULT_STEP_1Q,
-                            tau: Optional[float] = None) -> float:
-    return robustness_sweep(gate, scheme, [epsilon], step, tau)[0].f_sim
-
-
 @dataclass(frozen=True)
 class SweepRow:
     epsilon: float

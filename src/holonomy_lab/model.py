@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
+from .pulses import rabi_scale
 
 G, E, F = 0, 1, 2
 
@@ -90,8 +91,7 @@ class NoiseModel:
                  self.gamma1, self.gamma2, self.gamma3)
         if any(r < 0 for r in rates):
             raise ValueError("noise rates must be non-negative")
-        if abs(self.epsilon) > 1.0:
-            raise ValueError("|epsilon| must not exceed 1")
+        rabi_scale(self.epsilon)
 
     @classmethod
     def from_coherence_times(cls, t1_ge_us: float = DEVICE["t1_ge_us"],

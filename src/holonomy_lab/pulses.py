@@ -250,9 +250,13 @@ def build_schedule(gate: GateSpec, scheme: str, tau: Optional[float] = None) -> 
 
 
 def rabi_scale(epsilon: float) -> float:
-    """Drive amplitude factor 1 + epsilon of a fractional Rabi error."""
-    if abs(epsilon) > 1.0:
-        raise ValueError("|epsilon| must not exceed 1")
+    """Drive amplitude factor 1 + epsilon of a fractional Rabi error.
+
+    Raises unless |epsilon| <= 1, a test NaN fails; NoiseModel and
+    RunConfig check their epsilon here.
+    """
+    if not abs(epsilon) <= 1.0:
+        raise ValueError(f"|epsilon| must not exceed 1, got {epsilon}")
     return 1.0 + epsilon
 
 

@@ -12,7 +12,9 @@ per-sequence RB loop and the per-pair QPT loop with the clip-and-rescale
 projection it once used; nearest_density_eigenvalues is the PSD
 projection of Smolin, Gambetta and Smith written out step by step.
 segment_exact_unitary propagates a segmented schedule exactly, one
-matrix exponential per segment.  The *_to_csv writers format every
+matrix exponential per segment.  cnot_robustness_per_error runs the
+whole cavity gate once per Rabi error, the path the one scaled
+propagation of the n = 0 Fock block replaces.  The *_to_csv writers format every
 value on its own and write the cells through csv.writer, the path the
 package's one-format-per-row writer replaces.
 """
@@ -23,9 +25,9 @@ import io
 import numpy as np
 import scipy.linalg
 
-from holonomy_lab import evolve, model, qmath, rb, tomography
+from holonomy_lab import evolve, model, qmath, rb, tomography, twoqubit
 from holonomy_lab.model import E, F, G
-from holonomy_lab.pulses import DEFAULT_STEP_1Q
+from holonomy_lab.pulses import DEFAULT_STEP_1Q, DEFAULT_STEP_2Q
 
 
 def qutrit_hamiltonian_at(omega_ge: float, omega_ef: float,
@@ -301,6 +303,24 @@ def segment_exact_unitary(schedule, scale: float = 1.0) -> np.ndarray:
         h_seg = ham.at_coefficient(np.exp(-1j * seg.phase))
         u = scipy.linalg.expm(-1j * scale * seg.area * h_seg) @ u
     return u
+
+
+def cnot_robustness_per_error(epsilons, scheme: str, tau=None,
+                              step: float = DEFAULT_STEP_2Q) -> np.ndarray:
+    """(P_g, P_e, P_f) rows of twoqubit.cnot_robustness, one 12x12 gate per error.
+
+    Each row propagates the full dispersive Hamiltonian with the drive
+    scaled by 1 + epsilon and traces the |0f> column over the cavity.
+    """
+    params = model.DispersiveSystemParams.from_mhz()
+    rows = []
+    for eps in epsilons:
+        schedule, ham = twoqubit._selective_drive(twoqubit.CNOT_GATE, scheme, tau, eps,
+                                                  params)
+        u = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))[1][0]
+        column = u[:, twoqubit.state_index(0, "f")]
+        rows.append((np.abs(column) ** 2).reshape(-1, 3).sum(axis=0))
+    return np.array(rows)
 
 
 def csv_text(columns, rows) -> str:

@@ -48,8 +48,7 @@ def test_criterion_1_gate_synthesis_grid():
             for ph in phis:
                 for gm in gammas:
                     gate = GateSpec(th, ph, gm)
-                    fid = holonomy.simulated_gate_fidelity(
-                        gate, scheme, 0.0, step=0.1)
+                    fid = holonomy.robustness_sweep(gate, scheme, [0.0], step=0.1)[0].f_sim
                     worst = max(worst, 1.0 - fid)
     _report("1", worst < 1e-6,
             f"ideal propagators match U1 on a 5x5x5 grid, "
@@ -58,9 +57,9 @@ def test_criterion_1_gate_synthesis_grid():
 
 def test_criterion_2_analytic_fidelity_law():
     eps_grid = np.linspace(-0.2, 0.2, 41)
-    gaps = [abs(holonomy.simulated_gate_fidelity(GATE_X, "sr-nhqc", e)
-                - holonomy.analytic_fidelity(np.pi, e)) for e in eps_grid]
-    spot = holonomy.simulated_gate_fidelity(GATE_X, "sr-nhqc", 0.1)
+    gaps = [abs(r.f_sim - holonomy.analytic_fidelity(np.pi, r.epsilon))
+            for r in holonomy.robustness_sweep(GATE_X, "sr-nhqc", eps_grid)]
+    spot = holonomy.robustness_sweep(GATE_X, "sr-nhqc", [0.1])[0].f_sim
     ok = max(gaps) < 1e-3 and abs(spot - 0.99940) < 1e-3
     _report("2", ok,
             f"analytic law max gap {max(gaps):.2e} (< 1e-3), "
@@ -135,9 +134,9 @@ def test_criterion_5_perturbative_bright_element():
             f"max gap {worst:.2e} (< 1e-3)")
 
 
-def test_criterion_6_decoherence_budget():
-    errors = [cohfit.lindblad_average_gate_error(g, "sr-nhqc", NOISE)
-              for g in NAMED_GATES.values()]
+def test_criterion_6_decoherence_budget(noisy_channels):
+    errors = [cohfit.channel_average_gate_error(noisy_channels[name], g)
+              for name, g in NAMED_GATES.items()]
     mean_err = float(np.mean(errors))
     e_formula = cohfit.coherence_limited_error(NOISE, 120.0)
     ok = (abs(mean_err - 4.3e-3) < 0.3 * 4.3e-3

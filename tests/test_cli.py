@@ -67,11 +67,11 @@ def test_noisy_gate_is_integrated_once(tmp_path, monkeypatch):
     assert columns == [9]
     noise = RunConfig().noise_model()
     payload = _read_json(out / "fidelity.json")
-    assert abs(payload["avg_gate_error"]
-               - cohfit.lindblad_average_gate_error(GATE_X, noise=noise)) < 1e-12
+    schedule = build_sr_nhqc(GATE_X)
+    assert abs(payload["avg_gate_error"] - cohfit.channel_average_gate_error(
+        evolve.gate_channel(schedule, noise), GATE_X)) < 1e-12
     # The |g><g| column of the channel run is the trace a one-state run gives.
     last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
-    schedule = build_sr_nhqc(GATE_X)
     ham = evolve.schedule_hamiltonian(schedule)
     _, populations, _ = real(ham, model.collapse_operators(noise), schedule.tau,
                              DEFAULT_STEP_1Q, qmath.projector(model.KET_G)[None])
@@ -195,6 +195,34 @@ def test_sweep_rejects_rabi_error_above_one(tmp_path, capsys):
                  "--output-dir", str(out)]) == 2
     assert "epsilon" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+# NaN passes a check written as |epsilon| > 1, so every command would
+# propagate it; an error in the config fails before any artifact.
+@pytest.mark.parametrize("config, argv", [
+    ("", ["sweep-epsilon", "--eps-min", "nan", "--points", "3"]),
+    ("", ["simulate-gate", "--epsilon", "nan"]),
+    ("", ["twoqubit", "--eps-grid=nan"]),
+    ("epsilon = 2\n", ["twoqubit", "--fidelity"]),
+    ("epsilon = nan\n", ["twoqubit", "--fidelity"])],
+    ids=["sweep-nan", "simulate-nan", "grid-nan", "config-2", "config-nan"])
+def test_bad_rabi_error_exits_2_without_artifacts(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), *argv, "--output-dir", str(out)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_twoqubit_warns_of_leakage_once(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["twoqubit", "--eps-grid=-0.05,0,0.05",
+                     "--output-dir", str(tmp_path / "o")]) == 0
+    leaks = [w for w in caught
+             if issubclass(w.category, RuntimeWarning) and "leakage" in str(w.message)]
+    assert len(leaks) == 1
 
 
 def test_sweep_without_points_writes_header_only(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import cohfit
+from holonomy_lab import cohfit, evolve
 from holonomy_lab.model import NoiseModel
+from holonomy_lab.pulses import GATE_X, build_schedule
 
 RATES = (1 / 18.9, 1 / 12.7, 1 / 500)
 
@@ -100,8 +101,8 @@ def test_coherence_limited_error_values():
 def test_budget_agrees_with_lindblad_simulation():
     # Cross-module check: the formula must sit within 30% of the
     # simulated open-system average error for the benchmark X gate.
-    from holonomy_lab.pulses import GATE_X
     n = NoiseModel.from_coherence_times()
     e_formula = cohfit.coherence_limited_error(n, 120.0)
-    e_sim = cohfit.lindblad_average_gate_error(GATE_X, "sr-nhqc", n)
+    schedule = build_schedule(GATE_X, "sr-nhqc")
+    e_sim = cohfit.channel_average_gate_error(evolve.gate_channel(schedule, n), GATE_X)
     assert abs(e_sim - e_formula) / e_formula < 0.3

@@ -53,6 +53,9 @@ def test_bad_values_rejected():
         parse_config("just a line without equals")
     with pytest.raises(ConfigError, match="'scheme'"):
         parse_config("scheme = foo")
+    for eps in ("1.5", "-2", "nan"):
+        with pytest.raises(ConfigError, match="'epsilon'"):
+            parse_config(f"epsilon = {eps}")
 
 
 def test_hash_tracks_physics_not_output_dir():
@@ -65,11 +68,14 @@ def test_hash_tracks_physics_not_output_dir():
 
 _VALUES = {"float": st.floats(allow_nan=False), "int": st.integers(),
            "bool": st.booleans(), "str": st.sampled_from(SCHEMES)}
+# Keys whose legal values are a subset of their type's.
+_KEY_VALUES = {"epsilon": st.floats(-1.0, 1.0)}
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.fixed_dictionaries({}, optional={f.name: _VALUES[f.type] for f in fields(RunConfig)
-                                           if f.name != "output_dir"}))
+@given(st.fixed_dictionaries({}, optional={
+    f.name: _KEY_VALUES.get(f.name, _VALUES[f.type]) for f in fields(RunConfig)
+    if f.name != "output_dir"}))
 def test_parse_config_round_trips_values(values):
     # Every numeric, boolean and scheme key, written as Python prints it.
     text = "".join(f"{key} = {value}\n" for key, value in values.items())

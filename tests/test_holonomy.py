@@ -55,9 +55,8 @@ def test_noisy_gate_reduces_to_target_at_zero_error():
 
 
 def test_simulated_matches_analytic_law():
-    for eps in (0.0, 0.07, -0.12):
-        f_sim = holonomy.simulated_gate_fidelity(GATE_X, "sr-nhqc", eps)
-        assert np.isclose(f_sim, holonomy.analytic_fidelity(np.pi, eps), atol=1e-4)
+    for row in holonomy.robustness_sweep(GATE_X, "sr-nhqc", (0.0, 0.07, -0.12)):
+        assert np.isclose(row.f_sim, holonomy.analytic_fidelity(np.pi, row.epsilon), atol=1e-4)
 
 
 def test_error_scaling_exponents():

@@ -36,8 +36,9 @@ def test_bright_drive_matches_two_tone_form():
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         model.NoiseModel(gamma_ge=-0.1)
-    with pytest.raises(ValueError):
-        model.NoiseModel(epsilon=1.5)
+    for eps in (1.5, float("nan")):
+        with pytest.raises(ValueError):
+            model.NoiseModel(epsilon=eps)
 
 
 def test_default_rates_from_coherence_times():

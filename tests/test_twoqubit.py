@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from holonomy_lab import qmath, twoqubit
+from holonomy_lab import evolve, qmath, twoqubit
 from holonomy_lab.model import DispersiveSystemParams
 from holonomy_lab.pulses import GateSpec, PulseSchedule
 from holonomy_lab.twoqubit import CNOT_GATE, state_index
+from reference import cnot_robustness_per_error
 
 
 def _quiet_gate(*args, **kwargs):
@@ -76,21 +77,47 @@ def test_prepare_fock_states():
         assert np.isclose(abs(np.vdot(goal, psi)) ** 2, 1.0, atol=1e-9), target
 
 
-def test_transmon_populations_traces_out_cavity():
-    psi = np.zeros(12, dtype=complex)
-    psi[state_index(0, "f")] = np.sqrt(0.5)
-    psi[state_index(2, "f")] = np.sqrt(0.5)
-    pops = twoqubit.transmon_populations(psi)
-    assert np.allclose(pops, [0.0, 0.0, 1.0])
-
-
 def test_cnot_robustness_ordering():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        sr = twoqubit.cnot_robustness([0.1], "sr-nhqc")
-        nh = twoqubit.cnot_robustness([0.1], "nhqc")
+    sr = twoqubit.cnot_robustness([0.1], "sr-nhqc")
+    nh = twoqubit.cnot_robustness([0.1], "nhqc")
     assert sr[0].p_g > nh[0].p_g
     assert sr[0].p_g > 0.99
+
+
+# The benchmark's drawn grids at seeds 0, 3 and 7, and a short coarse gate.
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+@pytest.mark.parametrize("grid, tau, step", [
+    ([-0.0482, -0.0159, 0.0, 0.0516, 0.0689], None, 0.5),
+    ([-0.0524, -0.0260, 0.0, 0.0088, 0.0208], None, 0.5),
+    ([-0.0855, -0.0698, -0.0352, 0.0, 0.0302], None, 0.5),
+    ([-0.1, 0.0, 0.05], 700.0, 2.0)], ids=["seed0", "seed3", "seed7", "coarse"])
+def test_cnot_robustness_matches_the_full_gate_per_error(scheme, grid, tau, step):
+    rows = twoqubit.cnot_robustness(grid, scheme, tau, step)
+    assert [r.epsilon for r in rows] == grid
+    expected = cnot_robustness_per_error(grid, scheme, tau, step)
+    got = np.array([(r.p_g, r.p_e, r.p_f) for r in rows])
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [1, 7])
+def test_cnot_robustness_is_one_qutrit_propagation(monkeypatch, points):
+    shapes = []
+    real = evolve.scaled_final_unitaries
+
+    def counted(ham, tau, step, scales):
+        shapes.append((ham.h0.shape, len(scales)))
+        return real(ham, tau, step, scales)
+
+    monkeypatch.setattr(evolve, "scaled_final_unitaries", counted)
+    twoqubit.cnot_robustness(np.linspace(-0.1, 0.1, points), "nhqc", step=2.0)
+    assert shapes == [((3, 3), points)]
+
+
+def test_two_qubit_commands_reject_the_dynamical_scheme():
+    with pytest.raises(ValueError, match="scheme"):
+        twoqubit.cnot_robustness([0.0], "dynamical")
+    with pytest.raises(ValueError, match="scheme"):
+        twoqubit.build_two_qubit_gate(CNOT_GATE, "dynamical")
 
 
 def test_cavity_noise_operators():
