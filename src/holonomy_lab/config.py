@@ -9,6 +9,7 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
@@ -109,6 +110,10 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Keys a run divides by: positive, with inf (no decay) legal.
+_COHERENCE_KEYS = ("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us",
+                   "t2e_gf_us", "cavity_t1_us", "cavity_t2star_us")
+_ANGLE_KEYS = ("theta_rad", "phi_rad", "gamma_rad")
 
 
 def _parse_value(key: str, raw: str):
@@ -151,7 +156,20 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    """Read a config file to run from.
+
+    Beyond what parse_config checks, every coherence time must be
+    positive (inf is legal) and every gate angle finite: a run divides by
+    the one and rotates by the other.
+    """
+    cfg = parse_config(Path(path).read_text())
+    for key in _COHERENCE_KEYS:
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"key {key!r}: expected a positive time, got {getattr(cfg, key)}")
+    for key in _ANGLE_KEYS:
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"key {key!r}: expected a finite angle, got {getattr(cfg, key)}")
+    return cfg
 
 
 def config_hash(cfg: RunConfig) -> str:

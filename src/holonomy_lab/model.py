@@ -89,7 +89,7 @@ class NoiseModel:
     def __post_init__(self):
         rates = (self.gamma_ge, self.gamma_ef, self.gamma_gf,
                  self.gamma1, self.gamma2, self.gamma3)
-        if any(r < 0 for r in rates):
+        if not all(r >= 0 for r in rates):
             raise ValueError("noise rates must be non-negative")
         rabi_scale(self.epsilon)
 
