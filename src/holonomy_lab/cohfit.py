@@ -241,8 +241,8 @@ def coherence_limited_error(noise: NoiseModel, tau_ns: float) -> float:
     with the dephasing rates Gamma_1..3 and relaxation rates in 1/us and
     tau converted from ns.  Linear in tau by construction.
     """
-    if tau_ns <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau_ns < float("inf"):
+        raise ValueError(f"tau must be finite and positive, got {tau_ns}")
     rate_sum = (2 * noise.gamma1 + 2 * noise.gamma2 + 2 * noise.gamma3
                 + noise.gamma_ge + noise.gamma_ef)
     return float(rate_sum * (tau_ns / US_TO_NS) / 9.0)

@@ -110,10 +110,14 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-# Keys a run divides by: positive, with inf (no decay) legal.
-_COHERENCE_KEYS = ("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us",
-                   "t2e_gf_us", "cavity_t1_us", "cavity_t2star_us")
-_ANGLE_KEYS = ("theta_rad", "phi_rad", "gamma_rad")
+# What load_config asks of each group of keys: (keys, test, what the test
+# asks for).  A run divides by the coherence times (inf, no decay, is
+# legal), rotates by the angles and integrates over the durations.
+_CHECKS = ((("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us", "t2e_gf_us",
+             "cavity_t1_us", "cavity_t2star_us"), lambda v: v > 0, "a positive time"),
+           (("theta_rad", "phi_rad", "gamma_rad"), math.isfinite, "a finite angle"),
+           (("tau_sr_ns", "tau_nhqc_ns", "tau_dynamical_ns", "tau_2q_sr_ns", "tau_2q_nhqc_ns"),
+            lambda v: 0 < v < math.inf, "a finite and positive duration"))
 
 
 def _parse_value(key: str, raw: str):
@@ -159,16 +163,15 @@ def load_config(path: Union[str, Path]) -> RunConfig:
     """Read a config file to run from.
 
     Beyond what parse_config checks, every coherence time must be
-    positive (inf is legal) and every gate angle finite: a run divides by
-    the one and rotates by the other.
+    positive (inf is legal), every gate angle finite and every gate
+    duration finite and positive: a run divides by the first, rotates by
+    the second and integrates over the third.
     """
     cfg = parse_config(Path(path).read_text())
-    for key in _COHERENCE_KEYS:
-        if not getattr(cfg, key) > 0:
-            raise ConfigError(f"key {key!r}: expected a positive time, got {getattr(cfg, key)}")
-    for key in _ANGLE_KEYS:
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"key {key!r}: expected a finite angle, got {getattr(cfg, key)}")
+    for keys, ok, what in _CHECKS:
+        for key in keys:
+            if not ok(getattr(cfg, key)):
+                raise ConfigError(f"key {key!r}: expected {what}, got {getattr(cfg, key)}")
     return cfg
 
 

@@ -19,22 +19,24 @@ A run returns what its callers read: every state's populations at
 every grid time and the final states, never the whole history.
 
 One chain, _chain, multiplies the step maps of both: the closed step
-exponentials, and the RK4 step maps M_k when the m columns span the r
-integrated entries (m >= r, a gate channel).  Chunks of at most
-STEP_BLOCK steps advance side by side and their totals are then chained
-from the initial columns: about 2 sqrt(n) Python-level products for n
-steps, not n.  The chain's stacks keep the matrix axes first and the
-batch axes (chunks, blocks, scales) last.  A 3x3 product is one plain
-np.einsum over the whole batch, because numpy's batched matmul spends
-about 0.43 us per small complex product, 4-5x more; larger maps go
-through matmul.  RK4 has a second driver for m < r (the two-state CNOT
-run): each of the four stages per step is one product with the stacked
-matrix and one weighted sum of its blocks.  Per step the maps cost r^3
-work against the stages' m r^2, so the shape of the run picks the
-driver.  Measured on 2 CPUs: a default 1Q channel (r = m = 9, 2 400
-steps) takes 0.04 s on the maps against 0.16 s on the stages; the CNOT
-run (r = 27, m = 2, 5 520 steps) 0.41-0.62 s on the maps against
-0.36-0.48 s on the stages.
+exponentials and the RK4 step maps M_k.  Chunks of at most STEP_BLOCK
+steps advance side by side and their totals are then chained from the
+initial columns: about 2 sqrt(n) Python-level products for n steps, not
+n.  The chain's stacks keep the matrix axes first and the batch axes
+(chunks, blocks, scales) last.  A 3x3 product is one plain np.einsum
+over the whole batch, because numpy's batched matmul spends about
+0.43 us per small complex product, 4-5x more; larger maps go through
+matmul, and a product with one matrix for the whole batch through one
+GEMM.  RK4 has one path: a run with fewer columns than integrated
+entries (m < r) chains the r identity columns and applies its own
+columns after.  A step map costs r^3 work against m r^2 for the four
+stages of the plain RK4 loop, but the loop makes a Python-level product
+per stage and step.  The open-system CNOT fidelity runs as two 9x9
+qutrit channels (twoqubit.cnot_state_fidelity), so no program path has
+m < r.  Measured on 2 CPUs: a default 1Q channel (r = m = 9, 2 400
+steps) takes 24-31 ms, and the CNOT fidelity 0.10-0.14 s against
+0.34-0.42 s for the stage loop on its 27 entries (r = 27, m = 2, 5 520
+steps).
 
 Both propagators integrate only what the operators couple, read off
 their sparsity pattern.  The closed one splits H into the index blocks
@@ -60,8 +62,8 @@ from .model import NoiseModel
 from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
-# Most steps per chunk of the product chain (_chain) and per block of RK4
-# step maps built at once in propagate_lindblad_h.
+# Most steps per chunk of the product chain (_chain); propagate_lindblad_h
+# builds about half as many RK4 step maps at once.
 STEP_BLOCK = 128
 
 
@@ -180,6 +182,10 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] <= 3:
         return np.einsum("ij...,jk...->ik...", a, b)
+    if b.ndim == 2:
+        # One GEMM per row of a, not one small product per batch entry:
+        # a gate channel's prefix rows go 3.5x faster.
+        return (a.swapaxes(1, -1) @ b).swapaxes(1, -1)
     return np.matmul(a, b, axes=[(0, 1), (0, 1), (0, 1)])
 
 
@@ -188,13 +194,14 @@ def _chain(step: Callable[[np.ndarray], np.ndarray], n: int, y0: np.ndarray,
     """(final, prefixes) of y(t_n) = M_{n-1} ... M_0 y0 for n step maps.
 
     step(k) returns the maps M_k, (size, size, chunks, ...), for one step
-    index per chunk in k, as a new array: _chain writes identity steps
-    over the end of a ragged last chunk.  y0 (size, m, ...) holds the
-    m >= size initial columns and every batch axis but chunks.  Chunks of
-    at most STEP_BLOCK steps advance side by side, one product per
-    position, and their totals are then chained from y0, so a run takes
-    about 2 sqrt(n) Python-level products, not n; the last prefix and
-    the final are the same products.  final is y(t_n), (size, m, ...);
+    index per chunk in k, as an array that _chain may write to: it writes
+    identity steps over the end of a ragged last chunk.  It is called at
+    each position in turn, so it may build later positions' maps ahead.
+    y0 (size, m, ...) holds the m >= size initial columns and every batch
+    axis but chunks.  Chunks of at most STEP_BLOCK steps advance side by
+    side, one product per position, and their totals are then chained
+    from y0, so a run takes about 2 sqrt(n) Python-level products, not n;
+    the last prefix and the final are the same products.  final is y(t_n), (size, m, ...);
     prefixes[:, :, c, j] are the given rows (none for only the final) of
     y at step c L + j + 1, L the chunk length: (len(rows), m, chunks, L,
     ...), whose padded entries repeat the final.
@@ -218,7 +225,7 @@ def _chain(step: Callable[[np.ndarray], np.ndarray], n: int, y0: np.ndarray,
     # y runs through the chunk starts and ends at y(t_n).
     y = y0
     for c in range(chunks):
-        prefixes[:, :, c] = _products(prefixes[:, :size, c], y[:, :, None])
+        prefixes[:, :, c] = _products(prefixes[:, :size, c], y)
         y = _products(run[:, :, c], y)
     return y, prefixes
 
@@ -337,26 +344,42 @@ def lindblad_generator(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray]) -> n
                            lindblad_superoperator(qmath.dagger(ham.a_op), ())])
 
 
-def _rk4_step_maps(gen: np.ndarray, nodes: np.ndarray, mids: np.ndarray,
-                   dt: np.ndarray) -> np.ndarray:
-    """RK4 maps M_k (steps x r x r) of y' = L(t) y, y(t_k+1) = M_k y(t_k).
+def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """RK4 maps M_k (..., steps, r, r) of y' = L(t) y, y(t_k+1) = M_k y(t_k),
+    written into out if given.
 
-    gen is the stacked (3r x r) generator, nodes the (steps + 1) and
-    mids the (steps) rows of block weights at the grid points and the
-    step midpoints.  M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
+    gen is the stacked (3r x r) generator.  a (..., 2 steps + 1) holds the
+    drive coefficients of runs of consecutive steps: at their steps + 1
+    grid points, then at their step midpoints; dt (..., steps) holds the
+    step lengths.  M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
     K1 = L(t_k), K2 = L(t_k + h/2)(I + h/2 K1), K3 = L(t_k + h/2)(I + h/2 K2)
-    and K4 = L(t_k+1)(I + h K3).
+    and K4 = L(t_k+1)(I + h K3), summed in that order.
     """
-    r = gen.shape[1]
-    blocks = gen.reshape(3, r * r)
-    l_nodes = (nodes @ blocks).reshape(-1, r, r)
-    l_mids = (mids @ blocks).reshape(-1, r, r)
-    h = dt[:, None, None]
-    k1 = l_nodes[:-1]
-    k2 = l_mids + h / 2 * (l_mids @ k1)
-    k3 = l_mids + h / 2 * (l_mids @ k2)
-    k4 = l_nodes[1:] + h * (l_nodes[1:] @ k3)
-    return np.eye(r) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    steps, r = dt.shape[-1], gen.shape[1]
+    # L = L0 + a L_A + conj(a) L_A^dag: weights (1, a, conj(a)) on the blocks.
+    weights = np.ones(a.shape + (3,), dtype=complex)
+    weights[..., 1], weights[..., 2] = a, a.conj()
+    l_all = (weights.reshape(-1, 3) @ gen.reshape(3, r * r)).reshape(a.shape + (r, r))
+    k1, l_end = l_all[..., :steps, :, :], l_all[..., 1:steps + 1, :, :]
+    l_mids = l_all[..., steps + 1:, :, :]
+    h = dt[..., None, None]
+
+    def stage(l: np.ndarray, k: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        # l + scale (l @ k), in place on the product.
+        lk = l @ k
+        lk *= scale
+        lk += l
+        return lk
+
+    k = stage(l_mids, k1, h / 2)
+    out = np.add(k1, 2 * k, out=out)
+    k = stage(l_mids, k, h / 2)
+    out += 2 * k
+    out += stage(l_end, k, h)
+    out *= h / 6
+    out += np.eye(r)
+    return out
 
 
 def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
@@ -369,13 +392,15 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     pattern of the generator blocks reaches from the support of rho0 are
     integrated; the others stay exactly 0, because no reachable row
     reads them.  The drive coefficient is sampled once at the grid
-    points and step midpoints.  With m >= r columns (a channel) every
-    step's RK4 map comes from _rk4_step_maps, STEP_BLOCK steps at a time,
-    and _chain multiplies them from the initial columns, keeping only the
-    diagonal rows of every prefix; building a map is r^3 work per step.
-    With m < r each of the four stages per step applies the stacked
-    generator of lindblad_generator, restricted to the reachable entries,
-    to the m columns: m r^2 work.
+    points and step midpoints.  Every step's RK4 map comes from
+    _rk4_step_maps, r^3 work per step, and _chain multiplies them,
+    keeping only the diagonal rows of every prefix.  The chain asks for
+    one step per chunk at each position in turn; the maps of the next
+    positions are built with them, about STEP_BLOCK / 2 at a time into
+    one reused buffer, so no run holds a map per step.  With m >= r
+    columns (a channel) the chain starts from rho0; with fewer it
+    propagates the r identity columns and applies rho0's columns to the
+    kept rows and the final.
     Returns (times, populations, finals): the real diagonals of every
     state at every grid time, (len(times), m, d), and the states at tau,
     (m, d, d); no run keeps the off-diagonals of its history.
@@ -394,38 +419,42 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     # populations of the other levels stay 0.
     level = np.flatnonzero(np.isin(np.arange(dim) * (dim + 1), live))
     diag = np.searchsorted(live, level * (dim + 1))
-    populations = np.zeros((n + 1, m, dim))
-    populations[0] = np.einsum("mii->mi", rho0).real
     dt = np.diff(times)
     a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
-    # Row j weighs the three generator blocks at sample j: (1, a, conj(a)).
-    weights = np.stack([np.ones_like(a), a, a.conj()], axis=1)
-    nodes, mids = weights[:n + 1], weights[n + 1:]
+    maps = None
 
-    y = vec0[:, live].T.astype(complex)
-    if m >= r:
-        maps = np.empty((n, r, r), dtype=complex)
-        for start in range(0, n, STEP_BLOCK):
-            block = slice(start, start + STEP_BLOCK)
-            maps[block] = _rk4_step_maps(gen, nodes[start:start + STEP_BLOCK + 1], mids[block],
-                                         dt[block])
-        y, kept = _chain(lambda k: maps[k].transpose(1, 2, 0), n, y, diag)
-        populations[1:, :, level] = kept.real.transpose(2, 3, 1, 0).reshape(-1, m, len(diag))[:n]
-    else:
-        def lmul(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return (w @ (gen @ y).reshape(3, r * m)).reshape(r, m)
+    def step_maps(k: np.ndarray) -> np.ndarray:
+        # The maps of the next positions of every chunk, at most
+        # STEP_BLOCK / 2 unless there are more chunks, into the buffer of
+        # the last build.  A gate channel's transient, the kept rows with
+        # the populations or with these maps' temporaries, then stays under
+        # the heap trim threshold that freeing the kept rows sets (twice
+        # their size).  With STEP_BLOCK maps at a time glibc trimmed the
+        # heap after every channel of a CLI run and faulted it back in.
+        nonlocal maps
+        ahead = max(1, STEP_BLOCK // (2 * len(k)))
+        if (j := int(k[0]) % ahead) == 0:
+            # The grid points and step indices of each chunk's next steps,
+            # clipped past the end, where _chain pads with the identity.
+            grid = np.minimum(k[:, None] + np.arange(ahead + 1), n)
+            ks = np.minimum(grid[:, :-1], n - 1)
+            maps = _rk4_step_maps(gen, a[np.concatenate([grid, ks + n + 1], 1)], dt[ks], maps)
+        return maps[:, j].transpose(1, 2, 0)
 
-        for k in range(n):
-            h = dt[k]
-            k1 = lmul(nodes[k], y)
-            k2 = lmul(mids[k], y + h / 2 * k1)
-            k3 = lmul(mids[k], y + h / 2 * k2)
-            k4 = lmul(nodes[k + 1], y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            populations[k + 1][:, level] = y[diag].real.T
+    cols = vec0[:, live].T.astype(complex)
+    y, kept = _chain(step_maps, n, cols if m >= r else np.eye(r, dtype=complex), diag)
+    # The map buffer and the drive samples go before the populations
+    # come, and the kept rows before the drift check's temporaries, for
+    # the same trim threshold.
+    del step_maps, maps, a
+    y, kept = (y @ cols, np.einsum("drcl,rm->dmcl", kept, cols)) if m < r else (y, kept)
+    populations = np.zeros((n + 1, m, dim))
+    populations[0] = np.einsum("mii->mi", rho0).real
+    populations[1:, :, level] = kept.real.transpose(2, 3, 1, 0).reshape(-1, m, len(diag))[:n]
     finals = np.zeros((m, dim * dim), dtype=complex)
     finals[:, live] = y.T
 
+    del kept
     traces = np.einsum("nmi->nm", populations)
     drift = np.max(np.abs(traces - traces[0]))
     if not drift <= TRACE_DRIFT_LIMIT:

@@ -187,6 +187,23 @@ def _decay_model(m, a, p, b):
     return a * np.power(p, m) + b
 
 
+def _fit_decay(m_values: np.ndarray, mean_pg: np.ndarray) -> np.ndarray:
+    """(A, p, B) of the least-squares fit of A p^m + B, each in [0, 1]."""
+    from scipy.optimize import curve_fit  # kept off the import path
+    popt = curve_fit(_decay_model, m_values, mean_pg, p0=(0.5, 0.99, 0.5),
+                     bounds=([0.0] * 3, [1.0] * 3), maxfev=20000)[0]
+    # curve_fit stops up to about 1e-7 short of the least-squares optimum,
+    # so round-off in mean_pg would move the fit far beyond round-off.
+    # Gauss-Newton steps from its result converge about 100x per step; six
+    # land on the optimum to round-off, and the bounds still hold.
+    for _ in range(6):
+        pm = np.power(popt[1], m_values - 1.0)
+        jac = np.column_stack([pm * popt[1], popt[0] * m_values * pm, np.ones(len(pm))])
+        step = np.linalg.lstsq(jac, mean_pg - _decay_model(m_values, *popt), rcond=None)[0]
+        popt = np.clip(popt + step, 0.0, 1.0)
+    return popt
+
+
 def run_rb(channel_factory: Callable[[str], np.ndarray],
            m_values: Sequence[int] = (1, 3, 6, 10, 16, 24, 36, 50, 75, 100),
            n_seqs: int = 50,
@@ -256,12 +273,7 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
                         float(mean_pg[-1]), 0.0,
                         f_ref=f_ref, interleaved=interleaved, degenerate=True)
 
-    from scipy.optimize import curve_fit  # kept off the import path
-    popt, _ = curve_fit(_decay_model, m_values, mean_pg,
-                        p0=(0.5, 0.99, 0.5),
-                        bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-                        maxfev=20000)
-    a, p, b = (float(x) for x in popt)
+    a, p, b = (float(x) for x in _fit_decay(m_values, mean_pg))
     resid = mean_pg - _decay_model(m_values, a, p, b)
     f_ref, _ = rb_fidelities(p)
     return RbResult(m_values, mean_pg, std_pg, n_seqs, a, p, b,

@@ -14,9 +14,12 @@ projection of Smolin, Gambetta and Smith written out step by step.
 segment_exact_unitary propagates a segmented schedule exactly, one
 matrix exponential per segment.  cnot_robustness_per_error runs the
 whole cavity gate once per Rabi error, the path the one scaled
-propagation of the n = 0 Fock block replaces.  The *_to_csv writers format every
-value on its own and write the cells through csv.writer, the path the
-package's one-format-per-row writer replaces.
+propagation of the n = 0 Fock block replaces, and
+cnot_state_fidelity_full runs the open-system CNOT on the whole cavity
+space with the cavity collapse operators, the run the two Fock-block
+qutrit runs replace.  The *_to_csv writers format every value on its
+own and write the cells through csv.writer, the path the package's
+one-format-per-row writer replaces.
 """
 
 import csv
@@ -321,6 +324,42 @@ def cnot_robustness_per_error(epsilons, scheme: str, tau=None,
         column = u[:, twoqubit.state_index(0, "f")]
         rows.append((np.abs(column) ** 2).reshape(-1, 3).sum(axis=0))
     return np.array(rows)
+
+
+def cavity_collapse_operators(noise, n_fock: int) -> list:
+    """Cavity decay sqrt(g1) a and dephasing sqrt(2 gphi) a^dag a on
+    Fock (x) qutrit for a twoqubit.CavityNoise, gphi = 1/T2* - g1/2."""
+    a = np.diag(np.sqrt(np.arange(1, n_fock)), 1).astype(complex)
+    ops = []
+    g1 = 1.0 / (noise.t1_us * model.US_TO_NS)
+    gphi = (1.0 / noise.t2star_us - 0.5 / noise.t1_us) / model.US_TO_NS
+    if g1 > 0:
+        ops.append(np.sqrt(g1) * qmath.tensor(a, np.eye(3)))
+    if gphi > 0:
+        ops.append(np.sqrt(2 * gphi) * qmath.tensor(a.conj().T @ a, np.eye(3)))
+    return ops
+
+
+def cnot_state_fidelity_full(scheme: str = "sr-nhqc", epsilon: float = 0.0,
+                             cavity=None, tau=None,
+                             step: float = DEFAULT_STEP_2Q) -> float:
+    """twoqubit.cnot_state_fidelity from one lindblad_stage_loop run of
+    |0f> and |2g> on the whole Fock (x) qutrit space, with every transmon
+    and cavity collapse operator: no Fock-block reduction."""
+    params = model.DispersiveSystemParams.from_mhz()
+    noise = model.NoiseModel.from_coherence_times(epsilon=epsilon)
+    cavity = twoqubit.CavityNoise() if cavity is None else cavity
+    schedule, ham = twoqubit._selective_drive(twoqubit.CNOT_GATE, scheme, tau, epsilon,
+                                              params)
+    c_ops = [qmath.tensor(np.eye(params.n_fock), c) for c in model.collapse_operators(noise)]
+    c_ops += cavity_collapse_operators(cavity, params.n_fock)
+    start = [twoqubit.state_index(0, "f"), twoqubit.state_index(2, "g")]
+    goal = [twoqubit.state_index(0, "g"), twoqubit.state_index(2, "g")]
+    dim = 3 * params.n_fock
+    rho0 = np.zeros((2, dim, dim), dtype=complex)
+    rho0[[0, 1], start, start] = 1.0
+    _, states = lindblad_stage_loop(ham, c_ops, schedule.tau, step, rho0)
+    return float(np.mean(states[-1, [0, 1], goal, goal].real))
 
 
 def csv_text(columns, rows) -> str:

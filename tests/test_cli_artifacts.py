@@ -125,3 +125,18 @@ def test_only_main_touches_the_filesystem():
                      else getattr(node.func, "id", None)
                      for node in ast.walk(func) if isinstance(node, ast.Call)}
             assert not calls & writers, func.name
+
+
+_DURATION_KEYS = ("tau_sr_ns", "tau_nhqc_ns", "tau_dynamical_ns", "tau_2q_sr_ns",
+                  "tau_2q_nhqc_ns")
+
+
+# `budget` reads every gate duration and propagates nothing, so no
+# schedule rejected these: NaN and inf wrote nan or inf rows with exit 0.
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+@pytest.mark.parametrize("key", _DURATION_KEYS)
+def test_bad_gate_duration_exits_2_without_artifacts(tmp_path, capsys, key, value):
+    code, out = _run(tmp_path, f"{key} = {value}\n", "budget")
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()

@@ -88,6 +88,13 @@ def test_ramsey_input_validation():
         cohfit.fit_ramsey(np.arange(10.0), np.ones(10), offset="quadratic")
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0])
+def test_coherence_limited_error_rejects_non_finite_durations(tau):
+    # NaN passed the old `tau_ns <= 0` check and gave a nan error.
+    with pytest.raises(ValueError, match="finite and positive"):
+        cohfit.coherence_limited_error(NoiseModel.from_coherence_times(), tau)
+
+
 def test_coherence_limited_error_values():
     assert cohfit.coherence_limited_error(NoiseModel(), 120.0) == 0.0
     n = NoiseModel.from_coherence_times()

@@ -16,8 +16,9 @@ from holonomy_lab.model import NoiseModel, bright_frame
 from holonomy_lab.pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, NAMED_GATES, SCHEME_DYNAMICAL,
                                  SCHEMES, GateSpec, apply_rabi_error, build_schedule,
                                  build_sr_nhqc)
-from reference import (bright_drive_hamiltonian, dispersive_hamiltonian,
-                       lindblad_stage_loop, segment_exact_unitary, sequential_unitaries)
+from reference import (bright_drive_hamiltonian, cavity_collapse_operators,
+                       dispersive_hamiltonian, lindblad_stage_loop, segment_exact_unitary,
+                       sequential_unitaries)
 
 GATE = GateSpec(np.pi / 2, 0.0, np.pi)
 FRAME = bright_frame(GATE.theta, GATE.phi)
@@ -382,7 +383,7 @@ def test_stacked_generator_matches_lindblad_superoperator():
               lambda hd: hd),
              (schedule_2q, cavity,
               [qmath.tensor(np.eye(params.n_fock), c) for c in qutrit_ops]
-              + twoqubit.CavityNoise().collapse_operators(params.n_fock),
+              + cavity_collapse_operators(twoqubit.CavityNoise(), params.n_fock),
               lambda hd: dispersive_hamiltonian(params, hd))]
     for schedule, ham, c_ops, lift in cases:
         ts = np.array([0.0, 0.37 * schedule.tau, schedule.tau])
@@ -444,7 +445,7 @@ def _cavity_open_system(gate, tau):
     _, ham = twoqubit._selective_drive(gate, "sr-nhqc", tau, 0.0, params)
     c_ops = [qmath.tensor(np.eye(params.n_fock), c)
              for c in model.collapse_operators(NoiseModel.from_coherence_times())]
-    return ham, c_ops + twoqubit.CavityNoise().collapse_operators(params.n_fock)
+    return ham, c_ops + cavity_collapse_operators(twoqubit.CavityNoise(), params.n_fock)
 
 
 def _reduced_and_full_runs(gate, seed=0):
@@ -485,6 +486,28 @@ def test_reduced_cnot_run_matches_full_support_run(theta, phi, gamma):
     (pops, reduced), (full_pops, full) = _reduced_and_full_runs(GateSpec(theta, phi, gamma))
     assert np.max(np.abs(full_pops[:, :2] - pops)) <= 1e-15
     assert np.max(np.abs(full[:2] - reduced)) <= 1e-15
+
+
+# Fewer columns than integrated entries: one |f> column on the qutrit
+# (9 entries) and the CNOT's |0f> and |2g> on the cavity (27 entries).
+# The chain propagates the identity columns and applies rho0's after.
+def test_few_columns_run_on_the_chain_and_match_stage_loop(monkeypatch):
+    chained, chain = [], evolve._chain
+    monkeypatch.setattr(evolve, "_chain", lambda *args: chained.append(1) or chain(*args))
+    ham_2q, c_ops_2q = _cavity_open_system(GATE, 13.8)
+    rho_2q = np.zeros((2, 12, 12), dtype=complex)
+    rho_2q[[0, 1], [2, 6], [2, 6]] = 1.0
+    cases = [(ham_2q, c_ops_2q, 13.8, 0.69, rho_2q),
+             (evolve.schedule_hamiltonian(SCHEDULE),
+              model.collapse_operators(NoiseModel.from_coherence_times()), SCHEDULE.tau,
+              SCHEDULE.tau / (evolve.STEP_BLOCK + 1), qmath.projector(model.KET_F)[None])]
+    for ham, c_ops, tau, step, rho0 in cases:
+        chained.clear()
+        _, populations, finals = evolve.propagate_lindblad_h(ham, c_ops, tau, step, rho0)
+        _, ref_states = lindblad_stage_loop(ham, c_ops, tau, step, rho0)
+        assert chained
+        assert np.max(np.abs(populations - np.einsum("nmii->nmi", ref_states).real)) < 1e-13
+        assert np.max(np.abs(finals - ref_states[-1])) < 1e-13
 
 
 def test_invariant_blocks_of_cavity_and_qutrit():

@@ -168,3 +168,16 @@ def test_batched_sequences_match_per_sequence_loop(noisy_factory, interleaved, w
     mean_pg, std_pg = rb_per_sequence(noisy_factory, **kwargs)
     assert np.array_equal(res.mean_pg, mean_pg)
     assert np.array_equal(res.std_pg, std_pg)
+
+
+def test_fit_lands_on_the_optimum_to_round_off(rb_noisy_reference):
+    # curve_fit alone stops up to about 1e-7 short of the least-squares
+    # optimum, so 1e-13 of round-off in the survival probabilities moved
+    # A, p and B by up to about 2e-9.
+    res = rb_noisy_reference
+    fit = rb._fit_decay(res.m_values, res.mean_pg)
+    assert np.array_equal(fit, [res.amplitude, res.p, res.offset])
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        jitter = 1e-13 * rng.normal(size=len(res.m_values))
+        assert np.max(np.abs(rb._fit_decay(res.m_values, res.mean_pg + jitter) - fit)) < 1e-11

@@ -1,13 +1,15 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from holonomy_lab import evolve, qmath, twoqubit
-from holonomy_lab.model import DispersiveSystemParams
+from holonomy_lab import evolve, model, qmath, twoqubit
+from holonomy_lab.model import DispersiveSystemParams, NoiseModel
 from holonomy_lab.pulses import GateSpec, PulseSchedule
 from holonomy_lab.twoqubit import CNOT_GATE, state_index
-from reference import cnot_robustness_per_error
+from reference import (cavity_collapse_operators, cnot_robustness_per_error,
+                       cnot_state_fidelity_full)
 
 
 def _quiet_gate(*args, **kwargs):
@@ -121,7 +123,7 @@ def test_two_qubit_commands_reject_the_dynamical_scheme():
 
 
 def test_cavity_noise_operators():
-    ops = twoqubit.CavityNoise().collapse_operators(4)
+    ops = cavity_collapse_operators(twoqubit.CavityNoise(), 4)
     assert len(ops) == 2
     for c in ops:
         assert c.shape == (12, 12)
@@ -168,4 +170,48 @@ def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
 
 
 def test_cnot_state_fidelity_is_pinned():
-    assert abs(twoqubit.cnot_state_fidelity() - 0.9509618050577504) <= 1e-15
+    assert abs(twoqubit.cnot_state_fidelity() - 0.950961805057732) <= 1e-15
+
+
+# The two Fock-block qutrit runs against one RK4 stage-loop run of |0f>
+# and |2g> on the whole Fock (x) qutrit space with every collapse
+# operator, cavity dephasing included.  The gaps are 8e-15 to 2e-13.
+@pytest.mark.parametrize("scheme, epsilon, cavity", [
+    ("sr-nhqc", 0.0, None), ("nhqc", 0.0, None), ("sr-nhqc", 0.05, None),
+    ("sr-nhqc", 0.0, twoqubit.CavityNoise(20.0, 15.0))],
+    ids=["sr-nhqc", "nhqc", "epsilon-0.05", "cavity-20-15us"])
+def test_cnot_state_fidelity_matches_the_full_space_run(scheme, epsilon, cavity):
+    blocks = twoqubit.cnot_state_fidelity(
+        transmon_noise=NoiseModel.from_coherence_times(epsilon=epsilon),
+        cavity_noise=cavity, scheme=scheme)
+    assert abs(blocks - cnot_state_fidelity_full(scheme, epsilon, cavity)) <= 1e-12
+
+
+def test_cnot_state_fidelity_is_two_qutrit_channel_runs(monkeypatch):
+    runs, real = [], evolve.propagate_lindblad_h
+
+    def recorded(ham, c_ops, tau, step, rho0):
+        runs.append((ham.h0, rho0.shape))
+        return real(ham, c_ops, tau, step, rho0)
+
+    monkeypatch.setattr(evolve, "propagate_lindblad_h", recorded)
+    twoqubit.cnot_state_fidelity(tau=13.8, step=0.69)
+    shift = np.diag(model.dispersive_shift_hamiltonian(DispersiveSystemParams.from_mhz()))
+    assert [shape for _, shape in runs] == [(9, 3, 3), (9, 3, 3)]
+    assert np.array_equal(runs[0][0], np.zeros((3, 3)))
+    assert np.array_equal(runs[1][0], np.diag(shift[6:9]))
+
+
+# One default call peaks at 4.0 MB, mostly the kept diagonal rows and
+# the populations of a 5 520-step run; the stage loop on the full space
+# peaked at 3.3 MB.  A stack of one run's 9x9 step maps would take 7.2 MB
+# on its own.
+def test_cnot_state_fidelity_holds_no_map_per_step():
+    twoqubit.cnot_state_fidelity()
+    tracemalloc.start()
+    try:
+        twoqubit.cnot_state_fidelity()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6
