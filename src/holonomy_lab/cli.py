@@ -111,6 +111,8 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     rows = holonomy.robustness_sweep(_gate_from(cfg, args), cfg.scheme,
                                      np.linspace(args.eps_min, args.eps_max, args.points),
                                      cfg.step_1q_ns, cfg.tau_ns(cfg.scheme))
@@ -180,10 +182,11 @@ def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
         payload["cnot_state_fidelity"] = twoqubit.cnot_state_fidelity(
             params, cfg.noise_model(), cavity, scheme=scheme, tau=tau,
             step=cfg.step_2q_ns)
-    pg0 = next(r.p_g for r in rows if r.epsilon == 0.0) if 0.0 in grid else rows[0].p_g
+    # P_g at epsilon = 0, or at the first grid point if 0 is not on the grid.
+    row = next((r for r in rows if r.epsilon == 0.0), rows[0])
     return ({"cnot_robustness.csv": twoqubit.robustness_to_csv(rows),
              "twoqubit.json": _json_body(payload)},
-            f"P_g(eps=0) {pg0:.6f}" + _to(cfg, "twoqubit.json"))
+            f"P_g(eps={row.epsilon:g}) {row.p_g:.6f}" + _to(cfg, "twoqubit.json"))
 
 
 def cmd_budget(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:

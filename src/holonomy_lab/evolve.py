@@ -1,22 +1,26 @@
 """Time-ordered propagation of pulse schedules.
 
 Every Hamiltonian here is drive-linear: H(t) = H0 + a(t) A + conj(a(t)) A^dag
-with a = Omega e^{i phi1}, A = 1/2 |b><e| (times the Fock identity on the
-cavity) and H0 zero on the qutrit or the dispersive shift with the cavity.
+with a = Omega e^{i phi1}, A = 1/2 |b><e| and H0 zero on the qutrit or,
+with the cavity, the dispersive shift of each Fock block.  The
+two-qubit gate is photon-number selective: Fock block n evolves as the
+driven qutrit with its own detuning, so its H0 is a stack (n_fock, 3, 3)
+and the blocks are one more batch axis of the closed propagation.
 A schedule fixes its own H(t): |b> is the bright state of its gate's
 (theta, phi) frame, so schedule_hamiltonian needs nothing else.
 Each propagation samples a(t) on its whole time grid in one call.
 Closed-system evolution composes midpoint steps exp(-i s H(t+dt/2) dt)
-= sum_j exp(-i s w_j dt) P_j, at one or many scales s, from one stacked
-eigendecomposition and its spectral projectors P_j.  Steps with the same
-drive sample share one eigendecomposition: the default cavity gate has
-1 697 distinct samples among its 5 520 steps, because its six segments
-share one envelope and two phases.
+= sum_j exp(-i s w_j dt) P_j, at one or many scales s and for every
+block, from one stacked eigendecomposition and its spectral projectors
+P_j.  Steps with the same drive sample share one eigendecomposition:
+the default cavity gate has 1 697 distinct samples among its 5 520
+steps, because its six segments share one envelope and two phases.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
-equation for a stack of m initial states; its generator
+equation of the qutrit, always as the channel: the nine basis matrices
+|i><j| are the columns of one run.  Its generator
 L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix.
-A run returns what its callers read: every state's populations at
-every grid time and the final states, never the whole history.
+A run returns what its callers read: every column's populations at
+every grid time and the final images, never the whole history.
 
 One chain, _chain, multiplies the step maps of both: the closed step
 exponentials and the RK4 step maps M_k.  Chunks of at most STEP_BLOCK
@@ -27,24 +31,14 @@ n.  The chain's stacks keep the matrix axes first and the batch axes
 over the whole batch, because numpy's batched matmul spends about
 0.43 us per small complex product, 4-5x more; larger maps go through
 matmul, and a product with one matrix for the whole batch through one
-GEMM.  RK4 has one path: a run with fewer columns than integrated
-entries (m < r) chains the r identity columns and applies its own
-columns after.  A step map costs r^3 work against m r^2 for the four
-stages of the plain RK4 loop, but the loop makes a Python-level product
-per stage and step.  The open-system CNOT fidelity runs as two 9x9
-qutrit channels (twoqubit.cnot_state_fidelity), so no program path has
-m < r.  Measured on 2 CPUs: a default 1Q channel (r = m = 9, 2 400
-steps) takes 24-31 ms, and the CNOT fidelity 0.10-0.14 s against
-0.34-0.42 s for the stage loop on its 27 entries (r = 27, m = 2, 5 520
-steps).
-
-Both propagators integrate only what the operators couple, read off
-their sparsity pattern.  The closed one splits H into the index blocks
-that H0, A and A^dag never connect (the Fock blocks of the cavity, one
-block on the qutrit) and propagates them side by side; the open one
-keeps the entries of vec(rho) that the generator can reach from the
-support of the initial states, and every other entry stays exactly 0.
-The reduction is exact: it drops only products with zeros.
+GEMM.  A 9x9 RK4 step map costs about the arithmetic of the four
+stages of the plain RK4 loop on the nine columns, but the loop makes a
+Python-level product per stage and step.  The open-system CNOT fidelity
+runs as two qutrit channels, of Fock blocks 0 and 2
+(twoqubit.cnot_state_fidelity).  Measured on 2 CPUs: a default 1Q
+channel (2 400 steps) takes 24-31 ms, and the CNOT fidelity 0.10-0.14 s
+against 0.34-0.42 s for the stage loop on the 27 entries of vec(rho)
+that the two runs fill on the whole cavity space (5 520 steps).
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -104,7 +98,7 @@ class DrivenHamiltonian:
         return omega * np.exp(1j * phi1)
 
     def hamiltonians(self, times: np.ndarray) -> np.ndarray:
-        """Stack of H(t) (len(times) x d x d)."""
+        """Stack of H(t), (len(times),) + h0.shape."""
         return self.at_coefficient(self.coefficient(times))
 
     def at_coefficient(self, a: np.ndarray) -> np.ndarray:
@@ -132,33 +126,6 @@ def _time_grid(tau: float, step: float) -> np.ndarray:
         raise ValueError(f"tau ({tau}) and step ({step}) must be finite and positive")
     n = max(1, int(np.ceil(tau / step - 1e-12)))
     return np.linspace(0.0, tau, n + 1)
-
-
-def _reachable(pattern: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Boolean mask of the indices reachable from mask, where index i
-    reads index j if pattern[i, j]."""
-    size = -1
-    while mask.sum() > size:
-        size = mask.sum()
-        mask = mask | (pattern @ mask)
-    return mask
-
-
-def invariant_blocks(ham: DrivenHamiltonian) -> list[np.ndarray]:
-    """Index sets that H0, A and A^dag never couple, grouped by size.
-
-    One (blocks, size) index array per block size, each block in
-    ascending index order; H(t) is block diagonal on them at every t.
-    """
-    coupled = (ham.h0 != 0) | (ham.a_op != 0)
-    pattern = coupled | coupled.T
-    free = np.ones(len(pattern), dtype=bool)
-    groups: dict[int, list[np.ndarray]] = {}
-    while free.any():
-        block = np.flatnonzero(_reachable(pattern, np.arange(len(free)) == free.argmax()))
-        groups.setdefault(len(block), []).append(block)
-        free[block] = False
-    return [np.array(blocks) for blocks in groups.values()]
 
 
 def _step_exponentials(w: np.ndarray, proj: np.ndarray, scales: np.ndarray,
@@ -232,49 +199,51 @@ def _chain(step: Callable[[np.ndarray], np.ndarray], n: int, y0: np.ndarray,
 
 def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
                      scales: np.ndarray, prefixes: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(times, U): U_s(t_k, 0) of s H(t), (steps + 1, scales, d, d), with
-    prefixes, else only U_s(tau, 0), (scales, d, d).
+    """(times, U): U_s(t_k, 0) of s H(t), (steps + 1, scales) + h0.shape,
+    with prefixes, else only U_s(tau, 0), (scales,) + h0.shape.
 
-    Steps with the same drive sample a(t_mid) share one
-    eigendecomposition and one set of projectors: the default cavity
-    gate has 1 697 distinct samples among its 5 520 steps.  _chain
-    multiplies the step exponentials, built per chain position from each
-    step's sample.  Every array of the chain is (size, size, chunks,
-    blocks, scales): the matrix axes first and the batch axes last, so
-    each 3x3 product is one plain einsum over the whole contiguous batch.
+    A stack of blocks h0 (..., size, size), such as the Fock blocks of
+    the cavity gate, is a batch axis of the chain: its blocks propagate
+    side by side, each one on its own.  Steps with the same drive sample
+    a(t_mid) share one eigendecomposition and one set of projectors: the
+    default cavity gate has 1 697 distinct samples among its 5 520 steps.
+    _chain multiplies the step exponentials, built per chain position
+    from each step's sample.  Every array of the chain is (size, size,
+    chunks, blocks, scales): the matrix axes first and the batch axes
+    last, so each 3x3 product is one plain einsum over the whole
+    contiguous batch.
     """
     times = _time_grid(tau, step)
-    n, dt, dim = len(times) - 1, times[1] - times[0], ham.h0.shape[-1]
+    n, dt, size = len(times) - 1, times[1] - times[0], ham.h0.shape[-1]
     # which[k] is the drive sample of step k.
     a, which = np.unique(ham.coefficient(0.5 * (times[:-1] + times[1:])), return_inverse=True)
-    out = np.zeros(((n + 1,) if prefixes else ()) + (len(scales), dim, dim), dtype=complex)
+    # H at each sample on every block is v diag(w) v^dag.
+    h = ham.at_coefficient(a)
+    w, v = np.linalg.eigh(h.reshape(-1, size, size))
+    # Batch last and C-contiguous, or np.take copies them at every position:
+    # w (size, samples, blocks) and vt[j, i] = v_ij.
+    w = w.reshape(len(a), -1, size).transpose(2, 0, 1).copy()
+    vt = v.reshape(len(a), -1, size, size).transpose(3, 2, 0, 1).copy()
+    proj = vt[:, :, None] * vt.conj()[:, None, :]
+    blocks = w.shape[-1]
+
+    def step_maps(k: np.ndarray) -> np.ndarray:
+        return _step_exponentials(np.take(w, which[k], axis=1),
+                                  np.take(proj, which[k], axis=3), scales, dt)
+
+    eye = np.broadcast_to(np.eye(size)[..., None, None], (size, size, blocks, len(scales)))
+    final, kept = _chain(step_maps, n, eye, np.arange(size if prefixes else 0))
+    # (size, size, [chunks, length,] blocks, scales) -> ([steps,] scales, blocks,
+    # size, size)
+    out = np.empty(((n + 1,) if prefixes else ()) + (len(scales), blocks, size, size),
+                   dtype=complex)
     if prefixes:
-        out[0] = np.eye(dim)
-    for idx in invariant_blocks(ham):
-        (blocks, size), rows, cols = idx.shape, idx[:, :, None], idx[:, None, :]
-        block = DrivenHamiltonian(ham.h0[rows, cols], ham.a_op[rows, cols], ham.drive)
-        # H at each sample on the blocks is v diag(w) v^dag.
-        w, v = np.linalg.eigh(block.at_coefficient(a).reshape(-1, size, size))
-        # Batch last and C-contiguous, or np.take copies them at every position:
-        # w (size, samples, blocks) and vt[j, i] = v_ij.
-        w = w.reshape(len(a), blocks, size).transpose(2, 0, 1).copy()
-        vt = v.reshape(len(a), blocks, size, size).transpose(3, 2, 0, 1).copy()
-        proj = vt[:, :, None] * vt.conj()[:, None, :]
-
-        def step_maps(k: np.ndarray) -> np.ndarray:
-            return _step_exponentials(np.take(w, which[k], axis=1),
-                                      np.take(proj, which[k], axis=3), scales, dt)
-
-        eye = np.broadcast_to(np.eye(size)[..., None, None], (size, size, blocks, len(scales)))
-        final, kept = _chain(step_maps, n, eye, np.arange(size if prefixes else 0))
-        # (size, size, [chunks, length,] blocks, scales) -> ([chunks, length,] scales,
-        # blocks, size, size)
-        if prefixes:
-            steps = kept.transpose(2, 3, 5, 4, 0, 1)
-            out[1:, ..., rows, cols] = steps.reshape(-1, *steps.shape[2:])[:n]
-        else:
-            out[..., rows, cols] = final.transpose(3, 2, 0, 1)
-    return times, out
+        out[0] = np.eye(size)
+        steps = kept.transpose(2, 3, 5, 4, 0, 1)
+        out[1:] = steps.reshape(-1, *steps.shape[2:])[:n]
+    else:
+        out[:] = final.transpose(3, 2, 0, 1)
+    return times, out.reshape(out.shape[:-3] + h.shape[1:])
 
 
 def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
@@ -282,9 +251,9 @@ def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
     """Piecewise-exponential propagators U(t_k, 0) on a uniform grid.
 
     Each step uses exp(-i H(t_mid) dt) built from a batched
-    eigendecomposition, so every factor is unitary to round-off.  The
-    invariant blocks of H are propagated side by side and assembled
-    into the block-diagonal U.
+    eigendecomposition, so every factor is unitary to round-off.  A
+    stack of blocks h0 gives a stack of propagators, (steps + 1,) +
+    h0.shape.
     """
     times, unitaries = _closed_products(ham, tau, step, np.ones(1), prefixes=True)
     return times, unitaries[:, 0]
@@ -301,6 +270,7 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
     scales=(1.0,) gives the last unitary of propagate_unitary_h bit for
     bit, for any H0.
 
+    finals is (scales,) + h0.shape.
     s H(t) is a Rabi error s = 1 + epsilon only where H0 = 0: for
     schedule_hamiltonian, and so for the n = 0 Fock block of the cavity
     gate (twoqubit.cnot_robustness).  On the other Fock blocks H0 is the
@@ -383,42 +353,32 @@ def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray,
 
 
 def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
-                         tau: float, step: float, rho0: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Populations and final states of a stack of initial states rho0 (m x d x d).
+                         tau: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Populations and final states of the d^2 basis matrices |i><j|: the channel.
 
-    Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every initial
-    state as one column.  Only the r entries of vec(rho) that the union
-    pattern of the generator blocks reaches from the support of rho0 are
-    integrated; the others stay exactly 0, because no reachable row
-    reads them.  The drive coefficient is sampled once at the grid
+    Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every basis
+    matrix as one column; column d i + j is |i><j|, so the columns start
+    as the identity.  The drive coefficient is sampled once at the grid
     points and step midpoints.  Every step's RK4 map comes from
-    _rk4_step_maps, r^3 work per step, and _chain multiplies them,
+    _rk4_step_maps, d^6 work per step, and _chain multiplies them,
     keeping only the diagonal rows of every prefix.  The chain asks for
     one step per chunk at each position in turn; the maps of the next
     positions are built with them, about STEP_BLOCK / 2 at a time into
-    one reused buffer, so no run holds a map per step.  With m >= r
-    columns (a channel) the chain starts from rho0; with fewer it
-    propagates the r identity columns and applies rho0's columns to the
-    kept rows and the final.
+    one reused buffer, so no run holds a map per step.
     Returns (times, populations, finals): the real diagonals of every
-    state at every grid time, (len(times), m, d), and the states at tau,
-    (m, d, d); no run keeps the off-diagonals of its history.
-    Raises if any state's trace drifts from its initial value beyond
+    column at every grid time, (len(times), d^2, d), and the images at
+    tau, (d^2, d, d); for the qutrit (n + 1, 9, 3) and (9, 3, 3).  No run
+    keeps the off-diagonals of its history.
+    Raises if any column's trace drifts from its initial value beyond
     TRACE_DRIFT_LIMIT or is not finite.
     """
     times = _time_grid(tau, step)
     n = len(times) - 1
-    m, dim = rho0.shape[0], rho0.shape[-1]
-    blocks = lindblad_generator(ham, c_ops).reshape(3, dim * dim, dim * dim)
-    vec0 = rho0.reshape(m, dim * dim)
-    live = np.flatnonzero(_reachable((blocks != 0).any(axis=0), (vec0 != 0).any(axis=0)))
-    r = len(live)
-    gen = blocks[:, live[:, None], live].reshape(3 * r, r)
-    # Integrated rows diag are the rho_ii of the reachable levels; the
-    # populations of the other levels stay 0.
-    level = np.flatnonzero(np.isin(np.arange(dim) * (dim + 1), live))
-    diag = np.searchsorted(live, level * (dim + 1))
+    dim = ham.h0.shape[-1]
+    r = dim * dim
+    gen = lindblad_generator(ham, c_ops)
+    # The rows of vec(rho) that hold the populations rho_ii.
+    diag = np.arange(dim) * (dim + 1)
     dt = np.diff(times)
     a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
     maps = None
@@ -441,18 +401,15 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
             maps = _rk4_step_maps(gen, a[np.concatenate([grid, ks + n + 1], 1)], dt[ks], maps)
         return maps[:, j].transpose(1, 2, 0)
 
-    cols = vec0[:, live].T.astype(complex)
-    y, kept = _chain(step_maps, n, cols if m >= r else np.eye(r, dtype=complex), diag)
+    y, kept = _chain(step_maps, n, np.eye(r, dtype=complex), diag)
     # The map buffer and the drive samples go before the populations
     # come, and the kept rows before the drift check's temporaries, for
     # the same trim threshold.
     del step_maps, maps, a
-    y, kept = (y @ cols, np.einsum("drcl,rm->dmcl", kept, cols)) if m < r else (y, kept)
-    populations = np.zeros((n + 1, m, dim))
-    populations[0] = np.einsum("mii->mi", rho0).real
-    populations[1:, :, level] = kept.real.transpose(2, 3, 1, 0).reshape(-1, m, len(diag))[:n]
-    finals = np.zeros((m, dim * dim), dtype=complex)
-    finals[:, live] = y.T
+    populations = np.zeros((n + 1, r, dim))
+    populations[0] = np.eye(r)[:, diag]
+    populations[1:] = kept.real.transpose(2, 3, 1, 0).reshape(-1, r, dim)[:n]
+    finals = np.ascontiguousarray(y.T).reshape(r, dim, dim)
 
     del kept
     traces = np.einsum("nmi->nm", populations)
@@ -460,7 +417,7 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     if not drift <= TRACE_DRIFT_LIMIT:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
                            "reduce the integration step")
-    return times, populations, finals.reshape(m, dim, dim)
+    return times, populations, finals
 
 
 def _open_system(schedule: PulseSchedule, noise: Optional[NoiseModel]
@@ -486,8 +443,7 @@ def propagate_superoperator(schedule: PulseSchedule, noise: Optional[NoiseModel]
     trace drift cannot reveal when the step is too coarse.
     """
     ham, c_ops = _open_system(schedule, noise)
-    basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    times, populations, finals = propagate_lindblad_h(ham, c_ops, schedule.tau, step, basis)
+    times, populations, finals = propagate_lindblad_h(ham, c_ops, schedule.tau, step)
     # Choi matrix sum_ij |i><j| kron E(|i><j|); finals[3i+j] is E(|i><j|).
     choi = finals.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     choi_min = np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[0]

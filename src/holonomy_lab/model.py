@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qmath
 from .pulses import rabi_scale
 
 G, E, F = 0, 1, 2
@@ -170,11 +169,11 @@ class DispersiveSystemParams:
 
 
 def dispersive_shift_hamiltonian(p: DispersiveSystemParams) -> np.ndarray:
-    """Diagonal part -chi_ge |e><e| n - (chi_ge+chi_ef) |f><f| n.
+    """Fock blocks -chi_ge n |e><e| - (chi_ge+chi_ef) n |f><f|, (n_fock, 3, 3).
 
-    Composite index is n*3 + level, i.e. Fock (x) qutrit.  Zero on the
-    n = 0 block, where the drives are resonant.
+    Block n is the qutrit H0 of cavity photon number n: the dispersive
+    shift is diagonal in n, so the cavity never couples two blocks.  Zero
+    on the n = 0 block, where the drives are resonant.
     """
-    n_op = np.diag(np.arange(p.n_fock, dtype=float))
     shift = np.diag([0.0, -p.chi_ge, -(p.chi_ge + p.chi_ef)])
-    return qmath.tensor(n_op, shift).astype(complex)
+    return (np.arange(p.n_fock, dtype=float)[:, None, None] * shift).astype(complex)

@@ -5,7 +5,10 @@ The composite space is Fock(N) (x) qutrit with index n*3 + level, so
 drives resonant with the n = 0 block realize U1(theta, phi, gamma) on
 {|0g>, |0f>} while the dispersive shift detunes every other Fock block,
 leaving |2g>, |2f> ideally untouched: a controlled gate on the
-{|0g>, |0f>, |2g>, |2f>} subspace.
+{|0g>, |0f>, |2g>, |2f>} subspace.  Neither the drive nor the shift
+changes the photon number, so the Hamiltonian is the stack of its
+(n_fock, 3, 3) Fock blocks, each the driven qutrit with its own
+detuning, and the gate propagates them side by side.
 
 The robustness grid starts in |0f>, which never leaves the n = 0 block;
 there the dispersive shift is zero, so the grid is one scaled
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,18 +70,16 @@ def _two_qubit_schedule(gate: GateSpec, scheme: str, tau: Optional[float]) -> Pu
 def _selective_drive(gate: GateSpec, scheme: str, tau: Optional[float],
                      epsilon: float, params: DispersiveSystemParams
                      ) -> tuple[PulseSchedule, evolve.DrivenHamiltonian]:
-    """(schedule, Hamiltonian on the full space) of the two-qubit gate.
+    """(schedule, Fock-block Hamiltonian) of the two-qubit gate.
 
-    H0 is the dispersive shift and the schedule's qutrit drive acts on
-    every Fock block.
+    H0 is the stack of dispersive shifts, (n_fock, 3, 3), and the
+    schedule's qutrit drive acts on every Fock block alike.
     """
     schedule = _two_qubit_schedule(gate, scheme, tau)
     if epsilon != 0.0:
         schedule = apply_rabi_error(schedule, epsilon)
-    a_op = evolve.schedule_hamiltonian(schedule).a_op
-    return schedule, evolve.DrivenHamiltonian(
-        model.dispersive_shift_hamiltonian(params),
-        qmath.tensor(np.eye(params.n_fock), a_op), schedule.drive)
+    return schedule, replace(evolve.schedule_hamiltonian(schedule),
+                             h0=model.dispersive_shift_hamiltonian(params))
 
 
 def zz_frame_correction(params: DispersiveSystemParams, tau: float) -> np.ndarray:
@@ -88,7 +89,7 @@ def zz_frame_correction(params: DispersiveSystemParams, tau: float) -> np.ndarra
     Fock-block phases so the ideal gate reads diag(U1, I).
     """
     h = model.dispersive_shift_hamiltonian(params)
-    return np.diag(np.exp(1j * np.diag(h) * tau))
+    return np.diag(np.exp(1j * np.diagonal(h, axis1=1, axis2=2).reshape(-1) * tau))
 
 
 def calibration_phase_correction(u_zz_removed: np.ndarray, gamma: float,
@@ -138,7 +139,12 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     """
     params = DispersiveSystemParams.from_mhz() if params is None else params
     schedule, ham = _selective_drive(gate, scheme, tau, 0.0, params)
-    u = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))[1][0]
+    blocks = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))[1][0]
+    # The Fock blocks on the diagonal of the full-space gate, index n*3 + level.
+    fock = np.arange(params.n_fock)
+    u = np.zeros((params.n_fock, 3, params.n_fock, 3), dtype=complex)
+    u[fock, :, fock] = blocks
+    u = u.reshape(3 * params.n_fock, 3 * params.n_fock)
     corrected = zz_frame_correction(params, schedule.tau) @ u
     corrected = calibration_phase_correction(corrected, gate.gamma,
                                              params.n_fock) @ corrected
@@ -254,8 +260,7 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     dephasing (n rho n - {n^2, rho}/2 = 0), and cavity decay -n g1 rho,
     fed only from block n + 1, which stays empty.  So the block is
     exp(-n g1 tau) times the qutrit Lindblad run of that H0, exactly.
-    Each run passes the nine basis matrices as columns and reads one
-    final entry.
+    Each run is the qutrit channel, of which it reads one final entry.
     """
     params = DispersiveSystemParams.from_mhz() if params is None else params
     if transmon_noise is None:
@@ -266,14 +271,12 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     sampled = functools.cache(lambda key: schedule.drive(np.frombuffer(key)))
     drive = lambda t: sampled(t.tobytes())
     c_ops = model.collapse_operators(transmon_noise)
-    basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
     g1 = 1.0 / (cavity_noise.t1_us * model.US_TO_NS)  # the rate of sqrt(g1) a
 
     def transfer(n: int, start: int, goal: int) -> float:
         """P(|n, goal>) at tau from |n, start>: Fock block n as a qutrit run."""
-        block = slice(3 * n, 3 * n + 3)
-        qutrit = evolve.DrivenHamiltonian(ham.h0[block, block], ham.a_op[block, block], drive)
-        finals = evolve.propagate_lindblad_h(qutrit, c_ops, schedule.tau, step, basis)[2]
+        qutrit = evolve.DrivenHamiltonian(ham.h0[n], ham.a_op, drive)
+        finals = evolve.propagate_lindblad_h(qutrit, c_ops, schedule.tau, step)[2]
         # finals[3 i + j] is the image of |i><j|.
         return finals[4 * start, goal, goal].real * np.exp(-n * g1 * schedule.tau)
 

@@ -7,7 +7,8 @@ the D_mn integrands the way a populations-only experiment measures
 them, so that the tests compare two independent derivations.  They also
 keep the plain loops that batched package code replaces: the per-step
 product chain of the closed propagator, the per-step RK4 stage loop of
-the Lindblad equation, the per-pair Clifford matching, the
+the Lindblad equation on the entries of vec(rho) that a stack of
+initial states reaches, the per-pair Clifford matching, the
 per-sequence RB loop and the per-pair QPT loop with the clip-and-rescale
 projection it once used; nearest_density_eigenvalues is the PSD
 projection of Smolin, Gambetta and Smith written out step by step.
@@ -17,7 +18,9 @@ whole cavity gate once per Rabi error, the path the one scaled
 propagation of the n = 0 Fock block replaces, and
 cnot_state_fidelity_full runs the open-system CNOT on the whole cavity
 space with the cavity collapse operators, the run the two Fock-block
-qutrit runs replace.  The *_to_csv writers format every value on its
+qutrit runs replace.  Both build the dense 3N x 3N Hamiltonian of the
+Fock-block stack (full_space_hamiltonian), which the package never
+builds.  The *_to_csv writers format every value on its
 own and write the cells through csv.writer, the path the package's
 one-format-per-row writer replaces.
 """
@@ -58,9 +61,22 @@ def dispersive_hamiltonian(p: model.DispersiveSystemParams,
                            h_drive: np.ndarray) -> np.ndarray:
     """Full 3N x 3N Hamiltonian: dispersive diagonal + drive on every Fock block.
 
-    A stack of qutrit drives (..., 3, 3) gives a stack (..., 3N, 3N).
+    The diagonal is -chi_ge n |e><e| - (chi_ge + chi_ef) n |f><f| on
+    Fock (x) qutrit.  A stack of qutrit drives (..., 3, 3) gives a stack
+    (..., 3N, 3N).
     """
-    return model.dispersive_shift_hamiltonian(p) + qmath.tensor(np.eye(p.n_fock), h_drive)
+    shift = np.diag([0.0, -p.chi_ge, -(p.chi_ge + p.chi_ef)])
+    n_op = np.diag(np.arange(p.n_fock, dtype=float))
+    return qmath.tensor(n_op, shift) + qmath.tensor(np.eye(p.n_fock), h_drive)
+
+
+def full_space_hamiltonian(ham):
+    """The 3N x 3N DrivenHamiltonian of a stack of Fock blocks (N, 3, 3):
+    the blocks of H0 on the diagonal, index n*3 + level, and the qutrit
+    drive A on every block."""
+    n_fock = len(ham.h0)
+    return evolve.DrivenHamiltonian(scipy.linalg.block_diag(*ham.h0),
+                                    qmath.tensor(np.eye(n_fock), ham.a_op), ham.drive)
 
 
 def reconstructed_phase_integrands(schedule, step: float = DEFAULT_STEP_1Q):
@@ -94,33 +110,31 @@ def reconstructed_phase_integrands(schedule, step: float = DEFAULT_STEP_1Q):
 def sequential_unitaries(ham, tau: float, step: float):
     """(times, unitaries) of evolve.propagate_unitary_h, one product per step.
 
-    On every invariant block, each step is v exp(-i w dt) v^dag from the
-    eigendecomposition of H(t_mid), and U(t_k+1, 0) = exp(-i H dt) U(t_k, 0).
+    Each step is v exp(-i w dt) v^dag from the eigendecomposition of
+    H(t_mid) on every block of h0's batch axes, and U(t_k+1, 0) =
+    exp(-i H dt) U(t_k, 0): (steps + 1,) + h0.shape.
     """
     times = evolve._time_grid(tau, step)
-    dt, dim = times[1] - times[0], ham.h0.shape[-1]
-    a = ham.coefficient(0.5 * (times[:-1] + times[1:]))
-    unitaries = np.zeros((len(times), dim, dim), dtype=complex)
-    for idx in evolve.invariant_blocks(ham):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        h = evolve.DrivenHamiltonian(ham.h0[rows, cols], ham.a_op[rows, cols],
-                                     ham.drive).at_coefficient(a)
-        w, v = np.linalg.eigh(h)
-        steps = np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * dt), v.conj())
-        chain = np.empty((len(times), *v.shape[1:]), dtype=complex)
-        chain[0] = np.eye(idx.shape[1])
-        for k in range(len(steps)):
-            chain[k + 1] = steps[k] @ chain[k]
-        unitaries[:, rows, cols] = chain
+    dt = times[1] - times[0]
+    w, v = np.linalg.eigh(ham.hamiltonians(0.5 * (times[:-1] + times[1:])))
+    steps = np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * dt), v.conj())
+    unitaries = np.empty((len(times), *v.shape[1:]), dtype=complex)
+    unitaries[0] = np.eye(v.shape[-1])
+    for k in range(len(steps)):
+        unitaries[k + 1] = steps[k] @ unitaries[k]
     return times, unitaries
 
 
 def lindblad_stage_loop(ham, c_ops, tau: float, step: float, rho0: np.ndarray):
-    """(times, states) of evolve.propagate_lindblad_h from four RK4 stages per step.
+    """(times, states) of a stack of initial states rho0 (m x d x d) from
+    four RK4 stages per step: evolve.propagate_lindblad_h when rho0 is
+    the basis of |i><j|.
 
-    Each stage is one product with the stacked generator, restricted to
-    the reachable entries, and one weighted sum of its blocks, whatever
-    the number of columns.
+    Only the r entries of vec(rho) that the union pattern of the
+    generator blocks reaches from the support of rho0 are integrated;
+    the others stay exactly 0, because no reachable row reads them.  Each
+    stage is one product with the stacked generator on those entries and
+    one weighted sum of its blocks.
     """
     times = evolve._time_grid(tau, step)
     n = len(times) - 1
@@ -128,8 +142,11 @@ def lindblad_stage_loop(ham, c_ops, tau: float, step: float, rho0: np.ndarray):
     blocks = evolve.lindblad_generator(ham, c_ops).reshape(3, dim * dim, dim * dim)
     out = np.zeros((n + 1, m, dim * dim), dtype=complex)
     out[0] = rho0.reshape(m, dim * dim)
-    live = np.flatnonzero(evolve._reachable((blocks != 0).any(axis=0),
-                                            (out[0] != 0).any(axis=0)))
+    pattern, mask, size = (blocks != 0).any(axis=0), (out[0] != 0).any(axis=0), -1
+    while mask.sum() > size:
+        size = mask.sum()
+        mask = mask | (pattern @ mask)
+    live = np.flatnonzero(mask)
     r = len(live)
     gen = blocks[:, live[:, None], live].reshape(3 * r, r)
     dt = np.diff(times)
@@ -312,15 +329,17 @@ def cnot_robustness_per_error(epsilons, scheme: str, tau=None,
                               step: float = DEFAULT_STEP_2Q) -> np.ndarray:
     """(P_g, P_e, P_f) rows of twoqubit.cnot_robustness, one 12x12 gate per error.
 
-    Each row propagates the full dispersive Hamiltonian with the drive
-    scaled by 1 + epsilon and traces the |0f> column over the cavity.
+    Each row propagates the full-space dispersive Hamiltonian, as one
+    dense 12x12 block, with the drive scaled by 1 + epsilon and traces
+    the |0f> column over the cavity.
     """
     params = model.DispersiveSystemParams.from_mhz()
     rows = []
     for eps in epsilons:
         schedule, ham = twoqubit._selective_drive(twoqubit.CNOT_GATE, scheme, tau, eps,
                                                   params)
-        u = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))[1][0]
+        u = evolve.scaled_final_unitaries(full_space_hamiltonian(ham), schedule.tau, step,
+                                          (1.0,))[1][0]
         column = u[:, twoqubit.state_index(0, "f")]
         rows.append((np.abs(column) ** 2).reshape(-1, 3).sum(axis=0))
     return np.array(rows)
@@ -358,7 +377,8 @@ def cnot_state_fidelity_full(scheme: str = "sr-nhqc", epsilon: float = 0.0,
     dim = 3 * params.n_fock
     rho0 = np.zeros((2, dim, dim), dtype=complex)
     rho0[[0, 1], start, start] = 1.0
-    _, states = lindblad_stage_loop(ham, c_ops, schedule.tau, step, rho0)
+    _, states = lindblad_stage_loop(full_space_hamiltonian(ham), c_ops, schedule.tau, step,
+                                    rho0)
     return float(np.mean(states[-1, [0, 1], goal, goal].real))
 
 

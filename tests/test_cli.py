@@ -13,6 +13,7 @@ from holonomy_lab.config import RunConfig
 from holonomy_lab.pulses import (DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_schedule,
                                  build_sr_nhqc)
 from holonomy_lab.cli import build_parser, main
+from reference import lindblad_stage_loop
 
 
 def _read_json(path):
@@ -56,9 +57,10 @@ def test_noisy_gate_is_integrated_once(tmp_path, monkeypatch):
     columns = []
     real = evolve.propagate_lindblad_h
 
-    def counted(ham, c_ops, tau, step, rho0):
-        columns.append(rho0.shape[0])
-        return real(ham, c_ops, tau, step, rho0)
+    def counted(ham, c_ops, tau, step):
+        run = real(ham, c_ops, tau, step)
+        columns.append(len(run[2]))
+        return run
 
     monkeypatch.setattr(evolve, "propagate_lindblad_h", counted)
     out = tmp_path / "o"
@@ -73,9 +75,10 @@ def test_noisy_gate_is_integrated_once(tmp_path, monkeypatch):
     # The |g><g| column of the channel run is the trace a one-state run gives.
     last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
     ham = evolve.schedule_hamiltonian(schedule)
-    _, populations, _ = real(ham, model.collapse_operators(noise), schedule.tau,
-                             DEFAULT_STEP_1Q, qmath.projector(model.KET_G)[None])
-    assert np.allclose([float(x) for x in last[1:]], populations[-1, 0], rtol=0, atol=1e-9)
+    _, states = lindblad_stage_loop(ham, model.collapse_operators(noise), schedule.tau,
+                                    DEFAULT_STEP_1Q, qmath.projector(model.KET_G)[None])
+    assert np.allclose([float(x) for x in last[1:]], np.diag(states[-1, 0]).real,
+                       rtol=0, atol=1e-9)
 
 
 def test_invalid_gamma_exits_2(tmp_path, capsys):
@@ -225,11 +228,25 @@ def test_twoqubit_warns_of_leakage_once(tmp_path):
     assert len(leaks) == 1
 
 
-def test_sweep_without_points_writes_header_only(tmp_path):
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_sweep_without_points_exits_2(tmp_path, capsys, points):
     out = tmp_path / "o"
-    assert main(["sweep-epsilon", "--gate", "X", "--points", "0",
-                 "--output-dir", str(out)]) == 0
-    assert _sweep_lines(out) == ["epsilon,F_sim,F_analytic"]
+    assert main(["sweep-epsilon", "--gate", "X", "--points", points,
+                 "--output-dir", str(out)]) == 2
+    assert "points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The summary names the epsilon whose P_g it prints: 0 when the grid
+# holds it, else the first grid point.
+@pytest.mark.parametrize("grid, label", [("0.1,0.1", "P_g(eps=0.1) 0.998803"),
+                                         ("-0.1,0,0.1", "P_g(eps=0) 1.000000")],
+                         ids=["no-zero", "zero"])
+def test_twoqubit_summary_names_the_reported_epsilon(tmp_path, capsys, grid, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the default gate's leakage
+        assert main(["twoqubit", f"--eps-grid={grid}", "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(label + " -> ")
 
 
 def test_shared_parser_keeps_each_command_defaults(tmp_path):

@@ -17,8 +17,8 @@ from holonomy_lab.pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, NAMED_GATES, 
                                  SCHEMES, GateSpec, apply_rabi_error, build_schedule,
                                  build_sr_nhqc)
 from reference import (bright_drive_hamiltonian, cavity_collapse_operators,
-                       dispersive_hamiltonian, lindblad_stage_loop, segment_exact_unitary,
-                       sequential_unitaries)
+                       dispersive_hamiltonian, full_space_hamiltonian, lindblad_stage_loop,
+                       segment_exact_unitary, sequential_unitaries)
 
 GATE = GateSpec(np.pi / 2, 0.0, np.pi)
 FRAME = bright_frame(GATE.theta, GATE.phi)
@@ -129,7 +129,7 @@ def test_cavity_gate_eigendecomposes_each_distinct_sample_once(monkeypatch):
 
 def test_constant_drive_is_one_sample_and_the_identity_pad(monkeypatch):
     params = model.DispersiveSystemParams.from_mhz()
-    a_op = qmath.tensor(np.eye(params.n_fock), evolve.schedule_hamiltonian(SCHEDULE).a_op)
+    a_op = evolve.schedule_hamiltonian(SCHEDULE).a_op
     ham = evolve.DrivenHamiltonian(model.dispersive_shift_hamiltonian(params), a_op,
                                    lambda t: (np.full(np.shape(t), 0.04),
                                               np.full(np.shape(t), 0.7)))
@@ -278,13 +278,13 @@ def test_every_propagator_runs_on_the_one_chain(monkeypatch):
         assert calls, name
 
 
-def _lindblad_run(schedule, noise, step, ket=model.KET_G):
-    """(populations, final rho) of the pure state ket under the schedule
-    and the noise."""
+def _lindblad_run(schedule, noise, step, level=model.G):
+    """(populations, final rho) of the state |level> under the schedule
+    and the noise: the column of |level><level| in the channel run."""
     _, populations, finals = evolve.propagate_lindblad_h(
         evolve.schedule_hamiltonian(schedule), model.collapse_operators(noise),
-        schedule.tau, step, qmath.projector(ket)[None])
-    return populations[:, 0], finals[0]
+        schedule.tau, step)
+    return populations[:, 4 * level], finals[4 * level]
 
 
 def test_lindblad_reduces_to_closed_without_noise():
@@ -295,7 +295,7 @@ def test_lindblad_reduces_to_closed_without_noise():
 
 def test_lindblad_trace_and_positivity():
     noise = NoiseModel.from_coherence_times()
-    _, rho = _lindblad_run(SCHEDULE, noise, step=0.05, ket=model.KET_F)
+    _, rho = _lindblad_run(SCHEDULE, noise, step=0.05, level=model.F)
     assert np.isclose(np.trace(rho).real, 1.0, atol=1e-7)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
 
@@ -307,7 +307,7 @@ def test_relaxation_only_decay_rate():
     idle = PulseSchedule("sr-nhqc", GATE, 1000.0,
                          segments=(PulseSegment(0.0, 0.0, 1000.0),))
     noise = NoiseModel(gamma_ge=1 / 18.9)
-    _, rho = _lindblad_run(idle, noise, step=1.0, ket=model.KET_E)
+    _, rho = _lindblad_run(idle, noise, step=1.0, level=model.E)
     p_e = rho[model.E, model.E].real
     assert np.isclose(p_e, np.exp(-1.0 / 18.9), rtol=1e-6)
 
@@ -317,8 +317,9 @@ def test_superoperator_matches_state_propagation():
     sup = evolve.gate_channel(SCHEDULE, noise, step=0.05)
     rho0 = qmath.projector(model.KET_G)
     rho_sup = (sup @ rho0.reshape(-1)).reshape(3, 3)
-    _, rho = _lindblad_run(SCHEDULE, noise, step=0.05)
-    assert np.max(np.abs(rho_sup - rho)) < 1e-9
+    ham, c_ops = evolve._open_system(SCHEDULE, noise)
+    _, states = lindblad_stage_loop(ham, c_ops, SCHEDULE.tau, 0.05, rho0[None])
+    assert np.max(np.abs(rho_sup - states[-1, 0])) < 1e-9
 
 
 def test_coarse_step_channel_is_not_completely_positive(monkeypatch):
@@ -378,10 +379,16 @@ def test_trace_csv_header():
 def test_stacked_generator_matches_lindblad_superoperator():
     params = model.DispersiveSystemParams.from_mhz()
     schedule_2q, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0, params)
+    # The Fock blocks are the diagonal blocks of the full-space Hamiltonian.
+    ts = np.array([0.0, 0.37 * schedule_2q.tau, schedule_2q.tau])
+    dense = dispersive_hamiltonian(params, bright_drive_hamiltonian(FRAME, *schedule_2q.drive(ts)))
+    fock = np.arange(params.n_fock)
+    blocks = dense.reshape(len(ts), params.n_fock, 3, params.n_fock, 3)[:, fock, :, fock]
+    assert np.max(np.abs(cavity.hamiltonians(ts) - blocks.swapaxes(0, 1))) < 1e-15
     qutrit_ops = model.collapse_operators(NoiseModel.from_coherence_times())
     cases = [(SCHEDULE, evolve.schedule_hamiltonian(SCHEDULE), qutrit_ops,
               lambda hd: hd),
-             (schedule_2q, cavity,
+             (schedule_2q, full_space_hamiltonian(cavity),
               [qmath.tensor(np.eye(params.n_fock), c) for c in qutrit_ops]
               + cavity_collapse_operators(twoqubit.CavityNoise(), params.n_fock),
               lambda hd: dispersive_hamiltonian(params, hd))]
@@ -398,14 +405,11 @@ def test_stacked_generator_matches_lindblad_superoperator():
 
 def test_non_finite_run_raises():
     # A collapse rate this large overflows the generator, so the states
-    # and their trace drift come out NaN.  One column runs the RK4
-    # stages, the 9-column basis the step maps.
+    # and their trace drift come out NaN.
     huge = [1e200 * np.outer(model.KET_G, model.KET_E)]
-    for rho0 in (qmath.projector(model.KET_E)[None],
-                 np.eye(9, dtype=complex).reshape(9, 3, 3)):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
-            evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE),
-                                        huge, SCHEDULE.tau, 10.0, rho0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
+        evolve.propagate_lindblad_h(evolve.schedule_hamiltonian(SCHEDULE),
+                                    huge, SCHEDULE.tau, 10.0)
 
 
 @pytest.mark.parametrize("gate, scheme, noise", [
@@ -420,7 +424,7 @@ def test_step_maps_match_stage_loop(gate, scheme, noise):
     basis = np.eye(9, dtype=complex).reshape(9, 3, 3)
     for step in (DEFAULT_STEP_1Q, *(schedule.tau / n for n in RAGGED_COUNTS)):
         times, populations, finals = evolve.propagate_lindblad_h(ham, c_ops, schedule.tau,
-                                                                 step, basis)
+                                                                 step)
         ref_times, ref_states = lindblad_stage_loop(ham, c_ops, schedule.tau, step, basis)
         assert np.array_equal(times, ref_times)
         assert np.max(np.abs(populations - np.einsum("nmii->nmi", ref_states).real)) < 1e-13
@@ -439,87 +443,6 @@ def test_noiseless_channel_of_any_gate_is_cptp_and_on_target(theta, phi, gamma):
         assert cohfit.channel_average_gate_error(channel, gate) < 1e-9
 
 
-def _cavity_open_system(gate, tau):
-    """(Hamiltonian, collapse operators) of the noisy two-qubit gate."""
-    params = model.DispersiveSystemParams.from_mhz()
-    _, ham = twoqubit._selective_drive(gate, "sr-nhqc", tau, 0.0, params)
-    c_ops = [qmath.tensor(np.eye(params.n_fock), c)
-             for c in model.collapse_operators(NoiseModel.from_coherence_times())]
-    return ham, c_ops + cavity_collapse_operators(twoqubit.CavityNoise(), params.n_fock)
-
-
-def _reduced_and_full_runs(gate, seed=0):
-    """(populations, finals) of the CNOT's two initial states (|0f>, |2g>)
-    run alone and with a full-support random density matrix as a third
-    column."""
-    ham, c_ops = _cavity_open_system(gate, 13.8)
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    rho0 = np.zeros((3, 12, 12), dtype=complex)
-    rho0[[0, 1], [2, 6], [2, 6]] = 1.0
-    rho0[2] = m @ qmath.dagger(m) / np.trace(m @ qmath.dagger(m))
-    reduced = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0[:2])[1:]
-    full = evolve.propagate_lindblad_h(ham, c_ops, 13.8, 0.69, rho0)[1:]
-    return reduced, full
-
-
-def test_lindblad_integrates_only_reachable_entries():
-    # Cavity decay only lowers n and dephasing is diagonal, so from Fock
-    # blocks 0 and 2 only the (0,0), (1,1) and (2,2) blocks of rho fill.
-    (pops, reduced), (full_pops, full) = _reduced_and_full_runs(GATE)
-    fock = np.arange(12) // 3
-    reachable = (fock[:, None] == fock[None, :]) & (fock[:, None] <= 2)
-    assert reachable.sum() == 27
-    assert np.max(np.abs(full_pops[:, :2] - pops)) <= 1e-15
-    assert np.max(np.abs(full[:2] - reduced)) <= 1e-15
-    assert np.all(reduced[:, ~reachable] == 0)
-    assert np.all(full[:2, ~reachable] == 0)
-    assert np.all(full[2] != 0)
-    assert np.all(np.any(reduced[:, reachable] != 0, axis=0))
-    assert np.all(pops[:, :, fock > 2] == 0)
-
-
-@settings(max_examples=10, deadline=None)
-@given(theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2 * np.pi),
-       gamma=st.floats(0.1, 2 * np.pi - 0.1))
-def test_reduced_cnot_run_matches_full_support_run(theta, phi, gamma):
-    (pops, reduced), (full_pops, full) = _reduced_and_full_runs(GateSpec(theta, phi, gamma))
-    assert np.max(np.abs(full_pops[:, :2] - pops)) <= 1e-15
-    assert np.max(np.abs(full[:2] - reduced)) <= 1e-15
-
-
-# Fewer columns than integrated entries: one |f> column on the qutrit
-# (9 entries) and the CNOT's |0f> and |2g> on the cavity (27 entries).
-# The chain propagates the identity columns and applies rho0's after.
-def test_few_columns_run_on_the_chain_and_match_stage_loop(monkeypatch):
-    chained, chain = [], evolve._chain
-    monkeypatch.setattr(evolve, "_chain", lambda *args: chained.append(1) or chain(*args))
-    ham_2q, c_ops_2q = _cavity_open_system(GATE, 13.8)
-    rho_2q = np.zeros((2, 12, 12), dtype=complex)
-    rho_2q[[0, 1], [2, 6], [2, 6]] = 1.0
-    cases = [(ham_2q, c_ops_2q, 13.8, 0.69, rho_2q),
-             (evolve.schedule_hamiltonian(SCHEDULE),
-              model.collapse_operators(NoiseModel.from_coherence_times()), SCHEDULE.tau,
-              SCHEDULE.tau / (evolve.STEP_BLOCK + 1), qmath.projector(model.KET_F)[None])]
-    for ham, c_ops, tau, step, rho0 in cases:
-        chained.clear()
-        _, populations, finals = evolve.propagate_lindblad_h(ham, c_ops, tau, step, rho0)
-        _, ref_states = lindblad_stage_loop(ham, c_ops, tau, step, rho0)
-        assert chained
-        assert np.max(np.abs(populations - np.einsum("nmii->nmi", ref_states).real)) < 1e-13
-        assert np.max(np.abs(finals - ref_states[-1])) < 1e-13
-
-
-def test_invariant_blocks_of_cavity_and_qutrit():
-    params = model.DispersiveSystemParams.from_mhz()
-    _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0, params)
-    [fock_blocks] = evolve.invariant_blocks(cavity)
-    assert np.array_equal(fock_blocks, np.arange(12).reshape(4, 3))
-    for gate in NAMED_GATES.values():
-        [qutrit] = evolve.invariant_blocks(evolve.schedule_hamiltonian(build_sr_nhqc(gate)))
-        assert np.array_equal(qutrit, [[0, 1, 2]])
-
-
 def _dense_midpoint_product(ham, tau, step):
     times = evolve._time_grid(tau, step)
     u = np.eye(ham.h0.shape[0], dtype=complex)
@@ -529,15 +452,19 @@ def _dense_midpoint_product(ham, tau, step):
 
 
 def test_block_diagonal_gate_matches_dense_midpoint_product():
+    # The Fock-block stack of the cavity gate, on the diagonal, against
+    # the dense 12x12 midpoint product; theta = 0 drives e-f only, so
+    # |g> never couples to the rest of the one qutrit block.
     params = model.DispersiveSystemParams.from_mhz()
     _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", 13.8, 0.0, params)
-    # theta = 0 drives e-f only, so |g> is a block of its own: two groups
-    # of different sizes.
-    split = GateSpec(0.0, 0.0, np.pi)
-    qutrit = evolve.schedule_hamiltonian(build_sr_nhqc(split, 120.0))
-    assert [g.shape for g in evolve.invariant_blocks(qutrit)] == [(1, 1), (1, 2)]
-    for ham, tau, step in ((cavity, 13.8, 0.69), (qutrit, 120.0, 1.0)):
+    qutrit = evolve.schedule_hamiltonian(build_sr_nhqc(GateSpec(0.0, 0.0, np.pi), 120.0))
+    cases = [(cavity, full_space_hamiltonian(cavity), 13.8, 0.69,
+              lambda u: scipy.linalg.block_diag(*u)),
+             (qutrit, qutrit, 120.0, 1.0, lambda u: u)]
+    for ham, dense, tau, step, lift in cases:
         _, unitaries = evolve.propagate_unitary_h(ham, tau, step)
         _, finals = evolve.scaled_final_unitaries(ham, tau, step, (1.0,))
+        assert unitaries.shape[1:] == ham.h0.shape
         assert np.array_equal(finals[0], unitaries[-1])
-        assert np.max(np.abs(unitaries[-1] - _dense_midpoint_product(ham, tau, step))) < 1e-13
+        gap = lift(unitaries[-1]) - _dense_midpoint_product(dense, tau, step)
+        assert np.max(np.abs(gap)) < 1e-13

@@ -89,12 +89,13 @@ def test_ge_coherence_floor_is_half_relaxation():
 def test_dispersive_hamiltonian_structure():
     p = model.DispersiveSystemParams.from_mhz()
     hd = model.dispersive_shift_hamiltonian(p)
-    assert hd.shape == (12, 12)
-    assert np.allclose(hd, np.diag(np.diag(hd)))
+    assert hd.shape == (4, 3, 3)
+    shifts = np.diagonal(hd, axis1=1, axis2=2)
+    assert np.array_equal(hd, shifts[:, :, None] * np.eye(3))
     # n = 0 block unshifted, n = 2 block shifted twice as much as n = 1
-    assert np.allclose(np.diag(hd)[:3], 0.0)
-    assert np.allclose(np.diag(hd)[6:9], 2 * np.diag(hd)[3:6])
-    assert np.isclose(np.diag(hd)[4], -2.87 * 2 * np.pi * 1e-3)
+    assert np.allclose(shifts[0], 0.0)
+    assert np.allclose(shifts[2], 2 * shifts[1])
+    assert np.isclose(shifts[1, 1], -2.87 * 2 * np.pi * 1e-3)
 
 
 def test_dispersive_drive_embeds_per_fock_block():

@@ -190,16 +190,17 @@ def test_cnot_state_fidelity_matches_the_full_space_run(scheme, epsilon, cavity)
 def test_cnot_state_fidelity_is_two_qutrit_channel_runs(monkeypatch):
     runs, real = [], evolve.propagate_lindblad_h
 
-    def recorded(ham, c_ops, tau, step, rho0):
-        runs.append((ham.h0, rho0.shape))
-        return real(ham, c_ops, tau, step, rho0)
+    def recorded(ham, c_ops, tau, step):
+        run = real(ham, c_ops, tau, step)
+        runs.append((ham.h0, run[2].shape))
+        return run
 
     monkeypatch.setattr(evolve, "propagate_lindblad_h", recorded)
     twoqubit.cnot_state_fidelity(tau=13.8, step=0.69)
-    shift = np.diag(model.dispersive_shift_hamiltonian(DispersiveSystemParams.from_mhz()))
+    shift = model.dispersive_shift_hamiltonian(DispersiveSystemParams.from_mhz())
     assert [shape for _, shape in runs] == [(9, 3, 3), (9, 3, 3)]
     assert np.array_equal(runs[0][0], np.zeros((3, 3)))
-    assert np.array_equal(runs[1][0], np.diag(shift[6:9]))
+    assert np.array_equal(runs[1][0], shift[2])
 
 
 # One default call peaks at 4.0 MB, mostly the kept diagonal rows and

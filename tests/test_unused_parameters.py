@@ -1,8 +1,11 @@
-"""Every parameter of every function in the package is read by its body.
+"""Every parameter of every function in the package is read by its body,
+and every function and class the package defines is referenced by it.
 
 A parameter the body never reads is an option that does nothing.  The
 cmd_* handlers are exempt: the CLI dispatch table fixes their signature
-(cfg, args), and not every command has flags to read.
+(cfg, args), and not every command has flags to read.  A definition
+nothing in the package references is stranded code, unless it is a
+public entry point kept on purpose (TEST_ONLY, one reason each).
 """
 
 import ast
@@ -44,3 +47,49 @@ def test_every_parameter_is_read():
     unread = [f"{path.name}:{hit}" for path in sorted(SRC.glob("*.py"))
               for hit in unread_parameters(path.read_text())]
     assert unread == []
+
+
+# Definitions only the tests call, each kept for a reason of its own.
+TEST_ONLY = {
+    "fit_rate_equation": "fits the paper's T1 rate-equation traces (acceptance criterion 11)",
+    "fit_ramsey": "fits the paper's Ramsey fringes for T2* (acceptance criterion 11)",
+    "to_json": "DecayFitResult's export, next to the fitter that returns it",
+    "fit_error_slope": "the robustness exponent of a Rabi-error sweep",
+    "perturbative_expansion_check": "the Dyson-series check of the superrobust condition",
+    "sample_envelope": "the pulse envelope of one segment, with its time-range check",
+    "schedule_to_csv": "exports a sampled drive program for an instrument",
+    "channel_from_unitary": "the ideal channel that tomography is checked against",
+    "two_qubit_target": "the ideal CNOT block a two-qubit gate is scored against",
+    "computational_block": "the gate on the photonic-qubit subspace, the paper's figure",
+    "prepare_fock": "the paper's photonic-qubit state preparation",
+    "target_prepared_state": "the ideal state prepare_fock is checked against",
+}
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Names of functions and classes defined in sources that no name or
+    attribute anywhere in them loads, dunder methods aside."""
+    defined, referenced = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted(n for n in defined - referenced if not n.startswith("__"))
+
+
+def test_checker_flags_an_unreferenced_definition():
+    sources = ["def used():\n    pass\nclass Box:\n    def __init__(self):\n"
+               "        pass\n    def spare(self):\n        pass\n",
+               "from m import used\nused()\nBox().x\ndef stranded():\n    pass\n"]
+    assert unreferenced_definitions(sources) == ["spare", "stranded"]
+
+
+def test_no_definition_is_stranded():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced_definitions(sources) == sorted(TEST_ONLY)
