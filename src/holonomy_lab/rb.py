@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -130,17 +130,36 @@ def default_channel_factory(noise: Optional[NoiseModel],
     """Physical gates as superrobust six-segment pulses under noise.
 
     The idle tag is a do-nothing window of one gate duration, so it
-    decoheres like a real identity operation.
+    decoheres like a real identity operation (evolve.idle_channel).
+    A gate's phi enters only its bright state, through the frame
+    Z = diag(e^{-i phi}, 1, 1): A(phi) = Z A(0) Z^dag, and Z maps every
+    collapse operator to a phase times itself.  So the Lindblad
+    generator, each RK4 step and the channel are covariant:
+    S(phi) = W S(0) W^dag with W = Z kron conj(Z), diagonal.  One
+    channel is integrated per (theta, gamma), at phi = 0, and Y, Y/2
+    and -Y/2 are rotations of the channels of X, X/2 and -X/2; they
+    match their own integrations to about 1e-15.
     """
+    at_phi_zero: dict[tuple[float, float], np.ndarray] = {}
     cache: dict[str, np.ndarray] = {}
+
+    def channel(tag: str) -> np.ndarray:
+        spec = physical_gate_spec(tag)
+        if spec is None:
+            return evolve.idle_channel(tau, noise)
+        key = (spec.theta, spec.gamma)
+        if key not in at_phi_zero:
+            at_phi_zero[key] = evolve.gate_channel(
+                build_sr_nhqc(replace(spec, phi=0.0), tau), noise, step)
+        if spec.phi == 0.0:
+            return at_phi_zero[key]
+        z = np.array([np.exp(-1j * spec.phi), 1.0, 1.0])
+        w = np.kron(z, z.conj())
+        return at_phi_zero[key] * np.outer(w, w.conj())
 
     def factory(tag: str) -> np.ndarray:
         if tag not in cache:
-            spec = physical_gate_spec(tag)
-            if spec is None:
-                cache[tag] = evolve.idle_channel(tau, noise)
-            else:
-                cache[tag] = evolve.gate_channel(build_sr_nhqc(spec, tau), noise, step)
+            cache[tag] = channel(tag)
         return cache[tag]
 
     return factory
@@ -183,24 +202,81 @@ def rb_fidelities(p_ref: float, p_gate: Optional[float] = None
     return f_ref, 1.0 - (1.0 - min(ratio, 1.0)) * 0.5
 
 
+def _fitted_fidelities(p_ref: float, p_gate: Optional[float] = None
+                       ) -> tuple[float, Optional[float]]:
+    """rb_fidelities of fitted p values, whose rejection is a failure of
+    the fits (RuntimeError), not bad input: a p of 0, or a p_gate above
+    p_ref beyond fit noise."""
+    try:
+        return rb_fidelities(p_ref, p_gate)
+    except ValueError as exc:
+        raise RuntimeError(f"RB fit rejected: {exc}") from exc
+
+
 def _decay_model(m, a, p, b):
     return a * np.power(p, m) + b
 
 
+def _profile(p: np.ndarray, m: np.ndarray, y: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, SSR) of the least-squares fit of A p^m + B to y with A and
+    B in [0, 1], at every p of the array p.
+
+    For a fixed p this is a two-column linear least squares on a box,
+    solved exactly: the optimum is the unconstrained one if it lies in
+    the box, else the best of the four edges, each a one-column least
+    squares clipped to its edge.  The unconstrained one is computed on
+    centered columns, which stay well conditioned as p^m flattens
+    towards the constant column.
+    """
+    x = np.power.outer(p, m)
+    x_mean, y_mean = x.mean(-1), y.mean()
+    xc = x - x_mean[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_free = xc @ (y - y_mean) / np.einsum("pm,pm->p", xc, xc)
+        a_edges = [np.clip(x @ (y - b) / np.einsum("pm,pm->p", x, x), 0.0, 1.0)
+                   for b in (0.0, 1.0)]
+    # The candidates (A, B): the free optimum; B = 0 or 1 with A fitted;
+    # A = 0 or 1 with B fitted.
+    zero, one = np.zeros_like(p), np.ones_like(p)
+    a = np.stack([a_free, *a_edges, zero, one])
+    b = np.stack([y_mean - a_free * x_mean, zero, one,
+                  np.clip(y_mean, 0.0, 1.0) * one, np.clip(y_mean - x_mean, 0.0, 1.0)])
+    ssr = np.sum((y - a[..., None] * x - b[..., None]) ** 2, axis=-1)
+    # A candidate off the box, or undefined where a column vanishes
+    # (p = 0) or the two coincide (p = 1), is not a fit.
+    ssr[~((a >= 0) & (a <= 1) & (b >= 0) & (b <= 1))] = np.inf
+    best = np.argmin(ssr, axis=0)
+    pick = np.arange(len(p))
+    return a[best, pick], b[best, pick], ssr[best, pick]
+
+
 def _fit_decay(m_values: np.ndarray, mean_pg: np.ndarray) -> np.ndarray:
-    """(A, p, B) of the least-squares fit of A p^m + B, each in [0, 1]."""
-    from scipy.optimize import curve_fit  # kept off the import path
-    popt = curve_fit(_decay_model, m_values, mean_pg, p0=(0.5, 0.99, 0.5),
-                     bounds=([0.0] * 3, [1.0] * 3), maxfev=20000)[0]
-    # curve_fit stops up to about 1e-7 short of the least-squares optimum,
-    # so round-off in mean_pg would move the fit far beyond round-off.
-    # Gauss-Newton steps from its result converge about 100x per step; six
-    # land on the optimum to round-off, and the bounds still hold.
+    """(A, p, B) of the least-squares fit of A p^m + B, each in [0, 1].
+
+    Variable projection: (A, B) are linear for a fixed p, so the fit is
+    a 1-D minimization of the profile residual _profile over p in
+    [0, 1].  A scan of 1 001 points brackets the global minimum, which a
+    local search from one start can miss when the profile has two
+    basins, and eight 21-point scans of the bracket resolve p to 1e-11.
+    """
+    m, y = np.asarray(m_values, dtype=float), np.asarray(mean_pg, dtype=float)
+    grid = np.linspace(0.0, 1.0, 1001)
+    for _ in range(9):
+        a, b, ssr = _profile(grid, m, y)
+        i = int(np.argmin(ssr))
+        popt = np.array([a[i], grid[i], b[i]])
+        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 21)
+    # Gauss-Newton steps from the bracketed minimum converge about 100x
+    # per step; six land on the optimum to round-off.  A parameter the
+    # search put on a bound stays there: a joint step clipped back to
+    # the bound would move the free ones off the constrained optimum.
+    free = (popt > 0.0) & (popt < 1.0)
     for _ in range(6):
-        pm = np.power(popt[1], m_values - 1.0)
-        jac = np.column_stack([pm * popt[1], popt[0] * m_values * pm, np.ones(len(pm))])
-        step = np.linalg.lstsq(jac, mean_pg - _decay_model(m_values, *popt), rcond=None)[0]
-        popt = np.clip(popt + step, 0.0, 1.0)
+        pm = np.power(popt[1], m - 1.0)
+        jac = np.column_stack([pm * popt[1], popt[0] * m * pm, np.ones(len(pm))])
+        step = np.linalg.lstsq(jac[:, free], y - _decay_model(m, *popt), rcond=None)[0]
+        popt[free] = np.clip(popt[free] + step, 0.0, 1.0)
     return popt
 
 
@@ -275,14 +351,14 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
 
     a, p, b = (float(x) for x in _fit_decay(m_values, mean_pg))
     resid = mean_pg - _decay_model(m_values, a, p, b)
-    f_ref, _ = rb_fidelities(p)
+    f_ref, _ = _fitted_fidelities(p)
     return RbResult(m_values, mean_pg, std_pg, n_seqs, a, p, b,
                     float(np.sqrt(np.mean(resid ** 2))),
                     f_ref=f_ref, interleaved=interleaved)
 
 
 def interleaved_gate_fidelity(reference: RbResult, interleaved: RbResult) -> float:
-    _, f_gate = rb_fidelities(reference.p, interleaved.p)
+    _, f_gate = _fitted_fidelities(reference.p, interleaved.p)
     return float(f_gate)
 
 

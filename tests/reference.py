@@ -439,3 +439,19 @@ def schedule_to_csv(schedule, dt: float = 0.1) -> str:
                     ([f"{t:.6g}", f"{om:.12g}", f"{ph:.12g}", i]
                      for t, om, ph, i in zip(times, omega, phi1,
                                              schedule._segment_of(times))))
+
+
+def fit_decay_curve_fit(m_values, mean_pg) -> np.ndarray:
+    """(A, p, B) of A p^m + B, each in [0, 1]: scipy's bounded curve_fit
+    from p = 0.99, then six Gauss-Newton steps, the fit that the
+    variable-projection rb._fit_decay replaces."""
+    from scipy.optimize import curve_fit
+    m_values = np.asarray(m_values, dtype=float)
+    popt = curve_fit(rb._decay_model, m_values, mean_pg, p0=(0.5, 0.99, 0.5),
+                     bounds=([0.0] * 3, [1.0] * 3), maxfev=20000)[0]
+    for _ in range(6):
+        pm = np.power(popt[1], m_values - 1.0)
+        jac = np.column_stack([pm * popt[1], popt[0] * m_values * pm, np.ones(len(pm))])
+        step = np.linalg.lstsq(jac, mean_pg - rb._decay_model(m_values, *popt), rcond=None)[0]
+        popt = np.clip(popt + step, 0.0, 1.0)
+    return popt

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from holonomy_lab.pulses import (DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_s
                                  build_sr_nhqc)
 from holonomy_lab.cli import build_parser, main
 from reference import lindblad_stage_loop
+from test_unused_parameters import SRC, TEST_ONLY
 
 
 def _read_json(path):
@@ -22,17 +24,85 @@ def _read_json(path):
     return json.loads(body)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported where a fit or the idle channel needs it, so a
-    # closed-system command does not pay for loading it.
+def _fresh_env():
     src = str(Path(evolve.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def test_cli_import_loads_no_scipy():
+    # Only cohfit's test-only fitters import scipy, inside their bodies,
+    # so importing the CLI does not pay for loading it.
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, holonomy_lab.cli; "
          "print(sorted(k for k in sys.modules if k.startswith('scipy')))"],
-        env=env, capture_output=True, text=True, check=True).stdout.strip()
+        env=_fresh_env(), capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "[]"
+
+
+COMMANDS_SCRIPT = """
+import sys
+from holonomy_lab.cli import main
+out = sys.argv[1]
+for argv in (["rb", "--interleaved", "X", "--n-seqs", "2"],
+             ["qpt", "--noise", "--readout", "--gate", "X"],
+             ["simulate-gate", "--noise", "--gate", "X"],
+             ["twoqubit", "--eps-grid", "0", "--fidelity"],
+             ["budget"]):
+    assert main([*argv, "--output-dir", out]) == 0, argv
+print(sorted(k for k in sys.modules if k.startswith("scipy")))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # No command's path imports scipy: RB's idle channel and decay fit
+    # are plain numpy.
+    loaded = subprocess.run([sys.executable, "-c", COMMANDS_SCRIPT, str(tmp_path / "o")],
+                            env=_fresh_env(), capture_output=True, text=True,
+                            check=True).stdout.strip().splitlines()[-1]
+    assert loaded == "[]"
+
+
+# The only functions in src/ that may import scipy: fitters of measured
+# coherence data that no command calls (TEST_ONLY in
+# test_unused_parameters.py).
+SCIPY_FITTERS = {"fit_rate_equation", "fit_ramsey"}
+
+
+def scipy_importers(source: str) -> list[str]:
+    """The enclosing function ('<module>' at top level) of every import
+    of scipy or a scipy submodule in source."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_every_scipy_import():
+    source = ("import scipy\nimport numpy\n"
+              "def f():\n    from scipy.optimize import curve_fit\n"
+              "    def g():\n        import scipy.linalg as la\n"
+              "class C:\n    def h(self):\n        from . import scipyish\n")
+    assert scipy_importers(source) == ["<module>", "f", "g"]
+
+
+def test_scipy_is_imported_only_by_the_test_only_fitters():
+    importers = {owner for path in sorted(SRC.glob("*.py"))
+                 for owner in scipy_importers(path.read_text())}
+    assert importers <= SCIPY_FITTERS <= set(TEST_ONLY)
 
 
 def test_simulate_gate_ideal(tmp_path):

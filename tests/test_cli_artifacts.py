@@ -45,6 +45,17 @@ def test_failed_interleaved_rb_writes_no_reference(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_contradicting_rb_fits_exit_3_without_artifacts(tmp_path, monkeypatch, capsys):
+    # An interleaved decay slower than the reference decay is a failure
+    # of the fits, not bad input, whatever the config.
+    fits = iter([np.array([0.7, 0.98, 0.3]), np.array([0.7, 0.99, 0.3])])
+    monkeypatch.setattr(rb, "_fit_decay", lambda m_values, mean_pg: next(fits))
+    code, out = _run(tmp_path, "", "rb", "--n-seqs", "2", "--interleaved", "X")
+    assert code == 3
+    assert "numerical failure: RB fit rejected: p_gate exceeds p_ref" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lin_alg_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError, which alone would exit 2.
     def fail(sup, readout=None):

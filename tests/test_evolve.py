@@ -222,19 +222,20 @@ def test_closed_chain_transient_memory_is_bounded(scheme):
     assert _traced_peak(lambda: evolve.propagate_unitary_h(ham, tau, DEFAULT_STEP_1Q)) <= 4e6
 
 
-# One noisy sr-nhqc X channel (2 400 steps, r = m = 9).  The chain of
-# one matmul per step into a (steps + 1, r, m) buffer peaked at 5.5 MB
-# and took 117 minor page faults per call in a fresh interpreter; the
-# chunked chain, with its (steps, r, r) step maps and the diagonal rows
-# of every prefix, peaks at 5.6 MB and takes 125.  glibc trims its heap
+# One noisy sr-nhqc X channel (2 400 steps, r = m = 9).  The chunked
+# chain, which builds about STEP_BLOCK / 2 RK4 step maps at a time into
+# one reused buffer and keeps the diagonal rows of every prefix, peaks
+# at 1.7 MB and takes about 31 minor page faults per call in a fresh
+# interpreter (314 over ten calls, numpy 2.4).  glibc trims its heap
 # when a call's transient exceeds twice the largest block freed so far,
-# and then faults it back in on the next call: a build that multiplied
-# the prefix rows into a second buffer, not in place, peaked at 6.2 MB
-# and took about 1 460 faults per call, and one that built the maps per
-# chain position, without the 3.1 MB maps block, peaked at 2.4 MB and
-# took about 500.  Keeping the chain buffer as well would add 3.1 MB.
-# The faults are counted in a fresh interpreter, because a larger block
-# freed earlier in this process raises glibc's thresholds and hides them.
+# and then faults it back in on the next call.  Earlier builds: one
+# matmul per step into a (steps + 1, r, m) buffer peaked at 5.5 MB and
+# took 117 faults per call; all (steps, r, r) step maps at once, 5.6 MB
+# and 125; the prefix rows multiplied into a second buffer, not in
+# place, 6.2 MB and about 1 460; the maps built per chain position,
+# 2.4 MB and about 500.  The faults are counted in a fresh interpreter,
+# because a larger block freed earlier in this process raises glibc's
+# thresholds and hides them.
 FAULT_SCRIPT = """
 import resource
 from holonomy_lab import evolve
@@ -345,7 +346,30 @@ def test_noiseless_gate_channel_is_unitary_conjugation():
 
 
 def test_idle_channel_identity_without_noise():
-    assert np.allclose(evolve.idle_channel(120.0, None), np.eye(9))
+    assert np.array_equal(evolve.idle_channel(120.0, None), np.eye(9))
+    assert np.array_equal(evolve.idle_channel(120.0, NoiseModel()), np.eye(9))
+
+
+# (duration, noise, tolerance against scipy.linalg.expm): the device's
+# rates over one gate, and 1 ns relaxation over 5 us, where |L T|_1 is
+# 1e4 and the exponential takes 15 squarings.
+IDLE_CASES = [(120.0, NoiseModel.from_coherence_times(), 1e-14),
+              (5000.0, NoiseModel.from_coherence_times(t1_ge_us=0.001), 1e-12)]
+
+
+@pytest.mark.parametrize("duration, noise, tol", IDLE_CASES, ids=["device", "squared"])
+def test_idle_channel_matches_scipy_expm(duration, noise, tol):
+    gen = evolve.lindblad_superoperator(np.zeros((3, 3)), model.collapse_operators(noise))
+    sup = evolve.idle_channel(duration, noise)
+    assert np.max(np.abs(sup - scipy.linalg.expm(gen * duration))) <= tol
+    choi = sup.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    assert np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[0] >= -1e-12
+
+
+def test_idle_channel_squaring_path_runs():
+    duration, noise, _ = IDLE_CASES[1]
+    gen = evolve.lindblad_superoperator(np.zeros((3, 3)), model.collapse_operators(noise))
+    assert np.linalg.norm(gen * duration, 1) > 1e3
 
 
 def test_idle_channel_decays_excited_state():

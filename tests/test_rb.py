@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy_lab import evolve, qmath, rb
+from holonomy_lab.cli import main
 from holonomy_lab.model import NoiseModel
-from reference import group_tables_per_pair, rb_per_sequence
+from holonomy_lab.pulses import build_sr_nhqc
+from reference import fit_decay_curve_fit, group_tables_per_pair, rb_per_sequence
 
 
 def test_clifford_table_counts():
@@ -171,9 +173,10 @@ def test_batched_sequences_match_per_sequence_loop(noisy_factory, interleaved, w
 
 
 def test_fit_lands_on_the_optimum_to_round_off(rb_noisy_reference):
-    # curve_fit alone stops up to about 1e-7 short of the least-squares
-    # optimum, so 1e-13 of round-off in the survival probabilities moved
-    # A, p and B by up to about 2e-9.
+    # A fit that stops short of the least-squares optimum moves far more
+    # than round-off: curve_fit alone stopped up to about 1e-7 short, so
+    # 1e-13 of jitter in the survival probabilities moved A, p and B by
+    # up to about 2e-9.
     res = rb_noisy_reference
     fit = rb._fit_decay(res.m_values, res.mean_pg)
     assert np.array_equal(fit, [res.amplitude, res.p, res.offset])
@@ -181,3 +184,93 @@ def test_fit_lands_on_the_optimum_to_round_off(rb_noisy_reference):
     for _ in range(5):
         jitter = 1e-13 * rng.normal(size=len(res.m_values))
         assert np.max(np.abs(rb._fit_decay(res.m_values, res.mean_pg + jitter) - fit)) < 1e-11
+
+
+STRONG_NOISE = NoiseModel(epsilon=0.05, gamma_ge=5.0, gamma_ef=3.0, gamma_gf=1.0,
+                          gamma1=8.0, gamma2=6.0, gamma3=7.0)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.from_coherence_times(), STRONG_NOISE],
+                         ids=["device", "strong"])
+def test_frame_rotated_channels_match_their_integrations(noise):
+    factory = rb.default_channel_factory(noise)
+    for tag in ("Y", "Y/2", "-Y/2"):
+        direct = evolve.gate_channel(build_sr_nhqc(rb.physical_gate_spec(tag)), noise)
+        assert np.max(np.abs(factory(tag) - direct)) <= 1e-13, tag
+
+
+def test_rb_command_integrates_one_channel_per_theta_gamma(tmp_path, monkeypatch):
+    # X, X/2 and -X/2 are integrated; Y, Y/2 and -Y/2 are their rotations.
+    calls = []
+    for name in ("gate_channel", "idle_channel"):
+        real = getattr(evolve, name)
+        monkeypatch.setattr(evolve, name, lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    assert main(["rb", "--interleaved", "X", "--n-seqs", "2",
+                 "--output-dir", str(tmp_path / "o")]) == 0
+    assert sorted(calls) == ["gate_channel"] * 3 + ["idle_channel"]
+
+
+def _ssr(m_values, mean_pg, fit):
+    return float(np.sum((mean_pg - rb._decay_model(m_values, *fit)) ** 2))
+
+
+def _synthetic_decay(p, lengths=RB_DEFAULT_LENGTHS):
+    """(m, 0.6 p^m + 0.35 plus seeded Gaussian noise of 1e-3) at the lengths."""
+    m_values = np.asarray(lengths, dtype=float)
+    jitter = 1e-3 * np.random.default_rng(int(1000 * p)).normal(size=len(m_values))
+    return m_values, 0.6 * p ** m_values + 0.35 + jitter
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_fit_matches_curve_fit_oracle_on_survival_curves(noisy_factory, seed):
+    res = rb.run_rb(noisy_factory, seed=seed)
+    fit = rb._fit_decay(res.m_values, res.mean_pg)
+    assert np.max(np.abs(fit - fit_decay_curve_fit(res.m_values, res.mean_pg))) <= 1e-10
+
+
+# The lengths reach about 1 / (1 - p), as an experiment's would, so the
+# decay is resolved and the optimum lies inside the bounds.
+@pytest.mark.parametrize("p, stretch", [(0.5, 1), (0.9, 1), (0.999, 10)])
+def test_fit_matches_curve_fit_oracle_on_synthetic_decays(p, stretch):
+    m_values, mean_pg = _synthetic_decay(p, stretch * np.asarray(RB_DEFAULT_LENGTHS))
+    fit = rb._fit_decay(m_values, mean_pg)
+    assert np.all((fit > 0) & (fit < 1))
+    assert np.max(np.abs(fit - fit_decay_curve_fit(m_values, mean_pg))) <= 1e-10
+
+
+def test_fit_holds_a_bound_the_optimum_sits_on():
+    # p = 0.999 over at most 100 Cliffords decays by only 0.057, and with
+    # 1e-3 of noise the optimum puts B on its bound 0.  The oracle ends
+    # at A = 1, B = 0 with about 5 000 times the residual: joint
+    # Gauss-Newton steps clipped back to the bounds cannot leave there.
+    m_values, mean_pg = _synthetic_decay(0.999)
+    fit = rb._fit_decay(m_values, mean_pg)
+    assert fit[2] == 0.0 and 0 < fit[0] < 1
+    best = _ssr(m_values, mean_pg, fit)
+    assert best < 1e-3 * _ssr(m_values, mean_pg, fit_decay_curve_fit(m_values, mean_pg))
+    # A and p, off their bounds, sit where the residual is stationary.
+    for shift in ([1e-7, 0, 0], [-1e-7, 0, 0], [0, 1e-7, 0], [0, -1e-7, 0]):
+        assert _ssr(m_values, mean_pg, fit + shift) > best
+
+
+_COHERENCE_KEYS = ("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us", "t2e_gf_us")
+
+
+# Fast g-e relaxation: curve_fit, started at p = 0.99, stopped the
+# interleaved fit in a local minimum (SSR 0.00742 against 0.00681).  No
+# decoherence: the decay is 2-3e-8 deep, and A and B are nearly
+# degenerate with p close to 1.
+@pytest.mark.parametrize("times", [{"t1_ge_us": 0.05}, dict.fromkeys(_COHERENCE_KEYS, 1e9)],
+                         ids=["t1_ge_50ns", "coherent"])
+def test_fit_is_never_worse_than_the_oracle_when_ill_conditioned(times):
+    factory = rb.default_channel_factory(NoiseModel.from_coherence_times(**times))
+    for interleaved in (None, "X"):
+        res = rb.run_rb(factory, interleaved=interleaved)
+        assert not res.degenerate
+        fit = rb._fit_decay(res.m_values, res.mean_pg)
+        assert np.all((fit >= 0) & (fit <= 1))
+        oracle = fit_decay_curve_fit(res.m_values, res.mean_pg)
+        # Round-off aside: equal fits may differ in the last bits.
+        assert (_ssr(res.m_values, res.mean_pg, fit)
+                <= _ssr(res.m_values, res.mean_pg, oracle) * (1 + 1e-12)), interleaved
