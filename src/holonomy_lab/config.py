@@ -8,11 +8,19 @@ loudly instead of silently falling back to defaults.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
+
+# CPython's builtin sha256, not hashlib's OpenSSL one (see config_hash).
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .model import DEVICE, N_FOCK, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
@@ -176,16 +184,21 @@ def load_config(path: Union[str, Path]) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Short stable digest of the configuration.
+    """Short stable digest of the configuration: the first 12 hex digits
+    of the sha256 of every key but one, sorted.
 
     The output directory is excluded: it routes artifacts but never
     changes results, and hashing it would make byte-identical reruns
-    into different directories impossible.
+    into different directories impossible.  The sha256 is CPython's
+    builtin one, not hashlib's: importing hashlib maps OpenSSL (about
+    3.6 MB of every command's resident memory) for this one digest, and
+    the builtin gives the same bytes.  hashlib is the fallback where
+    the builtin module is missing.
     """
     canon = "\n".join(f"{f.name}={getattr(cfg, f.name)!r}"
                       for f in sorted(fields(RunConfig), key=lambda f: f.name)
                       if f.name != "output_dir")
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return sha256(canon.encode()).hexdigest()[:12]
 
 
 def default_config_text() -> str:

@@ -11,10 +11,17 @@ A schedule fixes its own H(t): |b> is the bright state of its gate's
 Each propagation samples a(t) on its whole time grid in one call.
 Closed-system evolution composes midpoint steps exp(-i s H(t+dt/2) dt)
 = sum_j exp(-i s w_j dt) P_j, at one or many scales s and for every
-block, from one stacked eigendecomposition and its spectral projectors
-P_j.  Steps with the same drive sample share one eigendecomposition:
-the default cavity gate has 1 697 distinct samples among its 5 520
-steps, because its six segments share one envelope and two phases.
+block, from the eigendecomposition of each drive sample and its
+spectral projectors P_j.  Steps with the same drive sample share one
+eigendecomposition: the default cavity gate has 1 697 distinct samples
+among its 5 520 steps, because its six segments share one envelope and
+two phases.  The samples are decomposed in slabs of at most EIGH_SLAB
+matrices and written into the eigenvalue and projector stacks in place,
+so the setup's transient is one slab's H, eigenvectors and their
+transpose next to the projectors: the default cavity gate peaks at
+4.0 MB (tracemalloc), 2.9 MB of it projectors, where full-size stacks
+took 7.1 MB.  A default 1Q run, at most 2 400 samples, takes one or two
+eigh calls.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
 equation of the qutrit, always as the channel: the nine basis matrices
 |i><j| are the columns of one run.  Its generator
@@ -25,7 +32,7 @@ every grid time and the final images, never the whole history.
 One chain, _chain, multiplies the step maps of both: the closed step
 exponentials and the RK4 step maps M_k.  Chunks of at most STEP_BLOCK
 steps advance side by side and their totals are then chained from the
-initial columns: about 2 sqrt(n) Python-level products for n steps, not
+first chunk's: about 2 sqrt(n) Python-level products for n steps, not
 n.  The chain's stacks keep the matrix axes first and the batch axes
 (chunks, blocks, scales) last.  A 3x3 product is one plain np.einsum
 over the whole batch, because numpy's batched matmul spends about
@@ -35,10 +42,10 @@ GEMM.  A 9x9 RK4 step map costs about the arithmetic of the four
 stages of the plain RK4 loop on the nine columns, but the loop makes a
 Python-level product per stage and step.  The open-system CNOT fidelity
 runs as two qutrit channels, of Fock blocks 0 and 2
-(twoqubit.cnot_state_fidelity).  Measured on 2 CPUs: a default 1Q
-channel (2 400 steps) takes 24-31 ms, and the CNOT fidelity 0.10-0.14 s
-against 0.34-0.42 s for the stage loop on the 27 entries of vec(rho)
-that the two runs fill on the whole cavity space (5 520 steps).
+(twoqubit.cnot_state_fidelity).  Measured on 2 CPUs (numpy 2.4, a
+shared host whose speed swings by up to 1.5x): a default 1Q channel
+(2 400 steps) takes 15-27 ms, the CNOT fidelity (two 5 520-step
+channels) 68-106 ms and the closed cavity gate 23-39 ms.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -59,6 +66,11 @@ TRACE_DRIFT_LIMIT = 1e-5
 # Most steps per chunk of the product chain (_chain); propagate_lindblad_h
 # builds about half as many RK4 step maps at once.
 STEP_BLOCK = 128
+# Most matrices per stacked eigh of the closed setup (_closed_products): a
+# default 1Q run (at most 2 400 samples) takes one or two calls, the
+# cavity gate (1 697 samples on 4 Fock blocks) four, each slab holding
+# about 0.3 MB of H or eigenvectors.
+EIGH_SLAB = 2048
 
 
 @dataclass(frozen=True)
@@ -156,43 +168,49 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, axes=[(0, 1), (0, 1), (0, 1)])
 
 
-def _chain(step: Callable[[np.ndarray], np.ndarray], n: int, y0: np.ndarray,
+def _chain(step: Callable[[np.ndarray], np.ndarray], n: int,
            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(final, prefixes) of y(t_n) = M_{n-1} ... M_0 y0 for n step maps.
+    """(final, prefixes) of the products M_{n-1} ... M_0 of n step maps.
 
     step(k) returns the maps M_k, (size, size, chunks, ...), for one step
     index per chunk in k, as an array that _chain may write to: it writes
     identity steps over the end of a ragged last chunk.  It is called at
     each position in turn, so it may build later positions' maps ahead.
-    y0 (size, m, ...) holds the m >= size initial columns and every batch
-    axis but chunks.  Chunks of at most STEP_BLOCK steps advance side by
-    side, one product per position, and their totals are then chained
-    from y0, so a run takes about 2 sqrt(n) Python-level products, not n;
-    the last prefix and the final are the same products.  final is y(t_n), (size, m, ...);
-    prefixes[:, :, c, j] are the given rows (none for only the final) of
-    y at step c L + j + 1, L the chunk length: (len(rows), m, chunks, L,
-    ...), whose padded entries repeat the final.
+    Chunks of at most STEP_BLOCK steps advance side by side, one product
+    per position, and their totals are then chained from the first, so a
+    run takes about 2 sqrt(n) Python-level products, not n; the last
+    prefix and the final are the same products.  The start is the
+    identity, so the first position and the first chunk take no product.
+    final is the whole product, (size, size, ...) with the batch axes of
+    the maps but chunks; prefixes[:, :, c, j] are the given rows (none
+    for only the final) of the product up to step c L + j + 1, L the
+    chunk length: (len(rows), size, chunks, L, ...), whose padded
+    entries repeat the final.
     """
     chunks = -(-n // STEP_BLOCK)
     length = -(-n // chunks)
     starts = length * np.arange(chunks)
-    (size, m), batch = y0.shape[:2], y0.shape[2:]
+    # The first maps start each chunk's running product, as a copy: they
+    # may be the step builder's reused buffer.  Every chunk starts below n.
+    run = step(starts).copy()
+    size, batch = run.shape[0], run.shape[3:]
     # The rows of each chunk's running product, turned into the rows of
     # the prefixes in place once the chunk's start is known: a second
     # buffer this size makes glibc trim and refault its heap on every
     # gate channel.
-    prefixes = np.empty((len(rows), m, chunks, length) + batch, dtype=complex)
-    run = np.eye(size)
-    for j in range(length):
+    prefixes = np.empty((len(rows), size, chunks, length) + batch, dtype=complex)
+    prefixes[:, :, :, 0] = run[rows]
+    for j in range(1, length):
         maps = step(np.minimum(starts + j, n - 1))
         if starts[-1] + j >= n:
             maps[:, :, -1] = np.eye(size).reshape((size, size) + (1,) * len(batch))
         run = _products(maps, run)
-        prefixes[:, :size, :, j] = run[rows]
-    # y runs through the chunk starts and ends at y(t_n).
-    y = y0
-    for c in range(chunks):
-        prefixes[:, :, c] = _products(prefixes[:, :size, c], y)
+        prefixes[:, :, :, j] = run[rows]
+    # y runs through the chunk ends and ends at the final; a contiguous
+    # copy, so that its products take the same kernels as any product's.
+    y = run[:, :, 0].copy()
+    for c in range(1, chunks):
+        prefixes[:, :, c] = _products(prefixes[:, :, c], y)
         y = _products(run[:, :, c], y)
     return y, prefixes
 
@@ -207,6 +225,14 @@ def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
     side by side, each one on its own.  Steps with the same drive sample
     a(t_mid) share one eigendecomposition and one set of projectors: the
     default cavity gate has 1 697 distinct samples among its 5 520 steps.
+    They are decomposed in slabs of at most EIGH_SLAB matrices (samples
+    times blocks), and each slab's eigenvalues and projectors are written
+    into their stacks in place: no full-size H, eigenvectors or
+    transpose of them is alive next to the projectors, and no conjugate
+    copy at all.  The stacks are allocated after the first slab's eigh,
+    so a run of one slab never holds its H next to them.  Each matrix is
+    decomposed, and each projector entry formed, as in one stacked call,
+    so the results are the same bits.
     _chain multiplies the step exponentials, built per chain position
     from each step's sample.  Every array of the chain is (size, size,
     chunks, blocks, scales): the matrix axes first and the batch axes
@@ -214,25 +240,40 @@ def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
     contiguous batch.
     """
     times = _time_grid(tau, step)
-    n, dt, size = len(times) - 1, times[1] - times[0], ham.h0.shape[-1]
+    n, dt = len(times) - 1, times[1] - times[0]
+    shape = np.broadcast_shapes(ham.h0.shape, ham.a_op.shape)
+    size, blocks = shape[-1], int(np.prod(shape[:-2]))
     # which[k] is the drive sample of step k.
     a, which = np.unique(ham.coefficient(0.5 * (times[:-1] + times[1:])), return_inverse=True)
-    # H at each sample on every block is v diag(w) v^dag.
-    h = ham.at_coefficient(a)
-    w, v = np.linalg.eigh(h.reshape(-1, size, size))
-    # Batch last and C-contiguous, or np.take copies them at every position:
-    # w (size, samples, blocks) and vt[j, i] = v_ij.
-    w = w.reshape(len(a), -1, size).transpose(2, 0, 1).copy()
-    vt = v.reshape(len(a), -1, size, size).transpose(3, 2, 0, 1).copy()
-    proj = vt[:, :, None] * vt.conj()[:, None, :]
-    blocks = w.shape[-1]
+    # H at each sample on every block is v diag(w) v^dag, decomposed one
+    # slab of samples at a time.  Batch last and C-contiguous, or np.take
+    # copies them at every position: w (size, samples, blocks) and
+    # proj[j, i, k] = v_ij conj(v_kj).
+    w = proj = None
+    slab = max(1, EIGH_SLAB // blocks)
+    for start in range(0, len(a), slab):
+        part = slice(start, start + slab)
+        w_part, v = np.linalg.eigh(ham.at_coefficient(a[part]).reshape(-1, size, size))
+        if proj is None:
+            # Only now, so that the first slab's H and its sums are gone.
+            w = np.empty((size, len(a), blocks))
+            proj = np.empty((size, size, size, len(a), blocks), dtype=complex)
+        w[:, part] = w_part.reshape(-1, blocks, size).transpose(2, 0, 1)
+        # vt[j, i] = v_ij
+        vt = v.reshape(-1, blocks, size, size).transpose(3, 2, 0, 1).copy()
+        del w_part, v
+        # The conjugate factors go straight into the projectors, and the
+        # product over them in place.
+        proj_part = proj[:, :, :, part]
+        np.conjugate(vt[:, None, :], out=proj_part)
+        np.multiply(vt[:, :, None], proj_part, out=proj_part)
+        del vt, proj_part
 
     def step_maps(k: np.ndarray) -> np.ndarray:
         return _step_exponentials(np.take(w, which[k], axis=1),
                                   np.take(proj, which[k], axis=3), scales, dt)
 
-    eye = np.broadcast_to(np.eye(size)[..., None, None], (size, size, blocks, len(scales)))
-    final, kept = _chain(step_maps, n, eye, np.arange(size if prefixes else 0))
+    final, kept = _chain(step_maps, n, np.arange(size if prefixes else 0))
     # (size, size, [chunks, length,] blocks, scales) -> ([steps,] scales, blocks,
     # size, size)
     out = np.empty(((n + 1,) if prefixes else ()) + (len(scales), blocks, size, size),
@@ -243,7 +284,7 @@ def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
         out[1:] = steps.reshape(-1, *steps.shape[2:])[:n]
     else:
         out[:] = final.transpose(3, 2, 0, 1)
-    return times, out.reshape(out.shape[:-3] + h.shape[1:])
+    return times, out.reshape(out.shape[:-3] + shape)
 
 
 def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
@@ -401,7 +442,7 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
             maps = _rk4_step_maps(gen, a[np.concatenate([grid, ks + n + 1], 1)], dt[ks], maps)
         return maps[:, j].transpose(1, 2, 0)
 
-    y, kept = _chain(step_maps, n, np.eye(r, dtype=complex), diag)
+    y, kept = _chain(step_maps, n, diag)
     # The map buffer and the drive samples go before the populations
     # come, and the kept rows before the drift check's temporaries, for
     # the same trim threshold.

@@ -63,6 +63,31 @@ def test_commands_load_no_scipy(tmp_path):
     assert loaded == "[]"
 
 
+HASHLIB_SCRIPT = """
+import sys
+from holonomy_lab.cli import main
+out = sys.argv[1]
+for argv in (["simulate-gate", "--gate", "X"],
+             ["sweep-epsilon", "--gate", "X", "--points", "3"],
+             ["dynphase", "--gate", "X"],
+             ["qpt", "--noise", "--readout", "--gate", "X"],
+             ["twoqubit", "--eps-grid", "0", "--fidelity"],
+             ["budget"]):
+    assert main([*argv, "--output-dir", out]) == 0, argv
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_commands_load_no_openssl(tmp_path):
+    # The config digest takes CPython's builtin sha256, so no command but
+    # rb maps OpenSSL through hashlib's _hashlib.  rb is left out: its
+    # numpy.random imports secrets, which imports hmac and so _hashlib.
+    loaded = subprocess.run([sys.executable, "-c", HASHLIB_SCRIPT, str(tmp_path / "o")],
+                            env=_fresh_env(), capture_output=True, text=True,
+                            check=True).stdout.strip().splitlines()[-1]
+    assert loaded == "False"
+
+
 # The only functions in src/ that may import scipy: fitters of measured
 # coherence data that no command calls (TEST_ONLY in
 # test_unused_parameters.py).

@@ -66,6 +66,12 @@ def test_hash_tracks_physics_not_output_dir():
     assert config_hash(a) != config_hash(c)
 
 
+def test_default_hash_is_pinned():
+    # Every artifact header carries it as "# config <hash>", so a change
+    # of digest, of key set or of value repr shows in every rerun.
+    assert config_hash(RunConfig()) == "26e29037ee74"
+
+
 _VALUES = {"float": st.floats(allow_nan=False), "int": st.integers(),
            "bool": st.booleans(), "str": st.sampled_from(SCHEMES)}
 # Keys whose legal values are a subset of their type's.

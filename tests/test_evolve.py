@@ -124,7 +124,10 @@ def test_cavity_gate_eigendecomposes_each_distinct_sample_once(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the default gate's leakage
         twoqubit.build_two_qubit_gate(twoqubit.CNOT_GATE)
-    assert calls == [(4 * len(samples), 3, 3)]
+    # The samples go through eigh in slabs of at most EIGH_SLAB matrices,
+    # every Fock block of every distinct sample once.
+    assert sum(shape[0] for shape in calls) == 4 * len(samples)
+    assert all(shape[1:] == (3, 3) and shape[0] <= evolve.EIGH_SLAB for shape in calls)
 
 
 def test_constant_drive_is_one_sample_and_the_identity_pad(monkeypatch):

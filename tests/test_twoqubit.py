@@ -203,16 +203,35 @@ def test_cnot_state_fidelity_is_two_qutrit_channel_runs(monkeypatch):
     assert np.array_equal(runs[1][0], shift[2])
 
 
+def _second_call_peak(fn):
+    """Peak bytes allocated by a second call of fn, numpy buffers included."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # One default call peaks at 4.0 MB, mostly the kept diagonal rows and
 # the populations of a 5 520-step run; the stage loop on the full space
 # peaked at 3.3 MB.  A stack of one run's 9x9 step maps would take 7.2 MB
 # on its own.
 def test_cnot_state_fidelity_holds_no_map_per_step():
-    twoqubit.cnot_state_fidelity()
-    tracemalloc.start()
-    try:
-        twoqubit.cnot_state_fidelity()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7e6
+    assert _second_call_peak(twoqubit.cnot_state_fidelity) <= 7e6
+
+
+# The closed setup eigendecomposes the distinct drive samples in slabs
+# and writes the eigenvalues and projectors in place.  The default gate
+# (1 697 samples on 4 Fock blocks, 2.9 MB of projectors) peaks at 4.0 MB
+# and the 5-point grid (the same samples on the qutrit) at 1.4 MB.  With
+# full-size stacks of H, eigenvectors, their transpose and its conjugate
+# next to the projectors they peaked at 7.1 and 2.0 MB.
+def test_cavity_gate_setup_holds_no_full_size_stacks():
+    assert _second_call_peak(lambda: _quiet_gate(CNOT_GATE)) <= 5e6
+
+
+def test_robustness_grid_setup_holds_no_full_size_stacks():
+    assert _second_call_peak(lambda: twoqubit.cnot_robustness(
+        np.linspace(-0.1, 0.1, 5))) <= 1.6e6
