@@ -11,10 +11,9 @@ artifact can be traced back to the exact run that produced it (strip
 leading '#' lines before feeding the JSON files to a parser).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure.  Given the same config and seed, every command is
-deterministic and re-runs are byte-identical.  The HOLONOMY_LAB_THREADS
-environment variable is validated (a positive integer, else exit 2)
-but sizes nothing: every command runs in one thread.
+failure.  Given the same config (and, for `rb`, the same seed), every
+command is deterministic and re-runs are byte-identical.  Only `rb`
+draws random numbers, so only `rb` takes `--seed`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import replace
@@ -37,17 +35,6 @@ from .config import ConfigError, RunConfig, config_hash, default_config_text, lo
 from .pulses import (NAMED_GATES, SCHEME_DYNAMICAL, SCHEME_SR, SCHEMES, GateSpec,
                      PulseSchedule, apply_rabi_error, build_schedule)
 from .tomography import ASSIGNMENT_DEFAULT
-
-
-def _check_thread_env() -> None:
-    env = os.environ.get("HOLONOMY_LAB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError("HOLONOMY_LAB_THREADS must be an integer") from exc
-        if n < 1:
-            raise ConfigError("HOLONOMY_LAB_THREADS must be >= 1")
 
 
 # What a command returns: {file name: body} and its summary line.
@@ -241,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
         p.add_argument("--output-dir", dest="output_dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
         if name in ("simulate-gate", "sweep-epsilon", "dynphase", "qpt",
                     "twoqubit"):
             p.add_argument("--scheme", choices=SCHEMES, default=None)
@@ -262,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--readout", action="store_true",
                            help="simulate through the assignment matrix")
         if name == "rb":
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--interleaved", choices=sorted(NAMED_GATES), default=None)
             p.add_argument("--n-seqs", type=int, default=50)
         if name == "twoqubit":
@@ -286,7 +273,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = _apply_overrides(cfg, args)
-        _check_thread_env()
         artifacts, summary = args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,22 +35,13 @@ class ConfigError(ValueError):
 class RunConfig:
     """Device parameters and run controls.
 
-    Frequency/shift entries above the coherence block are bookkeeping
-    for the lab frame; the dynamics only consume the dispersive shifts,
-    the coherence times and the durations.
+    Every key is read by some command.  The simulator works in the
+    drives' rotating frame, so the device's lab-frame frequencies,
+    readout-cavity shifts, Ramsey times and Raman pulse length are not
+    keys (README lists them).
     """
 
-    # Transition and mode frequencies (lab frame, informational)
-    omega_ge_GHz: float = 5.31
-    omega_ef_GHz: float = 5.12
-    omega_readout_GHz: float = 8.68
-    omega_storage_GHz: float = 6.56
-    raman_drive_GHz: float = 3.83
-
-    # Dispersive shifts: readout cavity (informational) and storage
-    # cavity (drives the two-qubit gate)
-    chi_readout_ge_MHz: float = 2.52
-    chi_readout_ef_MHz: float = 2.39
+    # Storage-cavity dispersive shifts (drive the two-qubit gate)
     chi_storage_ge_MHz: float = DEVICE["chi_storage_ge_MHz"]
     chi_storage_ef_MHz: float = DEVICE["chi_storage_ef_MHz"]
 
@@ -61,8 +52,6 @@ class RunConfig:
     t2e_ge_us: float = DEVICE["t2e_ge_us"]
     t2e_ef_us: float = DEVICE["t2e_ef_us"]
     t2e_gf_us: float = DEVICE["t2e_gf_us"]
-    t2star_ge_us: float = 25.9
-    t2star_ef_us: float = 12.9
 
     # Storage cavity coherence
     cavity_t1_us: float = DEVICE["cavity_t1_us"]
@@ -74,7 +63,6 @@ class RunConfig:
     tau_dynamical_ns: float = DEFAULT_TAU[SCHEME_DYNAMICAL]
     tau_2q_sr_ns: float = DEFAULT_TAU_TWO_QUBIT[SCHEME_SR]
     tau_2q_nhqc_ns: float = DEFAULT_TAU_TWO_QUBIT[SCHEME_NHQC]
-    raman_pulse_ns: float = 140.0
     step_1q_ns: float = DEFAULT_STEP_1Q
     step_2q_ns: float = DEFAULT_STEP_2Q
 

@@ -19,7 +19,7 @@ two phases.  The samples are decomposed in slabs of at most EIGH_SLAB
 matrices and written into the eigenvalue and projector stacks in place,
 so the setup's transient is one slab's H, eigenvectors and their
 transpose next to the projectors: the default cavity gate peaks at
-4.0 MB (tracemalloc), 2.9 MB of it projectors, where full-size stacks
+3.86 MB (tracemalloc), 2.9 MB of it projectors, where full-size stacks
 took 7.1 MB.  A default 1Q run, at most 2 400 samples, takes one or two
 eigh calls.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
@@ -119,7 +119,10 @@ class DrivenHamiltonian:
         h0 and a_op may be stacks of blocks (..., s, s).
         """
         a = np.reshape(a, np.shape(a) + (1,) * self.h0.ndim)
-        return self.h0 + a * self.a_op + np.conj(a) * qmath.dagger(self.a_op)
+        # In place: one full-size temporary fewer, the same sums in order.
+        h = self.h0 + a * self.a_op
+        h += np.conj(a) * qmath.dagger(self.a_op)
+        return h
 
 
 def schedule_hamiltonian(schedule: PulseSchedule) -> DrivenHamiltonian:

@@ -292,11 +292,13 @@ def run_rb(channel_factory: Callable[[str], np.ndarray],
     superoperator.  clifford_noise, when given, is an extra channel
     composed after every Clifford; a depolarizing channel there makes
     the decay analytically solvable, which the tests exploit.  Results
-    are deterministic for a given seed.  Raises ValueError without a
-    sequence length or with n_seqs < 1, which leave nothing to fit.
+    are deterministic for a given seed.  Raises ValueError with n_seqs < 1
+    or fewer than three distinct sequence lengths: A p^m + B has three
+    parameters, so fewer lengths fit exactly or not at all, and the
+    reported fidelity would be arbitrary.
     """
-    if n_seqs < 1 or len(m_values) == 0:
-        raise ValueError(f"need n_seqs >= 1 and at least one sequence length, "
+    if n_seqs < 1 or len(set(m_values)) < 3:
+        raise ValueError(f"need n_seqs >= 1 and at least three distinct sequence lengths, "
                          f"got n_seqs={n_seqs} and m_values={list(m_values)}")
     table, mul, inv, ident = _clifford_group()
 

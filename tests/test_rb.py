@@ -68,8 +68,11 @@ def test_run_rb_rejects_empty_runs():
     ident = {tag: np.eye(9, dtype=complex) for tag in rb.PHYSICAL_TAGS}
     with pytest.raises(ValueError, match="n_seqs"):
         rb.run_rb(lambda tag: ident[tag], m_values=(1, 5), n_seqs=0)
-    with pytest.raises(ValueError, match="sequence length"):
-        rb.run_rb(lambda tag: ident[tag], m_values=(), n_seqs=4)
+    # A p^m + B has three parameters: fewer distinct lengths fit exactly
+    # (or not at all) and would report an arbitrary fidelity.
+    for m_values in ((), (50,), (50, 50, 50), (10, 50), (10, 50, 10)):
+        with pytest.raises(ValueError, match="sequence length"):
+            rb.run_rb(lambda tag: ident[tag], m_values=m_values, n_seqs=4)
 
 
 def test_depolarizing_oracle_recovers_p():

@@ -224,7 +224,7 @@ def test_cnot_state_fidelity_holds_no_map_per_step():
 
 # The closed setup eigendecomposes the distinct drive samples in slabs
 # and writes the eigenvalues and projectors in place.  The default gate
-# (1 697 samples on 4 Fock blocks, 2.9 MB of projectors) peaks at 4.0 MB
+# (1 697 samples on 4 Fock blocks, 2.9 MB of projectors) peaks at 3.86 MB
 # and the 5-point grid (the same samples on the qutrit) at 1.4 MB.  With
 # full-size stacks of H, eigenvectors, their transpose and its conjugate
 # next to the projectors they peaked at 7.1 and 2.0 MB.

@@ -1,7 +1,9 @@
 """Every parameter of every function in the package is read by its body,
-and every function and class the package defines is referenced by it.
+every config key is read by some code, and every function and class the
+package defines is referenced by it.
 
-A parameter the body never reads is an option that does nothing.  The
+A parameter the body never reads is an option that does nothing, and so
+is a config key nothing reads: it changes only the config hash.  The
 cmd_* handlers are exempt: the CLI dispatch table fixes their signature
 (cfg, args), and not every command has flags to read.  A definition
 nothing in the package references is stranded code, unless it is a
@@ -9,9 +11,11 @@ public entry point kept on purpose (TEST_ONLY, one reason each).
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import holonomy_lab
+from holonomy_lab.config import RunConfig
 
 SRC = Path(holonomy_lab.__file__).parent
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -47,6 +51,25 @@ def test_every_parameter_is_read():
     unread = [f"{path.name}:{hit}" for path in sorted(SRC.glob("*.py"))
               for hit in unread_parameters(path.read_text())]
     assert unread == []
+
+
+def loaded_attributes(sources: list[str]) -> set[str]:
+    """Every attribute name that some expression in sources loads."""
+    return {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_checker_flags_an_unread_config_key():
+    source = "cfg.seed\ncfg.output_dir = 'x'\ngetattr(cfg, 'noise')\n"
+    assert loaded_attributes([source]) == {"seed"}
+
+
+def test_every_config_key_is_read():
+    # A key no code loads as cfg.<key> changes only the config hash.  The
+    # generic loops of config_hash and default_config_text use getattr on
+    # the field name, so they do not count as reads.
+    read = loaded_attributes([path.read_text() for path in sorted(SRC.glob("*.py"))])
+    assert sorted(f.name for f in fields(RunConfig) if f.name not in read) == []
 
 
 # Definitions only the tests call, each kept for a reason of its own.
