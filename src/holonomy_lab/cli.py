@@ -4,8 +4,10 @@ Subcommands wrap the library one-to-one.  A command only computes: it
 returns its artifacts as {file name: body} plus a summary line, and
 `main` alone touches the filesystem.  Once the command has returned,
 `main` writes the plain CSV/JSON artifacts into the configured output
-directory and prints the summary, so nothing is written unless the exit
-code is 0.  Every output file starts with '#' comment lines recording
+directory and prints the summary, so nothing is written unless the
+command succeeded.  A config file that cannot be read, or an output
+directory that cannot be made or written, exits 2 with a one-line
+message.  Every output file starts with '#' comment lines recording
 the package version and a hash of the full configuration, so any
 artifact can be traced back to the exact run that produced it (strip
 leading '#' lines before feeding the JSON files to a parser).
@@ -32,8 +34,8 @@ import numpy as np
 
 from . import __version__, cohfit, evolve, holonomy, qmath, rb, tomography, twoqubit
 from .config import ConfigError, RunConfig, config_hash, default_config_text, load_config
-from .pulses import (NAMED_GATES, SCHEME_DYNAMICAL, SCHEME_SR, SCHEMES, GateSpec,
-                     PulseSchedule, apply_rabi_error, build_schedule)
+from .pulses import (DEFAULT_TAU_TWO_QUBIT, NAMED_GATES, SCHEME_DYNAMICAL, SCHEME_SR,
+                     SCHEMES, GateSpec, PulseSchedule, apply_rabi_error, build_schedule)
 from .tomography import ASSIGNMENT_DEFAULT
 
 
@@ -159,7 +161,8 @@ def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
     tau = cfg.tau_ns(scheme, two_qubit=True)
     grid = [float(x) for x in args.eps_grid.split(",")]
     rows = twoqubit.cnot_robustness(grid, scheme, tau, cfg.step_2q_ns)
-    # No artifact reads the 12x12 gate; it is built once for its leakage warning.
+    # No artifact reads the gate on the photonic-qubit Fock blocks 0 and 2;
+    # it is built once, for its leakage warning.
     twoqubit.build_two_qubit_gate(twoqubit.CNOT_GATE, scheme, tau, params, step=cfg.step_2q_ns)
     payload = {"scheme": scheme, "tau_ns": tau,
                "robustness": [{"epsilon": r.epsilon, "P_g": r.p_g,
@@ -228,9 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
         p.add_argument("--output-dir", dest="output_dir", default=None)
-        if name in ("simulate-gate", "sweep-epsilon", "dynphase", "qpt",
-                    "twoqubit"):
+        if name in ("simulate-gate", "sweep-epsilon", "dynphase", "qpt"):
             p.add_argument("--scheme", choices=SCHEMES, default=None)
+        if name == "twoqubit":
+            # There is no dynamical two-qubit gate.  A config's scheme key
+            # also picks the 1Q commands' scheme, so there dynamical is
+            # legal and twoqubit falls back to sr-nhqc.
+            p.add_argument("--scheme", choices=tuple(DEFAULT_TAU_TWO_QUBIT), default=None,
+                           help="two-qubit scheme; a config file's scheme = dynamical "
+                                "runs sr-nhqc")
         if name in ("simulate-gate", "sweep-epsilon", "dynphase", "qpt"):
             p.add_argument("--gate", choices=sorted(NAMED_GATES),
                            help="named gate; overrides --theta/--phi/--gamma")
@@ -285,10 +294,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     header = f"# holonomy-lab {__version__}\n# config {config_hash(cfg)}\n"
-    for name, body in artifacts.items():
-        (outdir / name).write_text(header + body)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, body in artifacts.items():
+            (outdir / name).write_text(header + body)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(summary)
     return 0
 

@@ -163,7 +163,11 @@ def load_config(path: Union[str, Path]) -> RunConfig:
     duration finite and positive: a run divides by the first, rotates by
     the second and integrates over the third.
     """
-    cfg = parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    cfg = parse_config(text)
     for keys, ok, what in _CHECKS:
         for key in keys:
             if not ok(getattr(cfg, key)):

@@ -18,10 +18,10 @@ among its 5 520 steps, because its six segments share one envelope and
 two phases.  The samples are decomposed in slabs of at most EIGH_SLAB
 matrices and written into the eigenvalue and projector stacks in place,
 so the setup's transient is one slab's H, eigenvectors and their
-transpose next to the projectors: the default cavity gate peaks at
-3.86 MB (tracemalloc), 2.9 MB of it projectors, where full-size stacks
-took 7.1 MB.  A default 1Q run, at most 2 400 samples, takes one or two
-eigh calls.
+transpose next to the projectors: the default cavity gate (2 Fock
+blocks) peaks at 2.31 MB (tracemalloc), 1.5 MB of it projectors, where
+full-size stacks of 4 blocks took 7.1 MB.  A default 1Q run, at most
+2 400 samples, takes one or two eigh calls.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
 equation of the qutrit, always as the channel: the nine basis matrices
 |i><j| are the columns of one run.  Its generator
@@ -68,7 +68,7 @@ TRACE_DRIFT_LIMIT = 1e-5
 STEP_BLOCK = 128
 # Most matrices per stacked eigh of the closed setup (_closed_products): a
 # default 1Q run (at most 2 400 samples) takes one or two calls, the
-# cavity gate (1 697 samples on 4 Fock blocks) four, each slab holding
+# cavity gate (1 697 samples on 2 Fock blocks) two, each slab holding
 # about 0.3 MB of H or eigenvectors.
 EIGH_SLAB = 2048
 

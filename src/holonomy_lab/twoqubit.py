@@ -8,7 +8,8 @@ leaving |2g>, |2f> ideally untouched: a controlled gate on the
 {|0g>, |0f>, |2g>, |2f>} subspace.  Neither the drive nor the shift
 changes the photon number, so the Hamiltonian is the stack of its
 (n_fock, 3, 3) Fock blocks, each the driven qutrit with its own
-detuning, and the gate propagates them side by side.
+detuning.  The computational states live in blocks 0 and 2 alone, so
+the gate propagates those two side by side (build_two_qubit_gate).
 
 The robustness grid starts in |0f>, which never leaves the n = 0 block;
 there the dispersive shift is zero, so the grid is one scaled
@@ -36,12 +37,6 @@ LEVEL_NAMES = ("g", "e", "f")
 
 def state_index(n: int, level: str) -> int:
     return 3 * n + LEVEL_NAMES.index(level)
-
-
-def computational_indices() -> list[int]:
-    """Indices of |0g>, |0f>, |2g>, |2f> in that frozen order."""
-    return [state_index(0, "g"), state_index(0, "f"),
-            state_index(2, "g"), state_index(2, "f")]
 
 
 def two_qubit_target(gate: GateSpec) -> np.ndarray:
@@ -82,56 +77,32 @@ def _selective_drive(gate: GateSpec, scheme: str, tau: Optional[float],
                              h0=model.dispersive_shift_hamiltonian(params))
 
 
-def zz_frame_correction(params: DispersiveSystemParams, tau: float) -> np.ndarray:
-    """Diagonal unitary undoing the dispersive phase accumulated over tau.
-
-    A pure frame change: it never moves population, only aligns the
-    Fock-block phases so the ideal gate reads diag(U1, I).
-    """
-    h = model.dispersive_shift_hamiltonian(params)
-    return np.diag(np.exp(1j * np.diagonal(h, axis1=1, axis2=2).reshape(-1) * tau))
-
-
-def calibration_phase_correction(u_zz_removed: np.ndarray, gamma: float,
-                                 n_fock: int) -> np.ndarray:
-    """Diagonal unitary absorbing the remaining deterministic phases.
-
-    Two pieces, both pure frame changes that an experiment folds into
-    its phase references instead of tuning the evolution time:
-      - the driven n = 0 block comes out of the loop as
-        e^{i gamma/2} U1, so the photon frame of that block is shifted
-        by -gamma/2;
-      - the off-resonant drive imprints Stark phases on the spectator
-        levels |2g> and |2f>, read off the propagator's diagonal and
-        conjugated away.
-    No population ever moves.
-    """
-    d = np.ones(3 * n_fock, dtype=complex)
-    d[0:3] = np.exp(-1j * gamma / 2)
-    for idx in (state_index(2, "g"), state_index(2, "f")):
-        entry = u_zz_removed[idx, idx]
-        if abs(entry) > 1e-12:
-            d[idx] = np.conj(entry) / abs(entry)
-    return np.diag(d)
-
-
 @dataclass(frozen=True)
 class TwoQubitGateResult:
-    schedule: PulseSchedule
-    params: DispersiveSystemParams
-    corrected: np.ndarray = field(repr=False)
-    leakage: float = 0.0
+    """The gate on (|0g>, |0f>, |2g>, |2f>) and its worst-case leakage."""
 
-    def computational_block(self) -> np.ndarray:
-        idx = computational_indices()
-        return self.corrected[np.ix_(idx, idx)]
+    block: np.ndarray = field(repr=False)
+    leakage: float
 
 
 def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
                          tau: Optional[float] = None,
                          params: Optional[DispersiveSystemParams] = None,
                          step: float = DEFAULT_STEP_2Q) -> TwoQubitGateResult:
-    """Propagate the selective drive and strip the ZZ frame phase.
+    """Propagate the photonic-qubit Fock blocks 0 and 2 and strip their
+    deterministic frame phases.
+
+    The drive and the dispersive shift keep the photon number, so the
+    gate on the computational states is the (g, f) corner of those two
+    blocks.  Three pure frame changes, which an experiment folds into
+    its phase references and which move no population, align the
+    phases so the ideal gate reads diag(U1, I):
+      - exp(i H0_n tau) undoes the dispersive (ZZ) phase of block n;
+      - the driven n = 0 block comes out of the loop as
+        e^{i gamma/2} U1, so its photon frame is shifted by -gamma/2;
+      - the off-resonant drive imprints Stark phases on the spectator
+        levels |2g> and |2f>, read off the ZZ-corrected diagonal and
+        conjugated away.
 
     Leakage is the worst-case probability of leaving the four-state
     computational subspace; above 1% the weak-drive selectivity
@@ -139,25 +110,24 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     """
     params = DispersiveSystemParams.from_mhz() if params is None else params
     schedule, ham = _selective_drive(gate, scheme, tau, 0.0, params)
-    blocks = evolve.scaled_final_unitaries(ham, schedule.tau, step, (1.0,))[1][0]
-    # The Fock blocks on the diagonal of the full-space gate, index n*3 + level.
-    fock = np.arange(params.n_fock)
-    u = np.zeros((params.n_fock, 3, params.n_fock, 3), dtype=complex)
-    u[fock, :, fock] = blocks
-    u = u.reshape(3 * params.n_fock, 3 * params.n_fock)
-    corrected = zz_frame_correction(params, schedule.tau) @ u
-    corrected = calibration_phase_correction(corrected, gate.gamma,
-                                             params.n_fock) @ corrected
+    h0 = ham.h0[[0, 2]]
+    finals = evolve.scaled_final_unitaries(replace(ham, h0=h0), schedule.tau, step,
+                                           (1.0,))[1][0]
+    zz = np.exp(1j * np.diagonal(h0, axis1=1, axis2=2) * schedule.tau)
+    qubit = np.ix_([0, 1], [model.G, model.F], [model.G, model.F])
+    corner = (zz[:, :, None] * finals)[qubit]
+    stark = np.array([np.conj(d) / abs(d) if abs(d) > 1e-12 else 1.0
+                      for d in np.diagonal(corner[1])])
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = np.exp(-1j * gate.gamma / 2) * corner[0]
+    block[2:, 2:] = stark[:, None] * corner[1]
 
-    idx = computational_indices()
-    block = corrected[np.ix_(idx, idx)]
     leak = float(1.0 - np.min(np.sum(np.abs(block) ** 2, axis=0)))
     if leak > 0.01:
         warnings.warn(f"leakage {leak:.3f} out of the computational subspace "
                       "exceeds 1%; drive is not photon-number selective",
                       RuntimeWarning, stacklevel=2)
-    return TwoQubitGateResult(schedule=schedule, params=params,
-                              corrected=corrected, leakage=leak)
+    return TwoQubitGateResult(block=block, leakage=leak)
 
 
 def prepare_fock(target: str,
@@ -229,8 +199,8 @@ def cnot_robustness(epsilons: Sequence[float], scheme: str = SCHEME_SR,
     the n = 0 Fock block, where the dispersive shift is zero: there the
     gate is the qutrit schedule alone, a Rabi error scales its whole
     Hamiltonian, and one evolve.scaled_final_unitaries run gives every
-    error.  The ZZ and calibration corrections of build_two_qubit_gate
-    are diagonal and move no population, so they are not applied.
+    error.  The frame phases of build_two_qubit_gate move no
+    population, so they are not applied.
     """
     epsilons = [float(eps) for eps in epsilons]
     scales = [rabi_scale(eps) for eps in epsilons]

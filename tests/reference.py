@@ -15,11 +15,13 @@ projection of Smolin, Gambetta and Smith written out step by step.
 segment_exact_unitary propagates a segmented schedule exactly, one
 matrix exponential per segment.  cnot_robustness_per_error runs the
 whole cavity gate once per Rabi error, the path the one scaled
-propagation of the n = 0 Fock block replaces, and
+propagation of the n = 0 Fock block replaces; two_qubit_gate_full
+propagates the whole cavity gate and applies its frame phases on the
+full space, the path the two photonic-qubit Fock blocks replace; and
 cnot_state_fidelity_full runs the open-system CNOT on the whole cavity
 space with the cavity collapse operators, the run the two Fock-block
-qutrit runs replace.  Both build the dense 3N x 3N Hamiltonian of the
-Fock-block stack (full_space_hamiltonian), which the package never
+qutrit runs replace.  All three build the dense 3N x 3N Hamiltonian of
+the Fock-block stack (full_space_hamiltonian), which the package never
 builds.  The *_to_csv writers format every value on its
 own and write the cells through csv.writer, the path the package's
 one-format-per-row writer replaces.
@@ -343,6 +345,28 @@ def cnot_robustness_per_error(epsilons, scheme: str, tau=None,
         column = u[:, twoqubit.state_index(0, "f")]
         rows.append((np.abs(column) ** 2).reshape(-1, 3).sum(axis=0))
     return np.array(rows)
+
+
+def two_qubit_gate_full(gate, scheme: str = "sr-nhqc", tau=None,
+                        step: float = DEFAULT_STEP_2Q):
+    """(block, leakage) of twoqubit.build_two_qubit_gate from one dense
+    3N x 3N propagation of every Fock block, with the ZZ frame and
+    calibration phases as 3N x 3N diagonals, then the rows and columns of
+    (|0g>, |0f>, |2g>, |2f>) sliced out."""
+    params = model.DispersiveSystemParams.from_mhz()
+    schedule, ham = twoqubit._selective_drive(gate, scheme, tau, 0.0, params)
+    full = full_space_hamiltonian(ham)
+    u = evolve.scaled_final_unitaries(full, schedule.tau, step, (1.0,))[1][0]
+    u = np.diag(np.exp(1j * np.diag(full.h0) * schedule.tau)) @ u
+    d = np.ones(len(u), dtype=complex)
+    d[:3] = np.exp(-1j * gate.gamma / 2)
+    for i in (twoqubit.state_index(2, "g"), twoqubit.state_index(2, "f")):
+        if abs(u[i, i]) > 1e-12:
+            d[i] = np.conj(u[i, i]) / abs(u[i, i])
+    u = np.diag(d) @ u
+    idx = [twoqubit.state_index(n, level) for n in (0, 2) for level in ("g", "f")]
+    block = u[np.ix_(idx, idx)]
+    return block, float(1.0 - np.min(np.sum(np.abs(block) ** 2, axis=0)))
 
 
 def cavity_collapse_operators(noise, n_fock: int) -> list:

@@ -218,6 +218,46 @@ def test_non_finite_grid_in_config_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("make", [lambda tmp: tmp / "missing.cfg",
+                                  lambda tmp: tmp], ids=["missing", "directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make):
+    out = tmp_path / "o"
+    assert main(["--config", str(make(tmp_path)), "budget", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_output_dir_at_a_file_exits_2(tmp_path, capsys, below):
+    kept = tmp_path / "f"
+    kept.write_text("kept\n")
+    assert main(["budget", "--output-dir", str(kept / below)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert kept.read_text() == "kept\n"
+
+
+def test_twoqubit_rejects_the_dynamical_scheme_flag(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["twoqubit", "--scheme", "dynamical", "--output-dir", str(out)])
+    assert exc.value.code == 2
+    assert "--scheme" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_twoqubit_runs_sr_nhqc_under_a_dynamical_config(tmp_path):
+    cfg = tmp_path / "dyn.cfg"
+    cfg.write_text("scheme = dynamical\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--config", str(cfg), "twoqubit", "--eps-grid", "0",
+                     "--output-dir", str(out)]) == 0
+    assert _read_json(out / "twoqubit.json")["scheme"] == "sr-nhqc"
+
+
 def test_infinite_coherence_time_in_config_is_legal(tmp_path):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("t1_ge_us = inf\n")

@@ -125,8 +125,8 @@ def test_cavity_gate_eigendecomposes_each_distinct_sample_once(monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)  # the default gate's leakage
         twoqubit.build_two_qubit_gate(twoqubit.CNOT_GATE)
     # The samples go through eigh in slabs of at most EIGH_SLAB matrices,
-    # every Fock block of every distinct sample once.
-    assert sum(shape[0] for shape in calls) == 4 * len(samples)
+    # both photonic-qubit Fock blocks of every distinct sample once.
+    assert sum(shape[0] for shape in calls) == 2 * len(samples)
     assert all(shape[1:] == (3, 3) and shape[0] <= evolve.EIGH_SLAB for shape in calls)
 
 

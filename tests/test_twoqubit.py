@@ -9,7 +9,7 @@ from holonomy_lab.model import DispersiveSystemParams, NoiseModel
 from holonomy_lab.pulses import GateSpec, PulseSchedule
 from holonomy_lab.twoqubit import CNOT_GATE, state_index
 from reference import (cavity_collapse_operators, cnot_robustness_per_error,
-                       cnot_state_fidelity_full)
+                       cnot_state_fidelity_full, two_qubit_gate_full)
 
 
 def _quiet_gate(*args, **kwargs):
@@ -23,7 +23,6 @@ def test_state_indexing():
     assert state_index(0, "f") == 2
     assert state_index(2, "g") == 6
     assert state_index(2, "f") == 8
-    assert twoqubit.computational_indices() == [0, 2, 6, 8]
 
 
 def test_two_qubit_target_structure():
@@ -38,16 +37,14 @@ def test_identity_loop_returns_identity_block():
     # gamma = 0 traverses the loop without imprinting a holonomy; the
     # corrected computational block is the identity up to the residual
     # photon-number-selectivity leakage of a few 1e-3.
-    res = _quiet_gate(GateSpec(np.pi / 2, 0.0, 0.0))
-    block = res.computational_block()
+    block = _quiet_gate(GateSpec(np.pi / 2, 0.0, 0.0)).block
     assert qmath.unitary_fidelity(block, np.eye(4)) > 0.997
     assert np.max(np.abs(block - np.eye(4))) < 8e-3
 
 
 def test_cnot_block_matches_target():
     res = _quiet_gate(CNOT_GATE)
-    block = res.computational_block()
-    fid = qmath.unitary_fidelity(block, twoqubit.two_qubit_target(CNOT_GATE))
+    fid = qmath.unitary_fidelity(res.block, twoqubit.two_qubit_target(CNOT_GATE))
     assert fid > 0.995
     assert res.leakage < 0.03
 
@@ -58,18 +55,37 @@ def test_leakage_warning_fires():
 
 
 def test_cnot_population_transfer():
-    res = _quiet_gate(CNOT_GATE)
-    u = res.corrected
+    # The block's basis is (|0g>, |0f>, |2g>, |2f>).
+    block = _quiet_gate(CNOT_GATE).block
     # control |0>: transmon flips f -> g
-    psi = np.zeros(12, dtype=complex)
-    psi[state_index(0, "f")] = 1.0
-    out = u @ psi
-    assert abs(out[state_index(0, "g")]) ** 2 > 0.99
+    assert abs(block[0, 1]) ** 2 > 0.99
     # control |2>: spectator, transmon stays in g
-    psi2 = np.zeros(12, dtype=complex)
-    psi2[state_index(2, "g")] = 1.0
-    out2 = u @ psi2
-    assert abs(out2[state_index(2, "g")]) ** 2 > 0.99
+    assert abs(block[2, 2]) ** 2 > 0.99
+
+
+# CNOT, the identity loop and an off-axis gate on either scheme; nhqc at
+# its own 1 380 ns default.
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+@pytest.mark.parametrize("gate", [CNOT_GATE, GateSpec(np.pi / 2, 0.0, 0.0),
+                                  GateSpec(1.1, 0.4, 2.3)],
+                         ids=["cnot", "gamma-0", "off-axis"])
+def test_gate_matches_the_full_space_gate(scheme, gate):
+    res = _quiet_gate(gate, scheme)
+    block, leakage = two_qubit_gate_full(gate, scheme)
+    np.testing.assert_allclose(res.block, block, rtol=0, atol=1e-12)
+    assert abs(res.leakage - leakage) <= 1e-12
+
+
+def test_gate_propagates_the_photonic_qubit_blocks_only(monkeypatch):
+    calls, real = [], evolve.scaled_final_unitaries
+
+    def counted(ham, tau, step, scales):
+        calls.append((ham.h0.shape, tuple(scales)))
+        return real(ham, tau, step, scales)
+
+    monkeypatch.setattr(evolve, "scaled_final_unitaries", counted)
+    _quiet_gate(CNOT_GATE, tau=13.8, step=0.69)
+    assert calls == [((2, 3, 3), (1.0,))]
 
 
 def test_prepare_fock_states():
@@ -131,13 +147,6 @@ def test_cavity_noise_operators():
     low = ops[0]
     assert abs(low[state_index(0, "g"), state_index(1, "g")]) > 0
     assert abs(low[state_index(0, "g"), state_index(2, "g")]) == 0
-
-
-def test_zz_frame_correction_is_diagonal_unitary():
-    p = DispersiveSystemParams.from_mhz()
-    corr = twoqubit.zz_frame_correction(p, 2760.0)
-    assert np.allclose(corr, np.diag(np.diag(corr)))
-    assert np.allclose(np.abs(np.diag(corr)), 1.0)
 
 
 def test_outputs():
@@ -224,12 +233,14 @@ def test_cnot_state_fidelity_holds_no_map_per_step():
 
 # The closed setup eigendecomposes the distinct drive samples in slabs
 # and writes the eigenvalues and projectors in place.  The default gate
-# (1 697 samples on 4 Fock blocks, 2.9 MB of projectors) peaks at 3.86 MB
-# and the 5-point grid (the same samples on the qutrit) at 1.4 MB.  With
-# full-size stacks of H, eigenvectors, their transpose and its conjugate
-# next to the projectors they peaked at 7.1 and 2.0 MB.
+# (1 697 samples on the 2 photonic-qubit Fock blocks, 1.5 MB of
+# projectors) peaks at 2.31 MB and the 5-point grid (the same samples on
+# the qutrit) at 1.4 MB.  All 4 Fock blocks peaked at 3.86 MB, which the
+# gate bound rejects; with full-size stacks of H, eigenvectors, their
+# transpose and its conjugate next to the projectors, 4 blocks and the
+# grid peaked at 7.1 and 2.0 MB.
 def test_cavity_gate_setup_holds_no_full_size_stacks():
-    assert _second_call_peak(lambda: _quiet_gate(CNOT_GATE)) <= 5e6
+    assert _second_call_peak(lambda: _quiet_gate(CNOT_GATE)) <= 3e6
 
 
 def test_robustness_grid_setup_holds_no_full_size_stacks():
