@@ -28,6 +28,13 @@ equation of the qutrit, always as the channel: the nine basis matrices
 L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix.
 A run returns what its callers read: every column's populations at
 every grid time and the final images, never the whole history.
+Each run checks every column's trace at every grid time against its
+start.  RK4 maps of a trace-preserving generator keep the trace to
+round-off at any step, so that check catches growth, where maps of
+spectral radius above 1 amplify the round-off, not step error.  A step
+too coarse for the generator shows as a negative Choi eigenvalue of
+the channel instead.  _check_cptp reads both on a finished channel,
+a product of channels included.
 
 One chain, _chain, multiplies the step maps of both: the closed step
 exponentials and the RK4 step maps M_k.  Chunks of at most STEP_BLOCK
@@ -41,11 +48,12 @@ matmul, and a product with one matrix for the whole batch through one
 GEMM.  A 9x9 RK4 step map costs about the arithmetic of the four
 stages of the plain RK4 loop on the nine columns, but the loop makes a
 Python-level product per stage and step.  The open-system CNOT fidelity
-runs as two qutrit channels, of Fock blocks 0 and 2
-(twoqubit.cnot_state_fidelity).  Measured on 2 CPUs (numpy 2.4, a
-shared host whose speed swings by up to 1.5x): a default 1Q channel
-(2 400 steps) takes 15-27 ms, the CNOT fidelity (two 5 520-step
-channels) 68-106 ms and the closed cavity gate 23-39 ms.
+reads two qutrit channels, of Fock blocks 0 and 2, each a product of
+the channels of its distinct segments (twoqubit.cnot_state_fidelity).
+Measured on 2 CPUs (numpy 2.4, a shared host whose speed swings by up
+to 1.5x): a default 1Q channel (2 400 steps) takes 15-27 ms, the CNOT
+fidelity (a 690- and a 1 380-step channel per block) 30-57 ms and the
+closed cavity gate 23-39 ms.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -464,6 +472,30 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     return times, populations, finals
 
 
+def _check_cptp(channels: np.ndarray) -> None:
+    """Raise unless every 9x9 row-major superoperator in channels (..., 9, 9)
+    is trace preserving and then completely positive, each to within
+    TRACE_DRIFT_LIMIT.
+
+    The trace check also covers a product of channels: the product
+    amplifies each factor's trace round-off by the norm of the factors
+    after it, so one that blows up shows even where every factor passed
+    its own drift check.
+    """
+    # The trace functional tr(rho) = vec(I) . vec(rho).
+    trace = np.eye(3).reshape(-1)
+    drift = np.max(np.abs(trace @ channels - trace))
+    if not drift <= TRACE_DRIFT_LIMIT:
+        raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
+                           "reduce the integration step")
+    # Choi matrix sum_ij |i><j| kron E(|i><j|), E(|i><j|)_kl = channel[3k+l, 3i+j].
+    choi = channels.reshape(-1, 3, 3, 3, 3).transpose(0, 3, 1, 4, 2).reshape(-1, 9, 9)
+    choi_min = np.min(np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[:, 0])
+    if not choi_min >= -TRACE_DRIFT_LIMIT:
+        raise RuntimeError(f"channel Choi eigenvalue {choi_min:.2e} is below "
+                           f"-{TRACE_DRIFT_LIMIT:g}; reduce the integration step")
+
+
 def _open_system(schedule: PulseSchedule, noise: Optional[NoiseModel]
                  ) -> tuple[DrivenHamiltonian, list[np.ndarray]]:
     """Hamiltonian (Rabi error applied) and collapse operators under noise."""
@@ -482,21 +514,15 @@ def propagate_superoperator(schedule: PulseSchedule, noise: Optional[NoiseModel]
     vec(rho(tau)) = S vec(rho(0)).  The nine basis matrices |i><j| are
     the columns of one run; the first is |g><g|, so its populations are
     the ground-state trace that a one-state run would give.  Noiseless
-    if noise is None.  Raises if the channel is not completely positive
-    to within TRACE_DRIFT_LIMIT (minimum Choi eigenvalue), which RK4's
-    trace drift cannot reveal when the step is too coarse.
+    if noise is None.  Raises if the channel is not trace preserving or
+    not completely positive to within TRACE_DRIFT_LIMIT (_check_cptp).
     """
     ham, c_ops = _open_system(schedule, noise)
     times, populations, finals = propagate_lindblad_h(ham, c_ops, schedule.tau, step)
-    # Choi matrix sum_ij |i><j| kron E(|i><j|); finals[3i+j] is E(|i><j|).
-    choi = finals.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
-    choi_min = np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[0]
-    if not choi_min >= -TRACE_DRIFT_LIMIT:
-        raise RuntimeError(f"channel Choi eigenvalue {choi_min:.2e} is below "
-                           f"-{TRACE_DRIFT_LIMIT:g}; reduce the integration step")
     # A C-ordered copy, not a transposed view, so that products with the
     # channel take the same BLAS path, and round alike, as any stored matrix.
     channel = np.ascontiguousarray(finals.reshape(9, 9).T)
+    _check_cptp(channel)
     return EvolutionTrace(times=times, populations=populations[:, 0]), channel
 
 

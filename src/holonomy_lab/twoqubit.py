@@ -15,7 +15,9 @@ The robustness grid starts in |0f>, which never leaves the n = 0 block;
 there the dispersive shift is zero, so the grid is one scaled
 propagation of the qutrit schedule (cnot_robustness).  Under noise each
 transfer of the CNOT fidelity stays in its own Fock block too, so the
-open-system figure is two qutrit Lindblad runs (cnot_state_fidelity).
+open-system figure reads two qutrit Lindblad channels.  Each channel is
+the product of the channels of the schedule's segments, and a segment
+that repeats is integrated once (cnot_state_fidelity).
 """
 
 from __future__ import annotations
@@ -211,6 +213,24 @@ def cnot_robustness(epsilons: Sequence[float], scheme: str = SCHEME_SR,
     return [RobustnessRow(eps, *map(float, p)) for eps, p in zip(epsilons, populations)]
 
 
+def _grid_pieces(schedule: PulseSchedule, step: float) -> list[tuple[PulseSchedule, float]]:
+    """(piece, step) runs whose channels, multiplied in order, make the
+    schedule's channel on the grid of evolve._time_grid(tau, step).
+
+    If every segment spans a whole number of grid steps, so that every
+    boundary lies on the grid, each segment is a piece: a one-segment
+    schedule on its own grid steps.  Equal segments are equal pieces, so
+    a caller integrates each distinct one once.  If a boundary falls
+    between grid points, the schedule is the one piece.
+    """
+    durations = np.array([seg.duration for seg in schedule.segments])
+    steps = durations / evolve._time_grid(schedule.tau, step)[1]
+    if not np.allclose(steps, np.round(steps), rtol=0, atol=1e-9):
+        return [(schedule, step)]
+    return [(replace(schedule, tau=seg.duration, segments=(seg,)), seg.duration / m)
+            for seg, m in zip(schedule.segments, np.round(steps))]
+
+
 def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
                         transmon_noise: Optional[NoiseModel] = None,
                         cavity_noise: Optional[CavityNoise] = None,
@@ -223,34 +243,51 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     (controlled flip active) and |2g> -> |2g> (spectator), under the
     transmon collapse operators, cavity decay sqrt(g1) a and cavity
     dephasing on a^dag a, read out in the ZZ-corrected frame, which moves
-    no population.  Each transfer is one qutrit run.  The drive and the
-    transmon operators keep the photon number, so a state that starts in
-    Fock block n keeps rho block diagonal, and its (n, n) block sees the
-    dispersive shift of block n as H0 (zero for n = 0), no cavity
+    no population.  Each transfer is one qutrit channel.  The drive and
+    the transmon operators keep the photon number, so a state that starts
+    in Fock block n keeps rho block diagonal, and its (n, n) block sees
+    the dispersive shift of block n as H0 (zero for n = 0), no cavity
     dephasing (n rho n - {n^2, rho}/2 = 0), and cavity decay -n g1 rho,
     fed only from block n + 1, which stays empty.  So the block is
-    exp(-n g1 tau) times the qutrit Lindblad run of that H0, exactly.
-    Each run is the qutrit channel, of which it reads one final entry.
+    exp(-n g1 tau) times the qutrit Lindblad channel of that H0, exactly.
+    The Lindblad generator depends on time through the drive alone, so
+    equal segments have equal channels, and the channel of the schedule
+    is the product of its segments' channels.  When every segment
+    boundary lies on the time grid (_grid_pieces), each distinct segment
+    is integrated once and the channels are multiplied in schedule
+    order: at the default grid, 690 and 1 380 RK4 steps per block for
+    sr-nhqc, whose CNOT repeats two segment shapes, instead of 5 520.
+    Otherwise the schedule is one run, as a whole.  Either way the
+    block's channel is checked to be trace preserving and completely
+    positive (evolve._check_cptp), and one entry of it is read.
     """
     params = DispersiveSystemParams.from_mhz() if params is None else params
     if transmon_noise is None:
         transmon_noise = NoiseModel.from_coherence_times()
     cavity_noise = CavityNoise() if cavity_noise is None else cavity_noise
     schedule, ham = _selective_drive(CNOT_GATE, scheme, tau, transmon_noise.epsilon, params)
-    # Both runs sample one time grid, so the drive is sampled once.
-    sampled = functools.cache(lambda key: schedule.drive(np.frombuffer(key)))
-    drive = lambda t: sampled(t.tobytes())
+    pieces = _grid_pieces(schedule, step)
     c_ops = model.collapse_operators(transmon_noise)
     g1 = 1.0 / (cavity_noise.t1_us * model.US_TO_NS)  # the rate of sqrt(g1) a
 
-    def transfer(n: int, start: int, goal: int) -> float:
-        """P(|n, goal>) at tau from |n, start>: Fock block n as a qutrit run."""
-        qutrit = evolve.DrivenHamiltonian(ham.h0[n], ham.a_op, drive)
-        finals = evolve.propagate_lindblad_h(qutrit, c_ops, schedule.tau, step)[2]
-        # finals[3 i + j] is the image of |i><j|.
-        return finals[4 * start, goal, goal].real * np.exp(-n * g1 * schedule.tau)
+    def block_channel(n: int) -> np.ndarray:
+        """The 9x9 qutrit channel of Fock block n: its pieces' product."""
+        channels = {}
+        for piece, piece_step in pieces:
+            if piece not in channels:
+                qutrit = evolve.DrivenHamiltonian(ham.h0[n], ham.a_op, piece.drive)
+                finals = evolve.propagate_lindblad_h(qutrit, c_ops, piece.tau, piece_step)[2]
+                # finals[3 i + j] is the image of |i><j|, column 3 i + j.
+                channels[piece] = finals.reshape(9, 9).T
+        return functools.reduce(lambda total, later: later @ total,
+                                [channels[piece] for piece, _ in pieces])
 
-    return float(np.mean([transfer(0, model.F, model.G), transfer(2, model.G, model.G)]))
+    # (Fock block n, start, goal): P(|n, goal>) at tau from |n, start>.
+    transfers = ((0, model.F, model.G), (2, model.G, model.G))
+    channels = np.stack([block_channel(n) for n, _, _ in transfers])
+    evolve._check_cptp(channels)
+    return float(np.mean([channel[4 * goal, 4 * start].real * np.exp(-n * g1 * schedule.tau)
+                          for channel, (n, start, goal) in zip(channels, transfers)]))
 
 
 def robustness_to_csv(rows: Sequence[RobustnessRow]) -> str:

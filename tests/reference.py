@@ -20,9 +20,12 @@ propagates the whole cavity gate and applies its frame phases on the
 full space, the path the two photonic-qubit Fock blocks replace; and
 cnot_state_fidelity_full runs the open-system CNOT on the whole cavity
 space with the cavity collapse operators, the run the two Fock-block
-qutrit runs replace.  All three build the dense 3N x 3N Hamiltonian of
+qutrit channels replace.  All three build the dense 3N x 3N Hamiltonian of
 the Fock-block stack (full_space_hamiltonian), which the package never
-builds.  The *_to_csv writers format every value on its
+builds.  cnot_state_fidelity_whole runs each of those two Fock-block
+channels over the whole schedule, the run that integrating each
+distinct segment once and multiplying the channels replaces.  The
+*_to_csv writers format every value on its
 own and write the cells through csv.writer, the path the package's
 one-format-per-row writer replaces.
 """
@@ -404,6 +407,27 @@ def cnot_state_fidelity_full(scheme: str = "sr-nhqc", epsilon: float = 0.0,
     _, states = lindblad_stage_loop(full_space_hamiltonian(ham), c_ops, schedule.tau, step,
                                     rho0)
     return float(np.mean(states[-1, [0, 1], goal, goal].real))
+
+
+def cnot_state_fidelity_whole(scheme: str = "sr-nhqc", epsilon: float = 0.0,
+                              cavity=None, tau=None,
+                              step: float = DEFAULT_STEP_2Q) -> float:
+    """twoqubit.cnot_state_fidelity from one qutrit Lindblad run of the
+    whole schedule per Fock block, 0 and 2: no segment is integrated
+    apart from the others and no channel is multiplied."""
+    params = model.DispersiveSystemParams.from_mhz()
+    noise = model.NoiseModel.from_coherence_times(epsilon=epsilon)
+    cavity = twoqubit.CavityNoise() if cavity is None else cavity
+    schedule, ham = twoqubit._selective_drive(twoqubit.CNOT_GATE, scheme, tau, epsilon,
+                                              params)
+    c_ops = model.collapse_operators(noise)
+    g1 = 1.0 / (cavity.t1_us * model.US_TO_NS)
+    transfers = []
+    for n, start, goal in ((0, F, G), (2, G, G)):
+        qutrit = evolve.DrivenHamiltonian(ham.h0[n], ham.a_op, schedule.drive)
+        finals = evolve.propagate_lindblad_h(qutrit, c_ops, schedule.tau, step)[2]
+        transfers.append(finals[4 * start, goal, goal].real * np.exp(-n * g1 * schedule.tau))
+    return float(np.mean(transfers))
 
 
 def csv_text(columns, rows) -> str:

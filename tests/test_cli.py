@@ -454,6 +454,25 @@ def test_coarse_noisy_step_exits_3(tmp_path, capsys):
     assert "Choi" in capsys.readouterr().err
 
 
+# Both steps put every CNOT segment boundary on the grid, so each block's
+# channel is a product of segment channels.  At 5 ns block 2's channel
+# has a Choi eigenvalue of -2.8e-3 and no trace drift.  At 115 ns every
+# 3- and 6-step segment run keeps its trace to round-off, which the
+# product of block 2's RK4 maps (spectral radius 57) amplifies to 6e28.
+@pytest.mark.parametrize("step, message", [(5, "Choi eigenvalue"), (115, "trace drift")])
+def test_coarse_cnot_fidelity_step_exits_3_without_artifacts(tmp_path, capsys, step,
+                                                              message):
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(f"step_2q_ns = {step}\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--config", str(cfg), "twoqubit", "--eps-grid", "0", "--fidelity",
+                     "--output-dir", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qpt_command(tmp_path):
     out = tmp_path / "o"
     assert main(["qpt", "--gate", "X", "--output-dir", str(out)]) == 0

@@ -6,10 +6,12 @@ import pytest
 
 from holonomy_lab import evolve, model, qmath, twoqubit
 from holonomy_lab.model import DispersiveSystemParams, NoiseModel
-from holonomy_lab.pulses import GateSpec, PulseSchedule
+from holonomy_lab.pulses import (DEFAULT_STEP_2Q, DEFAULT_TAU_TWO_QUBIT, GateSpec,
+                                 PulseSchedule)
 from holonomy_lab.twoqubit import CNOT_GATE, state_index
 from reference import (cavity_collapse_operators, cnot_robustness_per_error,
-                       cnot_state_fidelity_full, two_qubit_gate_full)
+                       cnot_state_fidelity_full, cnot_state_fidelity_whole,
+                       two_qubit_gate_full)
 
 
 def _quiet_gate(*args, **kwargs):
@@ -156,8 +158,9 @@ def test_outputs():
 
 
 def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
-    # 13.8 / 0.69 evaluates to 20.000000000000004: a grid that rounds up
-    # naively takes 21 steps instead of 20.
+    # 64.17 / 0.69 evaluates to 93.00000000000001: a grid that rounds up
+    # naively takes 94 steps instead of 93.  The first segment boundary
+    # falls at 11.625 steps, so the open run is the whole schedule.
     sampled = []
     real = PulseSchedule.drive
 
@@ -166,25 +169,25 @@ def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
         return real(self, t)
 
     monkeypatch.setattr(PulseSchedule, "drive", recorded)
-    _quiet_gate(CNOT_GATE, tau=13.8, step=0.69)
+    _quiet_gate(CNOT_GATE, tau=64.17, step=0.69)
     closed = sampled[:]
     sampled.clear()
-    twoqubit.cnot_state_fidelity(tau=13.8, step=0.69)
-    # One call each: the closed gate samples one midpoint per step, the
-    # RK4 run the grid points and step midpoints, both initial states in
-    # one run.
-    assert [len(t) for t in closed] == [20]
-    assert [len(t) for t in sampled] == [2 * 20 + 1]
-    np.testing.assert_allclose(np.sort(sampled[0])[1::2], closed[0], rtol=0, atol=1e-12)
+    twoqubit.cnot_state_fidelity(tau=64.17, step=0.69)
+    # One call per run: the closed gate samples one midpoint per step,
+    # each Fock block's RK4 run the grid points and step midpoints.
+    assert [len(t) for t in closed] == [93]
+    assert [len(t) for t in sampled] == [2 * 93 + 1] * 2
+    for t in sampled:
+        np.testing.assert_allclose(np.sort(t)[1::2], closed[0], rtol=0, atol=1e-12)
 
 
 def test_cnot_state_fidelity_is_pinned():
-    assert abs(twoqubit.cnot_state_fidelity() - 0.950961805057732) <= 1e-15
+    assert abs(twoqubit.cnot_state_fidelity() - 0.9509618050577165) <= 1e-15
 
 
 # The two Fock-block qutrit runs against one RK4 stage-loop run of |0f>
 # and |2g> on the whole Fock (x) qutrit space with every collapse
-# operator, cavity dephasing included.  The gaps are 8e-15 to 2e-13.
+# operator, cavity dephasing included.  The gaps are 5e-15 to 2.2e-13.
 @pytest.mark.parametrize("scheme, epsilon, cavity", [
     ("sr-nhqc", 0.0, None), ("nhqc", 0.0, None), ("sr-nhqc", 0.05, None),
     ("sr-nhqc", 0.0, twoqubit.CavityNoise(20.0, 15.0))],
@@ -196,20 +199,72 @@ def test_cnot_state_fidelity_matches_the_full_space_run(scheme, epsilon, cavity)
     assert abs(blocks - cnot_state_fidelity_full(scheme, epsilon, cavity)) <= 1e-12
 
 
-def test_cnot_state_fidelity_is_two_qutrit_channel_runs(monkeypatch):
+def _recorded_lindblad_runs(monkeypatch):
+    """The (h0, steps, finals shape) of every propagate_lindblad_h run."""
     runs, real = [], evolve.propagate_lindblad_h
 
     def recorded(ham, c_ops, tau, step):
         run = real(ham, c_ops, tau, step)
-        runs.append((ham.h0, run[2].shape))
+        runs.append((ham.h0, len(run[0]) - 1, run[2].shape))
         return run
 
     monkeypatch.setattr(evolve, "propagate_lindblad_h", recorded)
-    twoqubit.cnot_state_fidelity(tau=13.8, step=0.69)
+    return runs
+
+
+def test_cnot_state_fidelity_is_two_qutrit_channel_runs(monkeypatch):
+    # A segment boundary off the grid: each block is one whole run.
+    runs = _recorded_lindblad_runs(monkeypatch)
+    twoqubit.cnot_state_fidelity(tau=64.17, step=0.69)
     shift = model.dispersive_shift_hamiltonian(DispersiveSystemParams.from_mhz())
-    assert [shape for _, shape in runs] == [(9, 3, 3), (9, 3, 3)]
+    assert [shape for _, _, shape in runs] == [(9, 3, 3), (9, 3, 3)]
     assert np.array_equal(runs[0][0], np.zeros((3, 3)))
     assert np.array_equal(runs[1][0], shift[2])
+
+
+# On the default grid each distinct segment of the CNOT is one run per
+# Fock block: sr-nhqc's (pi/2, tau/8) and (pi, tau/4) shapes, nhqc's one
+# (pi, tau/2) segment, instead of 5 520 and 2 760 steps per block.
+@pytest.mark.parametrize("scheme, steps", [("sr-nhqc", [690, 1380]), ("nhqc", [1380])])
+def test_cnot_state_fidelity_integrates_each_distinct_segment_once(monkeypatch, scheme,
+                                                                    steps):
+    runs = _recorded_lindblad_runs(monkeypatch)
+    twoqubit.cnot_state_fidelity(scheme=scheme)
+    shift = model.dispersive_shift_hamiltonian(DispersiveSystemParams.from_mhz())
+    assert [n for _, n, _ in runs] == steps * 2
+    for h0, _, _ in runs[:len(steps)]:
+        assert np.array_equal(h0, np.zeros((3, 3)))
+    for h0, _, _ in runs[len(steps):]:
+        assert np.array_equal(h0, shift[2])
+
+
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+def test_default_grid_puts_every_segment_boundary_on_a_grid_point(scheme):
+    schedule = twoqubit._two_qubit_schedule(CNOT_GATE, scheme, None)
+    assert schedule.tau == DEFAULT_TAU_TWO_QUBIT[scheme]
+    pieces = twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q)
+    assert [piece.segments for piece, _ in pieces] == [(seg,) for seg in schedule.segments]
+
+
+# The composed channels against one run of the whole schedule per block.
+# The gaps are 3.1e-15 to 1.6e-14.
+@pytest.mark.parametrize("scheme, epsilon, cavity", [
+    ("sr-nhqc", 0.0, None), ("nhqc", 0.0, None), ("sr-nhqc", 0.05, None),
+    ("sr-nhqc", 0.0, twoqubit.CavityNoise(20.0, 15.0))],
+    ids=["sr-nhqc", "nhqc", "epsilon-0.05", "cavity-20-15us"])
+def test_cnot_state_fidelity_matches_the_whole_schedule_run(scheme, epsilon, cavity):
+    pieces = twoqubit.cnot_state_fidelity(
+        transmon_noise=NoiseModel.from_coherence_times(epsilon=epsilon),
+        cavity_noise=cavity, scheme=scheme)
+    assert abs(pieces - cnot_state_fidelity_whole(scheme, epsilon, cavity)) <= 1e-13
+
+
+# Off the grid the schedule is one run, exactly the whole-schedule run.
+@pytest.mark.parametrize("scheme, tau, step", [("sr-nhqc", 64.17, 0.69),
+                                               ("nhqc", 100.3, 0.5)])
+def test_cnot_state_fidelity_off_the_grid_is_the_whole_run(scheme, tau, step):
+    assert (twoqubit.cnot_state_fidelity(scheme=scheme, tau=tau, step=step)
+            == cnot_state_fidelity_whole(scheme, tau=tau, step=step))
 
 
 def _second_call_peak(fn):
@@ -223,12 +278,13 @@ def _second_call_peak(fn):
         tracemalloc.stop()
 
 
-# One default call peaks at 4.0 MB, mostly the kept diagonal rows and
-# the populations of a 5 520-step run; the stage loop on the full space
-# peaked at 3.3 MB.  A stack of one run's 9x9 step maps would take 7.2 MB
-# on its own.
+# One default call peaks at 1.16 MB, mostly the kept diagonal rows and
+# the populations of its longest run, 1 380 steps.  One 5 520-step run
+# per block peaked at 3.96 MB, and the stage loop on the full space at
+# 3.3 MB.  A stack of one 5 520-step run's 9x9 step maps would take
+# 7.2 MB on its own.
 def test_cnot_state_fidelity_holds_no_map_per_step():
-    assert _second_call_peak(twoqubit.cnot_state_fidelity) <= 7e6
+    assert _second_call_peak(twoqubit.cnot_state_fidelity) <= 2e6
 
 
 # The closed setup eigendecomposes the distinct drive samples in slabs
