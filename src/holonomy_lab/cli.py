@@ -5,12 +5,17 @@ returns its artifacts as {file name: body} plus a summary line, and
 `main` alone touches the filesystem.  Once the command has returned,
 `main` writes the plain CSV/JSON artifacts into the configured output
 directory and prints the summary, so nothing is written unless the
-command succeeded.  A config file that cannot be read, or an output
-directory that cannot be made or written, exits 2 with a one-line
-message.  Every output file starts with '#' comment lines recording
-the package version and a hash of the full configuration, so any
-artifact can be traced back to the exact run that produced it (strip
-leading '#' lines before feeding the JSON files to a parser).
+command succeeded.  A config file that cannot be read, a key outside
+its domain, or an output directory that cannot be made or written,
+exits 2 with a one-line message.  The flags that set a result are key
+overrides applied to the loaded config: --scheme, --epsilon, --noise,
+--seed, --theta/--phi/--gamma (theta_rad, phi_rad, gamma_rad) and
+--gate, which sets the three angle keys.  So a command reads its inputs
+from the config alone, and every output file starts with '#' comment
+lines recording the package version and a hash of the full
+configuration, flags included: any artifact can be traced back to the
+exact run that produced it (strip leading '#' lines before feeding the
+JSON files to a parser).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.  Given the same config (and, for `rb`, the same seed), every
@@ -23,10 +28,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -52,28 +56,21 @@ def _to(cfg: RunConfig, name: str) -> str:
     return f" -> {Path(cfg.output_dir) / name}"
 
 
-def _gate_from(cfg: RunConfig, args: argparse.Namespace) -> GateSpec:
-    name = getattr(args, "gate", None)
-    if name:
-        return NAMED_GATES[name]
-    theta = cfg.theta_rad if args.theta is None else args.theta
-    phi = cfg.phi_rad if args.phi is None else args.phi
-    gamma = cfg.gamma_rad if args.gamma is None else args.gamma
-    return GateSpec(theta, phi, gamma)
-
-
-def _gate_schedule(cfg: RunConfig, args: argparse.Namespace
-                   ) -> tuple[GateSpec, float, PulseSchedule]:
-    """(gate, duration, schedule) of the gate flags in the configured scheme."""
-    gate, tau = _gate_from(cfg, args), cfg.tau_ns(cfg.scheme)
+def _gate_schedule(cfg: RunConfig) -> tuple[GateSpec, float, PulseSchedule]:
+    """(gate, duration, schedule) of the configured gate and scheme."""
+    gate, tau = cfg.gate(), cfg.tau_ns(cfg.scheme)
     return gate, tau, build_schedule(gate, cfg.scheme, tau)
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """The config with every flag given; a flag left off keeps the config's value."""
-    updates = {key: getattr(args, key, None) for key in ("scheme", "seed", "output_dir",
-                                                        "epsilon")}
-    updates["noise"] = getattr(args, "noise", False) or None
+    """The config with every flag given; a flag left off keeps the config's value.
+
+    A flag's dest is the key it sets, and --gate sets the three angle keys.
+    """
+    updates = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if getattr(args, "gate", None):
+        gate = NAMED_GATES[args.gate]
+        updates.update(theta_rad=gate.theta, phi_rad=gate.phi, gamma_rad=gate.gamma)
     return replace(cfg, **{k: v for k, v in updates.items() if v is not None})
 
 
@@ -81,7 +78,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
-    gate, tau, schedule = _gate_schedule(cfg, args)
+    gate, tau, schedule = _gate_schedule(cfg)
     payload = {"scheme": cfg.scheme, "theta": gate.theta, "phi": gate.phi,
                "gamma": gate.gamma, "epsilon": cfg.epsilon, "tau_ns": tau,
                "noise": cfg.noise}
@@ -102,7 +99,7 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    rows = holonomy.robustness_sweep(_gate_from(cfg, args), cfg.scheme,
+    rows = holonomy.robustness_sweep(cfg.gate(), cfg.scheme,
                                      np.linspace(args.eps_min, args.eps_max, args.points),
                                      cfg.step_1q_ns, cfg.tau_ns(cfg.scheme))
     return ({"sweep.csv": holonomy.sweep_to_csv(rows)},
@@ -110,7 +107,7 @@ def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_dynphase(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
-    _, _, schedule = _gate_schedule(cfg, args)
+    _, _, schedule = _gate_schedule(cfg)
     rec = holonomy.phase_record(schedule, step=cfg.step_1q_ns)
     payload = {
         "scheme": cfg.scheme, "gate": getattr(args, "gate", None),
@@ -127,7 +124,7 @@ def cmd_dynphase(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_qpt(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
-    gate, _, schedule = _gate_schedule(cfg, args)
+    gate, _, schedule = _gate_schedule(cfg)
     sup = evolve.gate_channel(schedule, cfg.noise_model() if cfg.noise else None,
                               cfg.step_1q_ns)
     chi = tomography.qpt(sup, ASSIGNMENT_DEFAULT if args.readout else None)
@@ -197,16 +194,6 @@ def cmd_budget(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 # --------------------------------------------------------------- plumbing
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process: parse_args leaves the parser unchanged."""
@@ -243,17 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("simulate-gate", "sweep-epsilon", "dynphase", "qpt"):
             p.add_argument("--gate", choices=sorted(NAMED_GATES),
                            help="named gate; overrides --theta/--phi/--gamma")
-            for angle in ("--theta", "--phi", "--gamma"):
-                p.add_argument(angle, type=_finite_float, default=None)
+            for angle in ("theta", "phi", "gamma"):
+                p.add_argument(f"--{angle}", dest=f"{angle}_rad", type=float, default=None)
         if name == "simulate-gate":
             p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--noise", action="store_true")
+            p.add_argument("--noise", action="store_true", default=None)
         if name == "sweep-epsilon":
             p.add_argument("--eps-min", type=float, default=-0.2)
             p.add_argument("--eps-max", type=float, default=0.2)
             p.add_argument("--points", type=int, default=41)
         if name == "qpt":
-            p.add_argument("--noise", action="store_true")
+            p.add_argument("--noise", action="store_true", default=None)
             p.add_argument("--readout", action="store_true",
                            help="simulate through the assignment matrix")
         if name == "rb":

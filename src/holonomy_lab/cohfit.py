@@ -9,7 +9,6 @@ explicitly tagged in ns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,15 +34,6 @@ class DecayFitResult:
     residual_rms: float
     n_evaluations: int
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "Gamma_ge_per_us": self.gamma_ge, "ci_ge": self.ci_ge,
-            "Gamma_ef_per_us": self.gamma_ef, "ci_ef": self.ci_ef,
-            "Gamma_gf_per_us": self.gamma_gf, "ci_gf": self.ci_gf,
-            "residual_rms": self.residual_rms,
-            "n_evaluations": self.n_evaluations,
-        }, indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class RamseyFitResult:
@@ -63,19 +53,6 @@ class RamseyFitResult:
     t2_is_lower_bound: bool = False
     residual_rms: float = 0.0
     n_evaluations: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "T2_star_us": self.t2_star,
-            "T2_is_lower_bound": self.t2_is_lower_bound,
-            "frequency_MHz": self.frequency,
-            "amplitude": self.amplitude,
-            "offset": self.offset,
-            "offset_decay_us": self.offset_decay,
-            "phase_rad": self.phase,
-            "residual_rms": self.residual_rms,
-            "n_evaluations": self.n_evaluations,
-        }, indent=2, sort_keys=True)
 
 
 def rate_equation_populations(times: np.ndarray, gamma_ge: float,

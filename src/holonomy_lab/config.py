@@ -3,7 +3,10 @@
 The config file format is one `key = value` pair per line, `#` comments
 allowed anywhere.  Every physical key carries its unit as a suffix
 (_GHz, _MHz, _us, _ns, _rad); unknown keys are rejected so typos fail
-loudly instead of silently falling back to defaults.
+loudly instead of silently falling back to defaults.  One table,
+`_DOMAINS`, states each key's legal values, and `RunConfig` checks them
+whenever it is built: a config file, `RunConfig(...)` and
+`dataclasses.replace` reject the same values with the same message.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ except ImportError:
 
 from .model import DEVICE, N_FOCK, DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, DEFAULT_TAU, DEFAULT_TAU_TWO_QUBIT,
-                     SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR, SCHEMES, rabi_scale)
+                     SCHEME_DYNAMICAL, SCHEME_NHQC, SCHEME_SR, SCHEMES, GateSpec,
+                     rabi_scale)
 
 
 class ConfigError(ValueError):
@@ -78,12 +82,14 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"key 'scheme': expected one of {SCHEMES}, got {self.scheme!r}")
-        try:
-            rabi_scale(self.epsilon)
-        except ValueError as exc:
-            raise ConfigError(f"key 'epsilon': {exc}") from exc
+        for key, (what, ok) in _DOMAINS.items():
+            value = getattr(self, key)
+            try:
+                legal = ok(value)
+            except (TypeError, ValueError):
+                legal = False
+            if not legal:
+                raise ConfigError(f"key {key!r}: expected {what}, got {value!r}")
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_coherence_times(
@@ -91,6 +97,10 @@ class RunConfig:
             t1_gf_us=self.t1_gf_us, t2e_ge_us=self.t2e_ge_us,
             t2e_ef_us=self.t2e_ef_us, t2e_gf_us=self.t2e_gf_us,
             epsilon=self.epsilon)
+
+    def gate(self) -> GateSpec:
+        """The target rotation of the angle keys."""
+        return GateSpec(self.theta_rad, self.phi_rad, self.gamma_rad)
 
     def tau_ns(self, scheme: str, two_qubit: bool = False) -> float:
         """Configured gate duration of a scheme, single- or two-qubit."""
@@ -105,43 +115,47 @@ class RunConfig:
             chi_ef_mhz=self.chi_storage_ef_MHz, n_fock=self.n_fock)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-# What load_config asks of each group of keys: (keys, test, what the test
-# asks for).  A run divides by the coherence times (inf, no decay, is
-# legal), rotates by the angles and integrates over the durations.
-_CHECKS = ((("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us", "t2e_gf_us",
-             "cavity_t1_us", "cavity_t2star_us"), lambda v: v > 0, "a positive time"),
-           (("theta_rad", "phi_rad", "gamma_rad"), math.isfinite, "a finite angle"),
-           (("tau_sr_ns", "tau_nhqc_ns", "tau_dynamical_ns", "tau_2q_sr_ns", "tau_2q_nhqc_ns"),
-            lambda v: 0 < v < math.inf, "a finite and positive duration"))
+# Each key's legal values: (what the error names, test).  A test that
+# returns false or raises TypeError or ValueError rejects the value.  A
+# run divides by the coherence times (inf, no decay, is legal),
+# integrates over the durations and steps, and rotates by the angles.
+_DOMAINS = {
+    **dict.fromkeys(("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us",
+                     "t2e_gf_us", "cavity_t1_us", "cavity_t2star_us"),
+                    ("a positive time", lambda v: v > 0)),
+    **dict.fromkeys(("tau_sr_ns", "tau_nhqc_ns", "tau_dynamical_ns", "tau_2q_sr_ns",
+                     "tau_2q_nhqc_ns", "step_1q_ns", "step_2q_ns"),
+                    ("a finite and positive duration", lambda v: 0 < v < math.inf)),
+    **dict.fromkeys(("chi_storage_ge_MHz", "chi_storage_ef_MHz", "theta_rad", "phi_rad",
+                     "gamma_rad"), ("a finite number", math.isfinite)),
+    "scheme": (f"one of {SCHEMES}", lambda v: v in SCHEMES),
+    # rabi_scale states the rule: it raises unless |epsilon| <= 1.
+    "epsilon": ("a number in [-1, 1]", lambda v: rabi_scale(v) >= 0),
+    "noise": ("a boolean", lambda v: isinstance(v, bool)),
+    "seed": ("a non-negative integer", lambda v: v >= 0),
+    "n_fock": ("an integer of at least 3", lambda v: v >= 3),
+    "output_dir": ("a path", lambda v: isinstance(v, str)),
+}
+_BOOLEANS = {"1": True, "true": True, "on": True, "yes": True,
+             "0": False, "false": False, "off": False, "no": False}
 
 
 def _parse_value(key: str, raw: str):
-    typ = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if typ in ("bool", bool):
-        low = raw.lower()
-        if low in ("1", "true", "on", "yes"):
-            return True
-        if low in ("0", "false", "off", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected boolean, got {raw!r}")
-    if typ in ("int", int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected integer, got {raw!r}") from exc
-    if typ in ("float", float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected number, got {raw!r}") from exc
-    return raw
+    """raw as the type of the key's default."""
+    typ = type(getattr(RunConfig, key))
+    try:
+        return _BOOLEANS[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key {key!r}: expected {typ.__name__}, got {raw!r}") from None
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse flat key-value text into a RunConfig over the defaults."""
-    updates = {}
+    """Parse flat key-value text into a RunConfig over the defaults.
+
+    Every value is checked against its key's domain; a key given twice
+    is an error.
+    """
+    updates, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -149,30 +163,22 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _DOMAINS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        updates[key] = _parse_value(key, raw)
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {lines[key]}")
+        updates[key], lines[key] = _parse_value(key, raw), lineno
     return RunConfig(**updates)
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:
-    """Read a config file to run from.
-
-    Beyond what parse_config checks, every coherence time must be
-    positive (inf is legal), every gate angle finite and every gate
-    duration finite and positive: a run divides by the first, rotates by
-    the second and integrates over the third.
-    """
+    """Read and parse a config file; every key is checked, whatever the
+    command reads."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-    cfg = parse_config(text)
-    for keys, ok, what in _CHECKS:
-        for key in keys:
-            if not ok(getattr(cfg, key)):
-                raise ConfigError(f"key {key!r}: expected {what}, got {getattr(cfg, key)}")
-    return cfg
+    return parse_config(text)
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -6,6 +6,7 @@ has returned, so any exit other than 0 leaves no output directory.
 
 import ast
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from holonomy_lab import cli, rb, tomography
 from holonomy_lab.cli import main
+from holonomy_lab.config import RunConfig
 from holonomy_lab.model import NoiseModel
 
 
@@ -93,15 +95,14 @@ def _no_schedule(*args, **kwargs):
     raise AssertionError("a schedule was built")
 
 
+# An angle flag sets its key, so the key's domain check rejects it.
 @pytest.mark.parametrize("flag, value", [
     ("--theta", "nan"), ("--phi", "inf"), ("--gamma", "-inf")])
 def test_non_finite_angle_flag_exits_2(tmp_path, monkeypatch, capsys, flag, value):
     monkeypatch.setattr(cli, "build_schedule", _no_schedule)
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate-gate", f"{flag}={value}", "--output-dir", str(out)])
-    assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert main(["simulate-gate", f"{flag}={value}", "--output-dir", str(out)]) == 2
+    assert repr(f"{flag[2:]}_rad") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -151,3 +152,70 @@ def test_bad_gate_duration_exits_2_without_artifacts(tmp_path, capsys, key, valu
     assert code == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+_COMMANDS = ("simulate-gate", "sweep-epsilon", "dynphase", "qpt", "rb", "twoqubit", "budget")
+_NON_FINITE = ("nan", "inf", "-inf")
+# Values out of each key's domain, as its type allows.  output_dir is
+# checked by type only, and a config file always gives it a string.
+_OUT_OF_DOMAIN = {
+    **dict.fromkeys(_COHERENCE_KEYS, ("nan", "-inf", "0", "-5")),
+    **dict.fromkeys((*_DURATION_KEYS, "step_1q_ns", "step_2q_ns"), (*_NON_FINITE, "0", "-5")),
+    **dict.fromkeys(("chi_storage_ge_MHz", "chi_storage_ef_MHz", "theta_rad", "phi_rad",
+                     "gamma_rad"), _NON_FINITE),
+    "epsilon": (*_NON_FINITE, "-5", "1.5"),
+    "scheme": ("foo",), "noise": ("maybe",), "seed": ("-1",), "n_fock": ("-1", "0", "2"),
+}
+
+
+def test_out_of_domain_values_cover_every_key():
+    assert set(_OUT_OF_DOMAIN) == {f.name for f in fields(RunConfig)} - {"output_dir"}
+
+
+# The whole file is checked at load, whatever keys the command reads.
+@pytest.mark.parametrize("key, value", [(key, value) for key, values in _OUT_OF_DOMAIN.items()
+                                        for value in values])
+def test_every_key_out_of_domain_exits_2_under_every_command(tmp_path, capsys, key, value):
+    for command in _COMMANDS:
+        code, out = _run(tmp_path, f"{key} = {value}\n", command)
+        assert code == 2, command
+        assert repr(key) in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+# test_cli.py runs t1_ge_us = inf, the other edge a domain admits.
+@pytest.mark.parametrize("text", ["epsilon = 1\n", "epsilon = -1\n"])
+def test_rabi_error_domain_edges_run(tmp_path, text):
+    code, out = _run(tmp_path, text, "budget")
+    assert code == 0
+    assert (out / "budget.csv").exists()
+
+
+def _artifacts(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+# A gate flag sets the angle keys, so the header hashes what ran.
+@pytest.mark.parametrize("command, flags, keys", [
+    ("dynphase", ["--theta", "1.0"], {"theta_rad": 1.0}),
+    ("simulate-gate", ["--gate", "Y/2"],
+     {"theta_rad": np.pi / 2, "phi_rad": np.pi / 2, "gamma_rad": np.pi / 2})],
+    ids=["theta", "gate-Y/2"])
+def test_flag_and_config_file_write_the_same_bytes(tmp_path, command, flags, keys):
+    (tmp_path / "flag").mkdir()
+    (tmp_path / "file").mkdir()
+    code, by_flag = _run(tmp_path / "flag", "", command, *flags)
+    assert code == 0
+    text = "".join(f"{key} = {value!r}\n" for key, value in keys.items())
+    code, by_file = _run(tmp_path / "file", text, command)
+    assert code == 0
+    assert _artifacts(by_flag) == _artifacts(by_file)
+    # The flags moved the angles off the defaults, and the header with them.
+    assert all(b"\n# config 6764083c41bc\n" not in body for body in _artifacts(by_flag).values())
+
+
+def test_gate_x_keeps_the_default_hash(tmp_path):
+    code, out = _run(tmp_path, "", "dynphase", "--gate", "X")
+    assert code == 0
+    for body in _artifacts(out).values():
+        assert body.decode().splitlines()[1] == "# config 6764083c41bc"

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy_lab import twoqubit
+from holonomy_lab import config, twoqubit
 from holonomy_lab.config import (ConfigError, RunConfig, config_hash,
                                  default_config_text, parse_config)
 from holonomy_lab.model import DispersiveSystemParams, NoiseModel
@@ -73,18 +74,64 @@ def test_default_hash_is_pinned():
 
 _VALUES = {"float": st.floats(allow_nan=False), "int": st.integers(),
            "bool": st.booleans(), "str": st.sampled_from(SCHEMES)}
-# Keys whose legal values are a subset of their type's.
-_KEY_VALUES = {"epsilon": st.floats(-1.0, 1.0)}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Keys whose legal values are a subset of their type's, by unit suffix
+# and by name.
+_SUFFIX_VALUES = {"_us": st.floats(min_value=0.0, exclude_min=True),  # inf is legal
+                  "_ns": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                  "_rad": _FINITE, "_MHz": _FINITE}
+_KEY_VALUES = {"epsilon": st.floats(-1.0, 1.0), "seed": st.integers(min_value=0),
+               "n_fock": st.integers(min_value=3)}
+
+
+def _legal_values(name, typ):
+    suffix = "_" + name.rsplit("_", 1)[-1]
+    return _KEY_VALUES.get(name, _SUFFIX_VALUES.get(suffix, _VALUES[typ]))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.fixed_dictionaries({}, optional={
-    f.name: _KEY_VALUES.get(f.name, _VALUES[f.type]) for f in fields(RunConfig)
+    f.name: _legal_values(f.name, f.type) for f in fields(RunConfig)
     if f.name != "output_dir"}))
 def test_parse_config_round_trips_values(values):
     # Every numeric, boolean and scheme key, written as Python prints it.
     text = "".join(f"{key} = {value}\n" for key, value in values.items())
     assert parse_config(text) == RunConfig(**values)
+
+
+# One value out of each key's domain.
+_ILLEGAL = {"t1_ge_us": -1.0, "cavity_t2star_us": 0.0, "tau_sr_ns": math.inf,
+            "step_2q_ns": math.nan, "chi_storage_ge_MHz": math.inf, "theta_rad": math.nan,
+            "scheme": "foo", "epsilon": 1.5, "noise": "maybe", "seed": -1, "n_fock": 2,
+            "output_dir": None}
+
+
+@pytest.mark.parametrize("key, value", _ILLEGAL.items())
+def test_every_route_rejects_a_value_out_of_domain(key, value):
+    message = f"key {key!r}: expected"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{key: value})
+    with pytest.raises(ConfigError, match=message):
+        replace(RunConfig(), **{key: value})
+    if isinstance(value, (int, float, str)):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"{key} = {value}")
+
+
+def test_parse_config_checks_the_domain():
+    # parse_config, not only load_config, rejects a negative time.
+    with pytest.raises(ConfigError, match="'t1_ge_us': expected a positive time, got -1.0"):
+        parse_config("t1_ge_us = -1")
+    assert parse_config("t1_ge_us = inf\nepsilon = -1").t1_ge_us == math.inf
+
+
+def test_every_key_has_a_domain():
+    assert set(config._DOMAINS) == {f.name for f in fields(RunConfig)}
+
+
+def test_key_given_twice_is_rejected():
+    with pytest.raises(ConfigError, match="line 3: key 't1_ge_us' already set on line 1"):
+        parse_config("t1_ge_us = 20\nseed = 1\nt1_ge_us = 30\n")
 
 
 def test_default_config_text_round_trips():

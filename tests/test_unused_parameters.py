@@ -76,7 +76,6 @@ def test_every_config_key_is_read():
 TEST_ONLY = {
     "fit_rate_equation": "fits the paper's T1 rate-equation traces (acceptance criterion 11)",
     "fit_ramsey": "fits the paper's Ramsey fringes for T2* (acceptance criterion 11)",
-    "to_json": "DecayFitResult's export, next to the fitter that returns it",
     "fit_error_slope": "the robustness exponent of a Rabi-error sweep",
     "perturbative_expansion_check": "the Dyson-series check of the superrobust condition",
     "sample_envelope": "the pulse envelope of one segment, with its time-range check",
