@@ -107,10 +107,12 @@ def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_dynphase(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
-    _, _, schedule = _gate_schedule(cfg)
+    gate, _, schedule = _gate_schedule(cfg)
     rec = holonomy.phase_record(schedule, step=cfg.step_1q_ns)
+    # The named gate whose angles the config holds, however they were set.
+    name = next((key for key, named in NAMED_GATES.items() if named == gate), None)
     payload = {
-        "scheme": cfg.scheme, "gate": getattr(args, "gate", None),
+        "scheme": cfg.scheme, "gate": name,
         "D11_rad": rec.D11, "D22_rad": rec.D22,
         "D12_re_rad": rec.D12.real, "D12_im_rad": rec.D12.imag,
         "D12_abs_over_pi": abs(rec.D12) / np.pi,

@@ -23,18 +23,25 @@ blocks) peaks at 2.31 MB (tracemalloc), 1.5 MB of it projectors, where
 full-size stacks of 4 blocks took 7.1 MB.  A default 1Q run, at most
 2 400 samples, takes one or two eigh calls.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
-equation of the qutrit, always as the channel: the nine basis matrices
-|i><j| are the columns of one run.  Its generator
-L(t) = L0 + a L_A + conj(a) L_A^dag is built once as one stacked matrix.
-A run returns what its callers read: every column's populations at
-every grid time and the final images, never the whole history.
-Each run checks every column's trace at every grid time against its
-start.  RK4 maps of a trace-preserving generator keep the trace to
-round-off at any step, so that check catches growth, where maps of
-spectral radius above 1 amplify the round-off, not step error.  A step
-too coarse for the generator shows as a negative Choi eigenvalue of
-the channel instead.  _check_cptp reads both on a finished channel,
-a product of channels included.
+equation of the qutrit, always as the channel, and in float64 on the
+real coordinates of rho.  The generator maps Hermitian matrices to
+Hermitian ones, so in an orthonormal Hermitian operator basis B
+(hermitian_basis: the projectors |i><i| first) it is a real matrix.
+With a A + conj(a) A^dag = Re(a) X + Im(a) Y it is three real blocks,
+L(t) = L0 + Re(a) L_X + Im(a) L_Y, built once (real_lindblad_generator).
+The nine basis matrices of B are the columns of one run, and the basis
+changes once at each end: the channel a run returns is the complex
+row-major superoperator in the |i><j| basis.
+A run returns what its callers read: the populations of the diagonal
+inputs |i><i| at every grid time and the final images, never the whole
+history.  Each run checks the trace row of every prefix, the sum of
+its population rows, for all nine inputs against its start.  RK4 maps
+of a trace-preserving generator keep the trace to round-off at any
+step, so that check catches growth, where maps of spectral radius
+above 1 amplify the round-off, not step error.  A step too coarse for
+the generator shows as a negative Choi eigenvalue of the channel
+instead.  _check_cptp reads both on a finished channel, a product of
+channels included.
 
 One chain, _chain, multiplies the step maps of both: the closed step
 exponentials and the RK4 step maps M_k.  Chunks of at most STEP_BLOCK
@@ -51,9 +58,10 @@ Python-level product per stage and step.  The open-system CNOT fidelity
 reads two qutrit channels, of Fock blocks 0 and 2, each a product of
 the channels of its distinct segments (twoqubit.cnot_state_fidelity).
 Measured on 2 CPUs (numpy 2.4, a shared host whose speed swings by up
-to 1.5x): a default 1Q channel (2 400 steps) takes 15-27 ms, the CNOT
-fidelity (a 690- and a 1 380-step channel per block) 30-57 ms and the
-closed cavity gate 23-39 ms.
+to 1.5x): a default 1Q channel (2 400 steps) takes 8-14 ms, 18-28 ms
+with complex maps, the CNOT fidelity (a 690- and a 1 380-step channel
+per block) 16-27 ms, 31-48 ms with complex maps, and the closed cavity
+gate 23-39 ms.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -209,7 +217,7 @@ def _chain(step: Callable[[np.ndarray], np.ndarray], n: int,
     # the prefixes in place once the chunk's start is known: a second
     # buffer this size makes glibc trim and refault its heap on every
     # gate channel.
-    prefixes = np.empty((len(rows), size, chunks, length) + batch, dtype=complex)
+    prefixes = np.empty((len(rows), size, chunks, length) + batch, dtype=run.dtype)
     prefixes[:, :, :, 0] = run[rows]
     for j in range(1, length):
         maps = step(np.minimum(starts + j, n - 1))
@@ -355,15 +363,43 @@ def lindblad_superoperator(h: np.ndarray, c_ops: Sequence[np.ndarray]) -> np.nda
     return lsup
 
 
-def lindblad_generator(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Stacked blocks [L0; L_A; L_A^dag] (3 d^2 x d^2) of the Lindblad generator.
+def hermitian_basis(dim: int) -> np.ndarray:
+    """B (d^2 x d^2), unitary: column k is the row-major vec of the k-th
+    matrix of an orthonormal Hermitian operator basis, Tr(E_k E_l) = delta_kl.
 
-    L(t) = L0 + a(t) L_A + conj(a(t)) L_A^dag equals
-    lindblad_superoperator(H(t), c_ops); the dissipator sits in L0.
+    The d projectors |i><i| come first, so coordinates 0..d-1 of a state,
+    x = B^dag vec(rho), are its populations and their sum its trace.
+    Then, for each i < j, (|i><j| + |j><i|)/sqrt 2 and
+    i(|j><i| - |i><j|)/sqrt 2, whose traces are 0.  The coordinates of a
+    Hermitian rho are real.
     """
-    return np.concatenate([lindblad_superoperator(ham.h0, c_ops),
-                           lindblad_superoperator(ham.a_op, ()),
-                           lindblad_superoperator(qmath.dagger(ham.a_op), ())])
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    level = np.arange(dim)
+    basis[level, level, level] = 1.0
+    i, j = np.triu_indices(dim, 1)
+    k = dim + 2 * np.arange(len(i))
+    basis[k, i, j] = basis[k, j, i] = np.sqrt(0.5)
+    basis[k + 1, j, i] = 1j * np.sqrt(0.5)
+    basis[k + 1, i, j] = -1j * np.sqrt(0.5)
+    return basis.reshape(dim * dim, -1).T
+
+
+def real_lindblad_generator(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Real blocks (3, d^2, d^2) [B^dag L0 B, B^dag L_X B, B^dag L_Y B] of the
+    Lindblad generator in the Hermitian basis B (hermitian_basis).
+
+    a A + conj(a) A^dag = Re(a) X + Im(a) Y with X = A + A^dag and
+    Y = i(A - A^dag), so L(t) = L0 + Re(a) L_X + Im(a) L_Y equals
+    lindblad_superoperator(H(t), c_ops); the dissipator sits in L0.  Every
+    block maps Hermitian matrices to Hermitian ones, so in B it is real:
+    the imaginary parts dropped are round-off.
+    """
+    basis = hermitian_basis(ham.h0.shape[-1])
+    a_op, a_dag = ham.a_op, qmath.dagger(ham.a_op)
+    blocks = np.stack([lindblad_superoperator(ham.h0, c_ops),
+                       lindblad_superoperator(a_op + a_dag, ()),
+                       lindblad_superoperator(1j * (a_op - a_dag), ())])
+    return np.ascontiguousarray((qmath.dagger(basis) @ blocks @ basis).real)
 
 
 def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray,
@@ -371,7 +407,8 @@ def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray,
     """RK4 maps M_k (..., steps, r, r) of y' = L(t) y, y(t_k+1) = M_k y(t_k),
     written into out if given.
 
-    gen is the stacked (3r x r) generator.  a (..., 2 steps + 1) holds the
+    gen holds the three real blocks (3, r, r) of real_lindblad_generator,
+    so the maps are float64.  a (..., 2 steps + 1) holds the complex
     drive coefficients of runs of consecutive steps: at their steps + 1
     grid points, then at their step midpoints; dt (..., steps) holds the
     step lengths.  M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
@@ -379,9 +416,9 @@ def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray,
     and K4 = L(t_k+1)(I + h K3), summed in that order.
     """
     steps, r = dt.shape[-1], gen.shape[1]
-    # L = L0 + a L_A + conj(a) L_A^dag: weights (1, a, conj(a)) on the blocks.
-    weights = np.ones(a.shape + (3,), dtype=complex)
-    weights[..., 1], weights[..., 2] = a, a.conj()
+    # L = L0 + Re(a) L_X + Im(a) L_Y: real weights (1, Re a, Im a) on the blocks.
+    weights = np.ones(a.shape + (3,))
+    weights[..., 1], weights[..., 2] = a.real, a.imag
     l_all = (weights.reshape(-1, 3) @ gen.reshape(3, r * r)).reshape(a.shape + (r, r))
     k1, l_end = l_all[..., :steps, :, :], l_all[..., 1:steps + 1, :, :]
     l_mids = l_all[..., steps + 1:, :, :]
@@ -408,29 +445,32 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
                          tau: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Populations and final states of the d^2 basis matrices |i><j|: the channel.
 
-    Fixed-step RK4 on d vec(rho)/dt = L(t) vec(rho) with every basis
-    matrix as one column; column d i + j is |i><j|, so the columns start
-    as the identity.  The drive coefficient is sampled once at the grid
-    points and step midpoints.  Every step's RK4 map comes from
-    _rk4_step_maps, d^6 work per step, and _chain multiplies them,
-    keeping only the diagonal rows of every prefix.  The chain asks for
-    one step per chunk at each position in turn; the maps of the next
-    positions are built with them, about STEP_BLOCK / 2 at a time into
-    one reused buffer, so no run holds a map per step.
-    Returns (times, populations, finals): the real diagonals of every
-    column at every grid time, (len(times), d^2, d), and the images at
-    tau, (d^2, d, d); for the qutrit (n + 1, 9, 3) and (9, 3, 3).  No run
+    Fixed-step RK4 on dx/dt = G(t) x, x = B^dag vec(rho) the real
+    coordinates of rho in the Hermitian basis B (hermitian_basis) and
+    G = B^dag L B the real generator (real_lindblad_generator), with the
+    d^2 basis matrices of B as the columns: they start as the identity.
+    The basis changes once at each end, and the steps run in float64.
+    The drive coefficient is sampled once at the grid points and step
+    midpoints.  Every step's RK4 map comes from _rk4_step_maps, d^6 work
+    per step, and _chain multiplies them, keeping only rows 0..d-1 of
+    every prefix, the populations.  The chain asks for one step per
+    chunk at each position in turn; the maps of the next positions are
+    built with them, about STEP_BLOCK / 2 at a time into one reused
+    buffer, so no run holds a map per step.
+    Returns (times, populations, finals): populations[k, i] are the
+    populations at times[k] of the state that starts in |i><i|,
+    (len(times), d, d), and finals[d i + j] is the image of |i><j| at
+    tau, (d^2, d, d); for the qutrit (n + 1, 3, 3) and (9, 3, 3).  No run
     keeps the off-diagonals of its history.
-    Raises if any column's trace drifts from its initial value beyond
+    Raises if the trace row of any prefix (the sum of the kept rows, for
+    all d^2 inputs) drifts from (1, ..., 1, 0, ..., 0) beyond
     TRACE_DRIFT_LIMIT or is not finite.
     """
     times = _time_grid(tau, step)
     n = len(times) - 1
     dim = ham.h0.shape[-1]
     r = dim * dim
-    gen = lindblad_generator(ham, c_ops)
-    # The rows of vec(rho) that hold the populations rho_ii.
-    diag = np.arange(dim) * (dim + 1)
+    gen = real_lindblad_generator(ham, c_ops)
     dt = np.diff(times)
     a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
     maps = None
@@ -453,22 +493,28 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
             maps = _rk4_step_maps(gen, a[np.concatenate([grid, ks + n + 1], 1)], dt[ks], maps)
         return maps[:, j].transpose(1, 2, 0)
 
-    y, kept = _chain(step_maps, n, diag)
+    # Coordinates 0..d-1 are the populations, so those are the kept rows.
+    y, kept = _chain(step_maps, n, np.arange(dim))
     # The map buffer and the drive samples go before the populations
-    # come, and the kept rows before the drift check's temporaries, for
-    # the same trim threshold.
+    # come, for the same trim threshold.
     del step_maps, maps, a
-    populations = np.zeros((n + 1, r, dim))
-    populations[0] = np.eye(r)[:, diag]
-    populations[1:] = kept.real.transpose(2, 3, 1, 0).reshape(-1, r, dim)[:n]
-    finals = np.ascontiguousarray(y.T).reshape(r, dim, dim)
-
-    del kept
-    traces = np.einsum("nmi->nm", populations)
-    drift = np.max(np.abs(traces - traces[0]))
+    # The trace row of every prefix, the sum of the kept rows, against
+    # its start (1, ..., 1, 0, ..., 0): the traces of the basis matrices.
+    gap = kept.sum(axis=0)
+    gap[:dim] -= 1.0
+    drift = np.max(np.abs(gap, out=gap))
+    del gap
     if not drift <= TRACE_DRIFT_LIMIT:
         raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
                            "reduce the integration step")
+    # populations[k, i, l] = kept[l, i] at step k: the diagonal inputs'.
+    populations = np.empty((n + 1, dim, dim))
+    populations[0] = np.eye(dim)
+    populations[1:] = kept[:, :dim].transpose(2, 3, 1, 0).reshape(-1, dim, dim)[:n]
+    del kept
+    # The channel in the |i><j| columns is B y B^dag, and finals its transpose.
+    basis = hermitian_basis(dim)
+    finals = np.ascontiguousarray((basis @ y @ qmath.dagger(basis)).T).reshape(r, dim, dim)
     return times, populations, finals
 
 

@@ -7,8 +7,10 @@ the D_mn integrands the way a populations-only experiment measures
 them, so that the tests compare two independent derivations.  They also
 keep the plain loops that batched package code replaces: the per-step
 product chain of the closed propagator, the per-step RK4 stage loop of
-the Lindblad equation on the entries of vec(rho) that a stack of
-initial states reaches, the per-pair Clifford matching, the
+the Lindblad equation on the complex entries of vec(rho) that a stack
+of initial states reaches, with the complex stacked generator
+lindblad_generator that the package's real Hermitian-basis blocks
+replace, the per-pair Clifford matching, the
 per-sequence RB loop and the per-pair QPT loop with the clip-and-rescale
 projection it once used; nearest_density_eigenvalues is the PSD
 projection of Smolin, Gambetta and Smith written out step by step.
@@ -130,10 +132,23 @@ def sequential_unitaries(ham, tau: float, step: float):
     return times, unitaries
 
 
+def lindblad_generator(ham, c_ops) -> np.ndarray:
+    """Stacked complex blocks [L0; L_A; L_A^dag] (3 d^2 x d^2) of the
+    Lindblad generator in the |i><j| basis.
+
+    L(t) = L0 + a(t) L_A + conj(a(t)) L_A^dag equals
+    evolve.lindblad_superoperator(H(t), c_ops); the dissipator sits in L0.
+    """
+    return np.concatenate([evolve.lindblad_superoperator(ham.h0, c_ops),
+                           evolve.lindblad_superoperator(ham.a_op, ()),
+                           evolve.lindblad_superoperator(qmath.dagger(ham.a_op), ())])
+
+
 def lindblad_stage_loop(ham, c_ops, tau: float, step: float, rho0: np.ndarray):
     """(times, states) of a stack of initial states rho0 (m x d x d) from
-    four RK4 stages per step: evolve.propagate_lindblad_h when rho0 is
-    the basis of |i><j|.
+    four RK4 stages per step on the complex entries of vec(rho):
+    evolve.propagate_lindblad_h when rho0 is the basis of |i><j|, which
+    runs in the real Hermitian basis instead.
 
     Only the r entries of vec(rho) that the union pattern of the
     generator blocks reaches from the support of rho0 are integrated;
@@ -144,7 +159,7 @@ def lindblad_stage_loop(ham, c_ops, tau: float, step: float, rho0: np.ndarray):
     times = evolve._time_grid(tau, step)
     n = len(times) - 1
     m, dim = rho0.shape[0], rho0.shape[-1]
-    blocks = evolve.lindblad_generator(ham, c_ops).reshape(3, dim * dim, dim * dim)
+    blocks = lindblad_generator(ham, c_ops).reshape(3, dim * dim, dim * dim)
     out = np.zeros((n + 1, m, dim * dim), dtype=complex)
     out[0] = rho0.reshape(m, dim * dim)
     pattern, mask, size = (blocks != 0).any(axis=0), (out[0] != 0).any(axis=0), -1

@@ -5,6 +5,7 @@ has returned, so any exit other than 0 leaves no output directory.
 """
 
 import ast
+import json
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -198,9 +199,10 @@ def _artifacts(out):
 # A gate flag sets the angle keys, so the header hashes what ran.
 @pytest.mark.parametrize("command, flags, keys", [
     ("dynphase", ["--theta", "1.0"], {"theta_rad": 1.0}),
-    ("simulate-gate", ["--gate", "Y/2"],
-     {"theta_rad": np.pi / 2, "phi_rad": np.pi / 2, "gamma_rad": np.pi / 2})],
-    ids=["theta", "gate-Y/2"])
+    *((command, ["--gate", "Y/2"],
+       {"theta_rad": np.pi / 2, "phi_rad": np.pi / 2, "gamma_rad": np.pi / 2})
+      for command in ("simulate-gate", "dynphase"))],
+    ids=["theta", "gate-Y/2", "dynphase-gate-Y/2"])
 def test_flag_and_config_file_write_the_same_bytes(tmp_path, command, flags, keys):
     (tmp_path / "flag").mkdir()
     (tmp_path / "file").mkdir()
@@ -219,3 +221,17 @@ def test_gate_x_keeps_the_default_hash(tmp_path):
     assert code == 0
     for body in _artifacts(out).values():
         assert body.decode().splitlines()[1] == "# config 6764083c41bc"
+
+
+# dynphase.json names the gate from the config's angles, whichever route
+# set them: the defaults are X, and angles off every named gate are null.
+@pytest.mark.parametrize("config, flags, name", [
+    ("", [], "X"), ("", ["--gate", "X/2"], "X/2"),
+    ("theta_rad = 1.5707963267948966\nphi_rad = 1.5707963267948966\n", [], "Y"),
+    ("", ["--theta", "1.0"], None)], ids=["default", "flag-X/2", "file-Y", "drawn"])
+def test_dynphase_names_the_configured_gate(tmp_path, config, flags, name):
+    code, out = _run(tmp_path, config, "dynphase", *flags)
+    assert code == 0
+    body = (out / "dynphase.json").read_text()
+    assert json.loads("".join(line for line in body.splitlines()
+                              if not line.startswith("#")))["gate"] == name

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holonomy_lab import cohfit, evolve, model, qmath, twoqubit
 from holonomy_lab.model import NoiseModel, bright_frame
@@ -17,8 +18,8 @@ from holonomy_lab.pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, NAMED_GATES, 
                                  SCHEMES, GateSpec, apply_rabi_error, build_schedule,
                                  build_sr_nhqc)
 from reference import (bright_drive_hamiltonian, cavity_collapse_operators,
-                       dispersive_hamiltonian, full_space_hamiltonian, lindblad_stage_loop,
-                       segment_exact_unitary, sequential_unitaries)
+                       dispersive_hamiltonian, full_space_hamiltonian, lindblad_generator,
+                       lindblad_stage_loop, segment_exact_unitary, sequential_unitaries)
 
 GATE = GateSpec(np.pi / 2, 0.0, np.pi)
 FRAME = bright_frame(GATE.theta, GATE.phi)
@@ -288,7 +289,7 @@ def _lindblad_run(schedule, noise, step, level=model.G):
     _, populations, finals = evolve.propagate_lindblad_h(
         evolve.schedule_hamiltonian(schedule), model.collapse_operators(noise),
         schedule.tau, step)
-    return populations[:, 4 * level], finals[4 * level]
+    return populations[:, level], finals[4 * level]
 
 
 def test_lindblad_reduces_to_closed_without_noise():
@@ -424,10 +425,44 @@ def test_stacked_generator_matches_lindblad_superoperator():
         h_ref = lift(bright_drive_hamiltonian(FRAME, *schedule.drive(ts)))
         assert np.max(np.abs(ham.hamiltonians(ts) - h_ref)) < 1e-15
         d2 = ham.h0.shape[0] ** 2
-        l0, l_a, l_ad = evolve.lindblad_generator(ham, c_ops).reshape(3, d2, d2)
+        l0, l_a, l_ad = lindblad_generator(ham, c_ops).reshape(3, d2, d2)
         for a, h in zip(ham.coefficient(ts), h_ref):
             expected = evolve.lindblad_superoperator(h, c_ops)
             assert np.max(np.abs(l0 + a * l_a + np.conj(a) * l_ad - expected)) < 1e-14
+
+
+def test_hermitian_basis_is_orthonormal_with_populations_first():
+    basis = evolve.hermitian_basis(3)
+    assert np.max(np.abs(qmath.dagger(basis) @ basis - np.eye(9))) < 1e-15
+    matrices = basis.T.reshape(9, 3, 3)
+    assert np.array_equal(matrices, qmath.dagger(matrices))
+    assert np.array_equal(matrices[:3], np.eye(9).reshape(9, 3, 3)[::4])
+    # The trace of each basis matrix: 1 on the populations, 0 after.
+    assert np.allclose(np.eye(3).reshape(-1) @ basis, [1, 1, 1, 0, 0, 0, 0, 0, 0],
+                       rtol=0, atol=1e-16)
+
+
+def _complex_matrices(count):
+    """Strategy for (count, 3, 3) complex matrices with entries in the unit square."""
+    return hnp.arrays(np.float64, (count, 2, 3, 3), elements=st.floats(-1.0, 1.0)).map(
+        lambda x: x[:, 0] + 1j * x[:, 1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=_complex_matrices(1), a_op=_complex_matrices(1),
+       c_ops=st.integers(0, 3).flatmap(_complex_matrices),
+       a=st.complex_numbers(max_magnitude=2.0))
+def test_real_generator_is_the_lindblad_superoperator_in_the_hermitian_basis(h, a_op, c_ops,
+                                                                            a):
+    h0, a_op, c_ops = h[0] + qmath.dagger(h[0]), a_op[0], list(c_ops)
+    # The generator reads h0 and A, not the drive.
+    ham = evolve.DrivenHamiltonian(h0, a_op, drive=None)
+    basis = evolve.hermitian_basis(3)
+    l0, l_x, l_y = blocks = evolve.real_lindblad_generator(ham, c_ops)
+    assert blocks.dtype == np.float64
+    lsup = basis @ (l0 + a.real * l_x + a.imag * l_y) @ qmath.dagger(basis)
+    h_total = h0 + a * a_op + np.conj(a) * qmath.dagger(a_op)
+    assert np.max(np.abs(lsup - evolve.lindblad_superoperator(h_total, c_ops))) < 1e-13
 
 
 def test_non_finite_run_raises():
@@ -454,7 +489,9 @@ def test_step_maps_match_stage_loop(gate, scheme, noise):
                                                                  step)
         ref_times, ref_states = lindblad_stage_loop(ham, c_ops, schedule.tau, step, basis)
         assert np.array_equal(times, ref_times)
-        assert np.max(np.abs(populations - np.einsum("nmii->nmi", ref_states).real)) < 1e-13
+        # The populations of the diagonal inputs |i><i|, columns 4 i.
+        ref_populations = np.einsum("nmii->nmi", ref_states[:, ::4]).real
+        assert np.max(np.abs(populations - ref_populations)) < 1e-13
         assert np.max(np.abs(finals - ref_states[-1])) < 1e-13
 
 
@@ -468,6 +505,23 @@ def test_noiseless_channel_of_any_gate_is_cptp_and_on_target(theta, phi, gamma):
         choi = channel.T.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
         assert np.linalg.eigvalsh(0.5 * (choi + qmath.dagger(choi)))[0] > -1e-8
         assert cohfit.channel_average_gate_error(channel, gate) < 1e-9
+
+
+# The noisy twin: under the device's coherence times every gate's channel
+# is CPTP, and its image of |g><g| is the complex stage loop's state.
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.05, np.pi - 0.05), phi=st.floats(0.0, 2 * np.pi),
+       gamma=st.floats(0.1, 2 * np.pi - 0.1), scheme=st.sampled_from(SCHEMES))
+def test_noisy_channel_of_any_gate_is_cptp_and_matches_the_stage_loop(theta, phi, gamma,
+                                                                      scheme):
+    noise = NoiseModel.from_coherence_times()
+    schedule = build_schedule(GateSpec(theta, phi, gamma), scheme)
+    channel = evolve.gate_channel(schedule, noise)
+    evolve._check_cptp(channel)
+    ham, c_ops = evolve._open_system(schedule, noise)
+    _, states = lindblad_stage_loop(ham, c_ops, schedule.tau, DEFAULT_STEP_1Q,
+                                    qmath.projector(model.KET_G)[None])
+    assert np.max(np.abs(channel[:, 0] - states[-1, 0].reshape(-1))) < 1e-13
 
 
 def _dense_midpoint_product(ham, tau, step):
