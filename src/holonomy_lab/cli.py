@@ -161,8 +161,8 @@ def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
     grid = [float(x) for x in args.eps_grid.split(",")]
     rows = twoqubit.cnot_robustness(grid, scheme, tau, cfg.step_2q_ns)
     # No artifact reads the gate on the photonic-qubit Fock blocks 0 and 2;
-    # it is built once, for its leakage warning.
-    twoqubit.build_two_qubit_gate(twoqubit.CNOT_GATE, scheme, tau, params, step=cfg.step_2q_ns)
+    # only its leakage is computed, for the warning.
+    twoqubit.two_qubit_leakage(twoqubit.CNOT_GATE, scheme, tau, params, cfg.step_2q_ns)
     payload = {"scheme": scheme, "tau_ns": tau,
                "robustness": [{"epsilon": r.epsilon, "P_g": r.p_g,
                                "P_e": r.p_e, "P_f": r.p_f} for r in rows]}

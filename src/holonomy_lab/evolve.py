@@ -54,14 +54,18 @@ over the whole batch, because numpy's batched matmul spends about
 matmul, and a product with one matrix for the whole batch through one
 GEMM.  A 9x9 RK4 step map costs about the arithmetic of the four
 stages of the plain RK4 loop on the nine columns, but the loop makes a
-Python-level product per stage and step.  The open-system CNOT fidelity
-reads two qutrit channels, of Fock blocks 0 and 2, each a product of
-the channels of its distinct segments (twoqubit.cnot_state_fidelity).
+Python-level product per stage and step.  The CNOT is a product over
+its distinct segments too (twoqubit._piece_product): the open-system
+fidelity reads two qutrit channels, of Fock blocks 0 and 2, each a
+product of segment channels, and the closed CNOT chains only on block
+2, since each segment of block 0 is one exponential.
 Measured on 2 CPUs (numpy 2.4, a shared host whose speed swings by up
 to 1.5x): a default 1Q channel (2 400 steps) takes 8-14 ms, 18-28 ms
 with complex maps, the CNOT fidelity (a 690- and a 1 380-step channel
-per block) 16-27 ms, 31-48 ms with complex maps, and the closed cavity
-gate 23-39 ms.
+per block) 16-27 ms, 31-48 ms with complex maps, the closed gate on
+both blocks (5 520 steps) 11-12 ms, the leakage (690 and 1 380 steps
+on block 2) 9 ms and the 5-point robustness grid 0.9 ms, 15 ms as one
+chain.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -335,6 +339,9 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
     schedule_hamiltonian, and so for the n = 0 Fock block of the cavity
     gate (twoqubit.cnot_robustness).  On the other Fock blocks H0 is the
     dispersive shift, and scaling it is not a Rabi error.
+    The closed CNOT calls it once per distinct segment
+    (twoqubit._closed_final): on block 0 as one step of the
+    segment's summed drive, on block 2 on the segment's own grid.
     """
     return _closed_products(ham, tau, step, np.asarray(scales, dtype=float), prefixes=False)
 

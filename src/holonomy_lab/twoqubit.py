@@ -11,13 +11,21 @@ changes the photon number, so the Hamiltonian is the stack of its
 detuning.  The computational states live in blocks 0 and 2 alone, so
 the gate propagates those two side by side (build_two_qubit_gate).
 
-The robustness grid starts in |0f>, which never leaves the n = 0 block;
-there the dispersive shift is zero, so the grid is one scaled
-propagation of the qutrit schedule (cnot_robustness).  Under noise each
-transfer of the CNOT fidelity stays in its own Fock block too, so the
-open-system figure reads two qutrit Lindblad channels.  Each channel is
-the product of the channels of the schedule's segments, and a segment
-that repeats is integrated once (cnot_state_fidelity).
+H0 is constant, so when every segment boundary lies on the time grid
+(_grid_pieces), every closed or open CNOT quantity is the product, in
+schedule order, of the propagators or channels of the schedule's
+segments, and a segment that repeats is computed once (_piece_product);
+otherwise the whole schedule is one run on the chain.  On block 0 the
+dispersive shift is zero and each segment drives at one phase, so a
+segment's propagator is one exponential of its summed drive at every
+scale.  The robustness grid starts in |0f>, which never leaves block 0,
+so it is two such exponentials per scale for sr-nhqc and one for nhqc
+(cnot_robustness).  The twoqubit command's leakage warning reads column
+norms of blocks 0 and 2, and only block 2 is chained, once per
+distinct segment (two_qubit_leakage).  Under noise each transfer of the
+CNOT fidelity stays in its own Fock block too, so the open-system
+figure reads two qutrit Lindblad channels, each the product of its
+distinct segments' channels (cnot_state_fidelity).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +43,8 @@ from .pulses import (DEFAULT_STEP_2Q, DEFAULT_TAU_TWO_QUBIT, SCHEME_SR, GateSpec
                      PulseSchedule, apply_rabi_error, build_schedule, rabi_scale)
 
 LEVEL_NAMES = ("g", "e", "f")
+# The (g, f) corners of a stack of Fock blocks 0 and 2, (2, 3, 3).
+_QUBIT = np.ix_([0, 1], [model.G, model.F], [model.G, model.F])
 
 
 def state_index(n: int, level: str) -> int:
@@ -116,20 +126,46 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     finals = evolve.scaled_final_unitaries(replace(ham, h0=h0), schedule.tau, step,
                                            (1.0,))[1][0]
     zz = np.exp(1j * np.diagonal(h0, axis1=1, axis2=2) * schedule.tau)
-    qubit = np.ix_([0, 1], [model.G, model.F], [model.G, model.F])
-    corner = (zz[:, :, None] * finals)[qubit]
+    corner = (zz[:, :, None] * finals)[_QUBIT]
     stark = np.array([np.conj(d) / abs(d) if abs(d) > 1e-12 else 1.0
                       for d in np.diagonal(corner[1])])
     block = np.zeros((4, 4), dtype=complex)
     block[:2, :2] = np.exp(-1j * gate.gamma / 2) * corner[0]
     block[2:, 2:] = stark[:, None] * corner[1]
+    return TwoQubitGateResult(block=block, leakage=_subspace_leakage(finals))
 
-    leak = float(1.0 - np.min(np.sum(np.abs(block) ** 2, axis=0)))
+
+def _subspace_leakage(finals: np.ndarray) -> float:
+    """Worst-case leakage of the gate whose Fock blocks 0 and 2 are finals
+    (2, 3, 3): 1 - the least norm that a (g, f) column keeps on (g, f).
+
+    The frame phases of build_two_qubit_gate change no column norm, so
+    raw finals give its leakage.  Above 1% the weak-drive selectivity
+    assumption is breaking down and a warning is emitted.
+    """
+    leak = float(1.0 - np.min(np.sum(np.abs(finals[_QUBIT]) ** 2, axis=1)))
     if leak > 0.01:
         warnings.warn(f"leakage {leak:.3f} out of the computational subspace "
                       "exceeds 1%; drive is not photon-number selective",
-                      RuntimeWarning, stacklevel=2)
-    return TwoQubitGateResult(block=block, leakage=leak)
+                      RuntimeWarning, stacklevel=3)
+    return leak
+
+
+def two_qubit_leakage(gate: GateSpec, scheme: str = SCHEME_SR,
+                      tau: Optional[float] = None,
+                      params: Optional[DispersiveSystemParams] = None,
+                      step: float = DEFAULT_STEP_2Q) -> float:
+    """The leakage of build_two_qubit_gate, warning included, from each
+    Fock block's piece product (_closed_final): one exponential per
+    distinct segment on block 0, and a chain per distinct segment on
+    block 2 only."""
+    params = DispersiveSystemParams.from_mhz() if params is None else params
+    schedule, ham = _selective_drive(gate, scheme, tau, 0.0, params)
+    pieces = _grid_pieces(schedule, step)
+    return _subspace_leakage(np.stack([
+        _piece_product(pieces, functools.partial(_closed_final, replace(ham, h0=ham.h0[n]),
+                                                  (1.0,)))[0]
+        for n in (0, 2)]))
 
 
 def prepare_fock(target: str,
@@ -199,36 +235,75 @@ def cnot_robustness(epsilons: Sequence[float], scheme: str = SCHEME_SR,
     The ideal gate returns the transmon to g; residual e/f population
     tracks the Rabi-error sensitivity of the scheme.  |0f> never leaves
     the n = 0 Fock block, where the dispersive shift is zero: there the
-    gate is the qutrit schedule alone, a Rabi error scales its whole
-    Hamiltonian, and one evolve.scaled_final_unitaries run gives every
+    gate is the qutrit schedule alone, and a Rabi error scales its whole
+    Hamiltonian, so one piece product (_closed_final) gives every
     error.  The frame phases of build_two_qubit_gate move no
     population, so they are not applied.
     """
     epsilons = [float(eps) for eps in epsilons]
     scales = [rabi_scale(eps) for eps in epsilons]
     schedule = _two_qubit_schedule(CNOT_GATE, scheme, tau)
-    _, finals = evolve.scaled_final_unitaries(evolve.schedule_hamiltonian(schedule),
-                                              schedule.tau, step, scales)
+    finals = _piece_product(_grid_pieces(schedule, step), functools.partial(
+        _closed_final, evolve.schedule_hamiltonian(schedule), scales))
     populations = np.abs(finals[:, :, model.F]) ** 2
     return [RobustnessRow(eps, *map(float, p)) for eps, p in zip(epsilons, populations)]
 
 
 def _grid_pieces(schedule: PulseSchedule, step: float) -> list[tuple[PulseSchedule, float]]:
-    """(piece, step) runs whose channels, multiplied in order, make the
-    schedule's channel on the grid of evolve._time_grid(tau, step).
+    """(piece, step) runs whose propagators or channels, multiplied in
+    order, make the schedule's on the grid of evolve._time_grid(tau, step).
 
     If every segment spans a whole number of grid steps, so that every
     boundary lies on the grid, each segment is a piece: a one-segment
     schedule on its own grid steps.  Equal segments are equal pieces, so
-    a caller integrates each distinct one once.  If a boundary falls
-    between grid points, the schedule is the one piece.
+    a caller integrates each distinct one once (_piece_product).  If a
+    boundary falls between grid points, or the schedule has no segments,
+    the schedule is the one piece.
     """
     durations = np.array([seg.duration for seg in schedule.segments])
     steps = durations / evolve._time_grid(schedule.tau, step)[1]
-    if not np.allclose(steps, np.round(steps), rtol=0, atol=1e-9):
+    if not len(steps) or not np.allclose(steps, np.round(steps), rtol=0, atol=1e-9):
         return [(schedule, step)]
     return [(replace(schedule, tau=seg.duration, segments=(seg,)), seg.duration / m)
             for seg, m in zip(schedule.segments, np.round(steps))]
+
+
+def _piece_product(pieces: list[tuple[PulseSchedule, float]],
+                   piece_map: Callable[[PulseSchedule, float], np.ndarray]) -> np.ndarray:
+    """The product in schedule order of piece_map(piece, step) over the
+    (piece, step) runs of _grid_pieces, each distinct run mapped once.
+
+    piece_map returns a matrix, or a stack of them with the matrix axes
+    last, such as one propagator per scale.
+    """
+    maps = {}
+    for piece in pieces:
+        if piece not in maps:
+            maps[piece] = piece_map(*piece)
+    return functools.reduce(lambda total, later: later @ total, [maps[p] for p in pieces])
+
+
+def _closed_final(ham: evolve.DrivenHamiltonian, scales: Sequence[float],
+                  piece: PulseSchedule, step: float) -> np.ndarray:
+    """The final propagators of s H at every scale s, (scales,) + h0.shape,
+    for the piece's drive on ham.
+
+    Where h0 is zero, a one-segment piece drives at one phase, so
+    H(t) = Omega(t) M_phi commutes with itself and the product of its
+    midpoint steps is exactly exp(-i s Theta M_phi), Theta = sum of
+    Omega(t_mid) dt over the piece's grid (the first Magnus term).  That
+    is one step of the constant drive Theta / tau e^{i phi1} over the
+    piece, without the chain's round-off.  Any other piece runs on the
+    chain of evolve.scaled_final_unitaries.
+    """
+    drive = piece.drive
+    if len(piece.segments) == 1 and not ham.h0.any():
+        times = evolve._time_grid(piece.tau, step)
+        omega, phi1 = piece.drive(0.5 * (times[:-1] + times[1:]))
+        theta = np.sum(omega) * (times[1] - times[0])
+        drive = lambda t: (np.full(np.shape(t), theta / piece.tau), np.full(np.shape(t), phi1[0]))
+        step = piece.tau
+    return evolve.scaled_final_unitaries(replace(ham, drive=drive), piece.tau, step, scales)[1]
 
 
 def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
@@ -270,21 +345,17 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     c_ops = model.collapse_operators(transmon_noise)
     g1 = 1.0 / (cavity_noise.t1_us * model.US_TO_NS)  # the rate of sqrt(g1) a
 
-    def block_channel(n: int) -> np.ndarray:
-        """The 9x9 qutrit channel of Fock block n: its pieces' product."""
-        channels = {}
-        for piece, piece_step in pieces:
-            if piece not in channels:
-                qutrit = evolve.DrivenHamiltonian(ham.h0[n], ham.a_op, piece.drive)
-                finals = evolve.propagate_lindblad_h(qutrit, c_ops, piece.tau, piece_step)[2]
-                # finals[3 i + j] is the image of |i><j|, column 3 i + j.
-                channels[piece] = finals.reshape(9, 9).T
-        return functools.reduce(lambda total, later: later @ total,
-                                [channels[piece] for piece, _ in pieces])
+    def piece_channel(n: int, piece: PulseSchedule, piece_step: float) -> np.ndarray:
+        """The 9x9 qutrit channel of one piece on Fock block n."""
+        qutrit = evolve.DrivenHamiltonian(ham.h0[n], ham.a_op, piece.drive)
+        finals = evolve.propagate_lindblad_h(qutrit, c_ops, piece.tau, piece_step)[2]
+        # finals[3 i + j] is the image of |i><j|, column 3 i + j.
+        return finals.reshape(9, 9).T
 
     # (Fock block n, start, goal): P(|n, goal>) at tau from |n, start>.
     transfers = ((0, model.F, model.G), (2, model.G, model.G))
-    channels = np.stack([block_channel(n) for n, _, _ in transfers])
+    channels = np.stack([_piece_product(pieces, functools.partial(piece_channel, n))
+                         for n, _, _ in transfers])
     evolve._check_cptp(channels)
     return float(np.mean([channel[4 * goal, 4 * start].real * np.exp(-n * g1 * schedule.tau)
                           for channel, (n, start, goal) in zip(channels, transfers)]))

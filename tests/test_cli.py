@@ -382,6 +382,39 @@ def test_twoqubit_warns_of_leakage_once(tmp_path):
     assert len(leaks) == 1
 
 
+def test_twoqubit_nhqc_does_not_warn_of_leakage(tmp_path):
+    # nhqc leaks 1.5e-4, under the 1% threshold; sr-nhqc leaks 0.026.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["twoqubit", "--scheme", "nhqc", "--eps-grid=0",
+                     "--output-dir", str(tmp_path / "o")]) == 0
+    assert not [w for w in caught if "leakage" in str(w.message)]
+
+
+# Block 0 has no dispersive shift, so each of its distinct segments is one
+# step of the summed drive, for the grid and for the leakage alike; only
+# block 2 chains, one run per distinct sr-nhqc segment.
+def test_twoqubit_chains_steps_on_block_2_only(tmp_path, monkeypatch):
+    runs, real = [], evolve.scaled_final_unitaries
+
+    def recorded(ham, tau, step, scales):
+        times, finals = real(ham, tau, step, scales)
+        runs.append((ham.h0, len(times) - 1))
+        return times, finals
+
+    monkeypatch.setattr(evolve, "scaled_final_unitaries", recorded)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["twoqubit", "--eps-grid=-0.05,0,0.05",
+                     "--output-dir", str(tmp_path / "o")]) == 0
+    assert [str(w.message)[:14] for w in caught
+            if "leakage" in str(w.message)] == ["leakage 0.026 "]
+    shift = model.dispersive_shift_hamiltonian(model.DispersiveSystemParams.from_mhz())
+    assert [steps for _, steps in runs] == [1, 1, 1, 1, 690, 1380]
+    for h0, steps in runs:
+        assert np.array_equal(h0, shift[2] if steps > 1 else np.zeros((3, 3)))
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_sweep_without_points_exits_2(tmp_path, capsys, points):
     out = tmp_path / "o"

@@ -1,17 +1,19 @@
+import functools
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from holonomy_lab import evolve, model, qmath, twoqubit
 from holonomy_lab.model import DispersiveSystemParams, NoiseModel
-from holonomy_lab.pulses import (DEFAULT_STEP_2Q, DEFAULT_TAU_TWO_QUBIT, GateSpec,
-                                 PulseSchedule)
+from holonomy_lab.pulses import (DEFAULT_STEP_2Q, DEFAULT_TAU_TWO_QUBIT, GATE_X, GateSpec,
+                                 PulseSchedule, build_schedule, rabi_scale)
 from holonomy_lab.twoqubit import CNOT_GATE, state_index
 from reference import (cavity_collapse_operators, cnot_robustness_per_error,
                        cnot_state_fidelity_full, cnot_state_fidelity_whole,
-                       two_qubit_gate_full)
+                       segment_exact_unitary, two_qubit_gate_full)
 
 
 def _quiet_gate(*args, **kwargs):
@@ -78,6 +80,20 @@ def test_gate_matches_the_full_space_gate(scheme, gate):
     assert abs(res.leakage - leakage) <= 1e-12
 
 
+# The leakage that the twoqubit command warns of, from each Fock block's
+# piece product, against the frame-corrected dense 12x12 gate's.  The
+# gaps are below 1e-14.
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+@pytest.mark.parametrize("gate", [CNOT_GATE, GateSpec(np.pi / 2, 0.0, 0.0),
+                                  GateSpec(1.1, 0.4, 2.3)],
+                         ids=["cnot", "gamma-0", "off-axis"])
+def test_leakage_matches_the_full_space_gate(scheme, gate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        leakage = twoqubit.two_qubit_leakage(gate, scheme)
+    assert abs(leakage - two_qubit_gate_full(gate, scheme)[1]) <= 1e-12
+
+
 def test_gate_propagates_the_photonic_qubit_blocks_only(monkeypatch):
     calls, real = [], evolve.scaled_final_unitaries
 
@@ -104,33 +120,93 @@ def test_cnot_robustness_ordering():
     assert sr[0].p_g > 0.99
 
 
-# The benchmark's drawn grids at seeds 0, 3 and 7, and a short coarse gate.
+# The benchmark's drawn grids at seeds 0, 3 and 7 on the default grid,
+# where every segment boundary lies on a grid point and block 0 is one
+# exponential per distinct segment: against the segment-exact propagator
+# at scale 1 + epsilon, with gaps up to 3.1e-15.  The dense 12x12 chain
+# is itself up to 1.5e-12 from that propagator.  A short coarse gate,
+# whose sr-nhqc boundaries fall between grid points so that it runs on
+# the chain, against the dense 12x12 chain; the gaps are up to 8.5e-14.
 @pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
-@pytest.mark.parametrize("grid, tau, step", [
-    ([-0.0482, -0.0159, 0.0, 0.0516, 0.0689], None, 0.5),
-    ([-0.0524, -0.0260, 0.0, 0.0088, 0.0208], None, 0.5),
-    ([-0.0855, -0.0698, -0.0352, 0.0, 0.0302], None, 0.5),
-    ([-0.1, 0.0, 0.05], 700.0, 2.0)], ids=["seed0", "seed3", "seed7", "coarse"])
-def test_cnot_robustness_matches_the_full_gate_per_error(scheme, grid, tau, step):
+@pytest.mark.parametrize("grid, tau, step, oracle", [
+    ([-0.0482, -0.0159, 0.0, 0.0516, 0.0689], None, 0.5, "exact"),
+    ([-0.0524, -0.0260, 0.0, 0.0088, 0.0208], None, 0.5, "exact"),
+    ([-0.0855, -0.0698, -0.0352, 0.0, 0.0302], None, 0.5, "exact"),
+    ([-0.1, 0.0, 0.05], 700.0, 2.0, "dense")], ids=["seed0", "seed3", "seed7", "coarse"])
+def test_cnot_robustness_matches_the_full_gate_per_error(scheme, grid, tau, step, oracle):
     rows = twoqubit.cnot_robustness(grid, scheme, tau, step)
     assert [r.epsilon for r in rows] == grid
-    expected = cnot_robustness_per_error(grid, scheme, tau, step)
     got = np.array([(r.p_g, r.p_e, r.p_f) for r in rows])
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    if oracle == "exact":
+        schedule = twoqubit._two_qubit_schedule(CNOT_GATE, scheme, tau)
+        expected = [np.abs(segment_exact_unitary(schedule, rabi_scale(eps))[:, model.F]) ** 2
+                    for eps in grid]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+    else:
+        expected = cnot_robustness_per_error(grid, scheme, tau, step)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+# On the default grid every distinct segment of block 0 is one step of
+# its summed drive: sr-nhqc's two segment shapes, nhqc's one.
+@pytest.mark.parametrize("scheme, runs", [("sr-nhqc", 2), ("nhqc", 1)])
 @pytest.mark.parametrize("points", [1, 7])
-def test_cnot_robustness_is_one_qutrit_propagation(monkeypatch, points):
-    shapes = []
-    real = evolve.scaled_final_unitaries
+def test_cnot_robustness_is_one_exponential_per_distinct_segment(monkeypatch, scheme, runs,
+                                                                 points):
+    recorded, real = [], evolve.scaled_final_unitaries
 
     def counted(ham, tau, step, scales):
-        shapes.append((ham.h0.shape, len(scales)))
-        return real(ham, tau, step, scales)
+        times, finals = real(ham, tau, step, scales)
+        recorded.append((ham.h0.shape, len(times) - 1, len(scales)))
+        return times, finals
 
     monkeypatch.setattr(evolve, "scaled_final_unitaries", counted)
-    twoqubit.cnot_robustness(np.linspace(-0.1, 0.1, points), "nhqc", step=2.0)
-    assert shapes == [((3, 3), points)]
+    twoqubit.cnot_robustness(np.linspace(-0.1, 0.1, points), scheme)
+    assert recorded == [((3, 3), 1, points)] * runs
+
+
+# Block 0's one-exponential pieces against the segment-exact propagator,
+# whole unitaries on a gate whose bright frame is complex (phi = 0.4), so
+# that a wrong drive phase shows; the CNOT's populations do not see it.
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+def test_one_exponential_pieces_match_the_segment_exact_unitary(scheme):
+    schedule = twoqubit._two_qubit_schedule(GateSpec(1.1, 0.4, 2.3), scheme, None)
+    scales = (0.9, 1.0, 1.05)
+    finals = twoqubit._piece_product(
+        twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q),
+        functools.partial(twoqubit._closed_final, evolve.schedule_hamiltonian(schedule), scales))
+    np.testing.assert_allclose(finals, [segment_exact_unitary(schedule, s) for s in scales],
+                               rtol=0, atol=1e-14)
+
+
+# Off the grid the schedule is one piece on the chain: the same bits as
+# one scaled_final_unitaries run of the whole schedule.
+@pytest.mark.parametrize("scheme, tau, step", [("sr-nhqc", 64.17, 0.69),
+                                               ("nhqc", 100.3, 0.5)])
+def test_cnot_robustness_off_the_grid_is_the_whole_run(scheme, tau, step):
+    grid = [-0.1, 0.0, 0.05]
+    schedule = twoqubit._two_qubit_schedule(CNOT_GATE, scheme, tau)
+    assert len(twoqubit._grid_pieces(schedule, step)) == 1
+    finals = evolve.scaled_final_unitaries(evolve.schedule_hamiltonian(schedule), tau, step,
+                                           [rabi_scale(eps) for eps in grid])[1]
+    rows = twoqubit.cnot_robustness(grid, scheme, tau, step)
+    assert np.array_equal([(r.p_g, r.p_e, r.p_f) for r in rows],
+                          np.abs(finals[:, :, model.F]) ** 2)
+
+
+# Block 2's dispersive shift keeps its pieces on the chain, one run per
+# distinct segment; their product against one run of the whole schedule.
+# The gaps are up to 2e-14.
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+def test_piece_product_on_a_shifted_block_matches_the_whole_run(scheme):
+    schedule, ham = twoqubit._selective_drive(CNOT_GATE, scheme, None, 0.0,
+                                              DispersiveSystemParams.from_mhz())
+    block = replace(ham, h0=ham.h0[2])
+    scales = (1.0, 1.05)
+    pieces = twoqubit._piece_product(twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q),
+                                     functools.partial(twoqubit._closed_final, block, scales))
+    whole = evolve.scaled_final_unitaries(block, schedule.tau, DEFAULT_STEP_2Q, scales)[1]
+    np.testing.assert_allclose(pieces, whole, rtol=0, atol=1e-13)
 
 
 def test_two_qubit_commands_reject_the_dynamical_scheme():
@@ -246,6 +322,11 @@ def test_default_grid_puts_every_segment_boundary_on_a_grid_point(scheme):
     assert [piece.segments for piece, _ in pieces] == [(seg,) for seg in schedule.segments]
 
 
+def test_a_schedule_without_segments_is_one_piece():
+    schedule = build_schedule(GATE_X, "dynamical")
+    assert twoqubit._grid_pieces(schedule, 0.5) == [(schedule, 0.5)]
+
+
 # The composed channels against one run of the whole schedule per block.
 # The gaps are 3.1e-15 to 1.6e-14.
 @pytest.mark.parametrize("scheme, epsilon, cavity", [
@@ -290,15 +371,17 @@ def test_cnot_state_fidelity_holds_no_map_per_step():
 # The closed setup eigendecomposes the distinct drive samples in slabs
 # and writes the eigenvalues and projectors in place.  The default gate
 # (1 697 samples on the 2 photonic-qubit Fock blocks, 1.5 MB of
-# projectors) peaks at 2.31 MB and the 5-point grid (the same samples on
-# the qutrit) at 1.4 MB.  All 4 Fock blocks peaked at 3.86 MB, which the
-# gate bound rejects; with full-size stacks of H, eigenvectors, their
-# transpose and its conjugate next to the projectors, 4 blocks and the
-# grid peaked at 7.1 and 2.0 MB.
+# projectors) peaks at 2.31 MB.  All 4 Fock blocks peaked at 3.86 MB,
+# which the gate bound rejects; with full-size stacks of H, eigenvectors,
+# their transpose and its conjugate next to the projectors, 4 blocks
+# peaked at 7.1 MB.
 def test_cavity_gate_setup_holds_no_full_size_stacks():
     assert _second_call_peak(lambda: _quiet_gate(CNOT_GATE)) <= 3e6
 
 
+# The 5-point grid is one step per distinct segment and peaks at 0.11 MB.
+# Chained over its 5 520 steps (1 697 samples on the qutrit) it peaked at
+# 1.4 MB, and at 2.0 MB with full-size stacks.
 def test_robustness_grid_setup_holds_no_full_size_stacks():
     assert _second_call_peak(lambda: twoqubit.cnot_robustness(
-        np.linspace(-0.1, 0.1, 5))) <= 1.6e6
+        np.linspace(-0.1, 0.1, 5))) <= 0.5e6
