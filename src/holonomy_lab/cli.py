@@ -18,8 +18,9 @@ exact run that produced it (strip leading '#' lines before feeding the
 JSON files to a parser).
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure.  Given the same config (and, for `rb`, the same seed), every
-command is deterministic and re-runs are byte-identical.  Only `rb`
+failure, an allocation that runs out of memory included.  Given the
+same config (and, for `rb`, the same seed), every command is
+deterministic and re-runs are byte-identical.  Only `rb`
 draws random numbers, so only `rb` takes `--seed`.
 """
 
@@ -160,9 +161,10 @@ def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
     tau = cfg.tau_ns(scheme, two_qubit=True)
     grid = [float(x) for x in args.eps_grid.split(",")]
     rows = twoqubit.cnot_robustness(grid, scheme, tau, cfg.step_2q_ns)
-    # No artifact reads the gate on the photonic-qubit Fock blocks 0 and 2;
-    # only its leakage is computed, for the warning.
-    twoqubit.two_qubit_leakage(twoqubit.CNOT_GATE, scheme, tau, params, cfg.step_2q_ns)
+    # No artifact reads the gate on the photonic-qubit Fock blocks 0 and 2,
+    # each the product of its distinct segments' propagators; it is built
+    # for its leakage warning.
+    twoqubit.build_two_qubit_gate(twoqubit.CNOT_GATE, scheme, tau, params, cfg.step_2q_ns)
     payload = {"scheme": scheme, "tau_ns": tau,
                "robustness": [{"epsilon": r.epsilon, "P_g": r.p_g,
                                "P_e": r.p_e, "P_f": r.p_f} for r in rows]}
@@ -278,6 +280,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # LinAlgError subclasses ValueError, so it is caught first.
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    # A time grid too fine for memory: numpy names the array it could not
+    # allocate.
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc})", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -2,26 +2,22 @@
 
 Every Hamiltonian here is drive-linear: H(t) = H0 + a(t) A + conj(a(t)) A^dag
 with a = Omega e^{i phi1}, A = 1/2 |b><e| and H0 zero on the qutrit or,
-with the cavity, the dispersive shift of each Fock block.  The
+with the cavity, the dispersive shift of one Fock block.  The
 two-qubit gate is photon-number selective: Fock block n evolves as the
-driven qutrit with its own detuning, so its H0 is a stack (n_fock, 3, 3)
-and the blocks are one more batch axis of the closed propagation.
+driven qutrit with its own detuning, so every propagation here is of one
+qutrit block, and the cavity gate runs one per Fock block it reads.
 A schedule fixes its own H(t): |b> is the bright state of its gate's
 (theta, phi) frame, so schedule_hamiltonian needs nothing else.
 Each propagation samples a(t) on its whole time grid in one call.
 Closed-system evolution composes midpoint steps exp(-i s H(t+dt/2) dt)
-= sum_j exp(-i s w_j dt) P_j, at one or many scales s and for every
-block, from the eigendecomposition of each drive sample and its
-spectral projectors P_j.  Steps with the same drive sample share one
-eigendecomposition: the default cavity gate has 1 697 distinct samples
-among its 5 520 steps, because its six segments share one envelope and
-two phases.  The samples are decomposed in slabs of at most EIGH_SLAB
-matrices and written into the eigenvalue and projector stacks in place,
-so the setup's transient is one slab's H, eigenvectors and their
-transpose next to the projectors: the default cavity gate (2 Fock
-blocks) peaks at 2.31 MB (tracemalloc), 1.5 MB of it projectors, where
-full-size stacks of 4 blocks took 7.1 MB.  A default 1Q run, at most
-2 400 samples, takes one or two eigh calls.
+= sum_j exp(-i s w_j dt) P_j, at one or many scales s, from the
+eigendecomposition of each drive sample and its spectral projectors
+P_j.  Steps with the same drive sample share one eigendecomposition,
+and all distinct samples of a run go through one stacked eigh: a
+default 1Q run has at most 2 400, a segment of the default cavity gate
+at most 1 380.  The eigenvalue and projector stacks are written in
+place, so the setup's transient is the eigenvectors and their
+transpose next to the projectors.
 Open-system evolution runs fixed-step RK4 on the vectorized Lindblad
 equation of the qutrit, always as the channel, and in float64 on the
 real coordinates of rho.  The generator maps Hermitian matrices to
@@ -48,24 +44,24 @@ exponentials and the RK4 step maps M_k.  Chunks of at most STEP_BLOCK
 steps advance side by side and their totals are then chained from the
 first chunk's: about 2 sqrt(n) Python-level products for n steps, not
 n.  The chain's stacks keep the matrix axes first and the batch axes
-(chunks, blocks, scales) last.  A 3x3 product is one plain np.einsum
+(chunks, scales) last.  A 3x3 product is one plain np.einsum
 over the whole batch, because numpy's batched matmul spends about
 0.43 us per small complex product, 4-5x more; larger maps go through
 matmul, and a product with one matrix for the whole batch through one
 GEMM.  A 9x9 RK4 step map costs about the arithmetic of the four
 stages of the plain RK4 loop on the nine columns, but the loop makes a
-Python-level product per stage and step.  The CNOT is a product over
-its distinct segments too (twoqubit._piece_product): the open-system
-fidelity reads two qutrit channels, of Fock blocks 0 and 2, each a
-product of segment channels, and the closed CNOT chains only on block
-2, since each segment of block 0 is one exponential.
+Python-level product per stage and step.  The CNOT is a product, per
+Fock block, over its distinct segments (twoqubit._piece_product): the
+open-system fidelity reads two qutrit channels, of Fock blocks 0 and 2,
+each a product of segment channels, and the closed gate is the product
+of segment propagators on each block, chained only on block 2, since
+each segment of block 0 is one exponential.
 Measured on 2 CPUs (numpy 2.4, a shared host whose speed swings by up
 to 1.5x): a default 1Q channel (2 400 steps) takes 8-14 ms, 18-28 ms
 with complex maps, the CNOT fidelity (a 690- and a 1 380-step channel
-per block) 16-27 ms, 31-48 ms with complex maps, the closed gate on
-both blocks (5 520 steps) 11-12 ms, the leakage (690 and 1 380 steps
-on block 2) 9 ms and the 5-point robustness grid 0.9 ms, 15 ms as one
-chain.
+per block) 16-27 ms, 31-48 ms with complex maps, the closed gate (690
+and 1 380 steps on block 2) 8-9 ms and the 5-point robustness grid
+0.9 ms, 15 ms as one chain.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -86,11 +82,6 @@ TRACE_DRIFT_LIMIT = 1e-5
 # Most steps per chunk of the product chain (_chain); propagate_lindblad_h
 # builds about half as many RK4 step maps at once.
 STEP_BLOCK = 128
-# Most matrices per stacked eigh of the closed setup (_closed_products): a
-# default 1Q run (at most 2 400 samples) takes one or two calls, the
-# cavity gate (1 697 samples on 2 Fock blocks) two, each slab holding
-# about 0.3 MB of H or eigenvectors.
-EIGH_SLAB = 2048
 
 
 @dataclass(frozen=True)
@@ -204,6 +195,8 @@ def _chain(step: Callable[[np.ndarray], np.ndarray], n: int,
     run takes about 2 sqrt(n) Python-level products, not n; the last
     prefix and the final are the same products.  The start is the
     identity, so the first position and the first chunk take no product.
+    The batch axes after chunks are whatever the maps carry: the scales
+    of a closed run, none for an RK4 run.
     final is the whole product, (size, size, ...) with the batch axes of
     the maps but chunks; prefixes[:, :, c, j] are the given rows (none
     for only the final) of the product up to step c L + j + 1, L the
@@ -240,74 +233,57 @@ def _chain(step: Callable[[np.ndarray], np.ndarray], n: int,
 
 def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
                      scales: np.ndarray, prefixes: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(times, U): U_s(t_k, 0) of s H(t), (steps + 1, scales) + h0.shape,
-    with prefixes, else only U_s(tau, 0), (scales,) + h0.shape.
+    """(times, U): U_s(t_k, 0) of s H(t), (steps + 1, scales, size, size),
+    with prefixes, else only U_s(tau, 0), (scales, size, size).
 
-    A stack of blocks h0 (..., size, size), such as the Fock blocks of
-    the cavity gate, is a batch axis of the chain: its blocks propagate
-    side by side, each one on its own.  Steps with the same drive sample
-    a(t_mid) share one eigendecomposition and one set of projectors: the
-    default cavity gate has 1 697 distinct samples among its 5 520 steps.
-    They are decomposed in slabs of at most EIGH_SLAB matrices (samples
-    times blocks), and each slab's eigenvalues and projectors are written
-    into their stacks in place: no full-size H, eigenvectors or
-    transpose of them is alive next to the projectors, and no conjugate
-    copy at all.  The stacks are allocated after the first slab's eigh,
-    so a run of one slab never holds its H next to them.  Each matrix is
-    decomposed, and each projector entry formed, as in one stacked call,
-    so the results are the same bits.
+    h0 and a_op are one (size, size) matrix each; a stack of them raises.
+    Steps with the same drive sample a(t_mid) share one eigendecomposition
+    and one set of projectors: a default 1Q gate has at most 2 400
+    distinct samples, the longest segment of the cavity gate 1 380.  All
+    of them go through one stacked eigh, and the eigenvalues and
+    projectors are built batch-last and C-contiguous, the conjugate
+    factors written straight into the projector stack and the product
+    formed there in place: no conjugate copy of the eigenvectors is made.
     _chain multiplies the step exponentials, built per chain position
     from each step's sample.  Every array of the chain is (size, size,
-    chunks, blocks, scales): the matrix axes first and the batch axes
-    last, so each 3x3 product is one plain einsum over the whole
-    contiguous batch.
+    chunks, scales): the matrix axes first and the batch axes last, so
+    each 3x3 product is one plain einsum over the whole contiguous batch.
     """
+    if ham.h0.ndim != 2 or ham.a_op.ndim != 2:
+        raise ValueError(f"h0 {ham.h0.shape} and a_op {ham.a_op.shape} must each be "
+                         "one square matrix, not a stack")
     times = _time_grid(tau, step)
     n, dt = len(times) - 1, times[1] - times[0]
-    shape = np.broadcast_shapes(ham.h0.shape, ham.a_op.shape)
-    size, blocks = shape[-1], int(np.prod(shape[:-2]))
+    size = ham.h0.shape[-1]
     # which[k] is the drive sample of step k.
     a, which = np.unique(ham.coefficient(0.5 * (times[:-1] + times[1:])), return_inverse=True)
-    # H at each sample on every block is v diag(w) v^dag, decomposed one
-    # slab of samples at a time.  Batch last and C-contiguous, or np.take
-    # copies them at every position: w (size, samples, blocks) and
+    # H at each sample is v diag(w) v^dag.  Batch last and C-contiguous, or
+    # np.take copies them at every position: w (size, samples) and
     # proj[j, i, k] = v_ij conj(v_kj).
-    w = proj = None
-    slab = max(1, EIGH_SLAB // blocks)
-    for start in range(0, len(a), slab):
-        part = slice(start, start + slab)
-        w_part, v = np.linalg.eigh(ham.at_coefficient(a[part]).reshape(-1, size, size))
-        if proj is None:
-            # Only now, so that the first slab's H and its sums are gone.
-            w = np.empty((size, len(a), blocks))
-            proj = np.empty((size, size, size, len(a), blocks), dtype=complex)
-        w[:, part] = w_part.reshape(-1, blocks, size).transpose(2, 0, 1)
-        # vt[j, i] = v_ij
-        vt = v.reshape(-1, blocks, size, size).transpose(3, 2, 0, 1).copy()
-        del w_part, v
-        # The conjugate factors go straight into the projectors, and the
-        # product over them in place.
-        proj_part = proj[:, :, :, part]
-        np.conjugate(vt[:, None, :], out=proj_part)
-        np.multiply(vt[:, :, None], proj_part, out=proj_part)
-        del vt, proj_part
+    w, v = np.linalg.eigh(ham.at_coefficient(a))
+    w = np.ascontiguousarray(w.T)
+    # vt[j, i] = v_ij
+    vt = v.transpose(2, 1, 0).copy()
+    del v
+    proj = np.empty((size, size, size, len(a)), dtype=complex)
+    np.conjugate(vt[:, None, :], out=proj)
+    np.multiply(vt[:, :, None], proj, out=proj)
+    del vt
 
     def step_maps(k: np.ndarray) -> np.ndarray:
         return _step_exponentials(np.take(w, which[k], axis=1),
                                   np.take(proj, which[k], axis=3), scales, dt)
 
     final, kept = _chain(step_maps, n, np.arange(size if prefixes else 0))
-    # (size, size, [chunks, length,] blocks, scales) -> ([steps,] scales, blocks,
-    # size, size)
-    out = np.empty(((n + 1,) if prefixes else ()) + (len(scales), blocks, size, size),
-                   dtype=complex)
-    if prefixes:
-        out[0] = np.eye(size)
-        steps = kept.transpose(2, 3, 5, 4, 0, 1)
-        out[1:] = steps.reshape(-1, *steps.shape[2:])[:n]
-    else:
-        out[:] = final.transpose(3, 2, 0, 1)
-    return times, out.reshape(out.shape[:-3] + shape)
+    if not prefixes:
+        # (size, size, scales) -> (scales, size, size)
+        return times, np.ascontiguousarray(final.transpose(2, 0, 1))
+    # (size, size, chunks, length, scales) -> (steps, scales, size, size)
+    out = np.empty((n + 1, len(scales), size, size), dtype=complex)
+    out[0] = np.eye(size)
+    steps = kept.transpose(2, 3, 4, 0, 1)
+    out[1:] = steps.reshape(-1, *steps.shape[2:])[:n]
+    return times, out
 
 
 def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
@@ -315,9 +291,10 @@ def propagate_unitary_h(ham: DrivenHamiltonian, tau: float,
     """Piecewise-exponential propagators U(t_k, 0) on a uniform grid.
 
     Each step uses exp(-i H(t_mid) dt) built from a batched
-    eigendecomposition, so every factor is unitary to round-off.  A
-    stack of blocks h0 gives a stack of propagators, (steps + 1,) +
-    h0.shape.
+    eigendecomposition, so every factor is unitary to round-off.  h0 is
+    one (size, size) matrix, and the propagators are (steps + 1, size,
+    size); a stack of Fock blocks raises ValueError, so each block is
+    its own run.
     """
     times, unitaries = _closed_products(ham, tau, step, np.ones(1), prefixes=True)
     return times, unitaries[:, 0]
@@ -334,14 +311,16 @@ def scaled_final_unitaries(ham: DrivenHamiltonian, tau: float, step: float,
     scales=(1.0,) gives the last unitary of propagate_unitary_h bit for
     bit, for any H0.
 
-    finals is (scales,) + h0.shape.
+    finals is (scales, size, size); h0 is one matrix, as in
+    propagate_unitary_h.
     s H(t) is a Rabi error s = 1 + epsilon only where H0 = 0: for
     schedule_hamiltonian, and so for the n = 0 Fock block of the cavity
     gate (twoqubit.cnot_robustness).  On the other Fock blocks H0 is the
     dispersive shift, and scaling it is not a Rabi error.
-    The closed CNOT calls it once per distinct segment
-    (twoqubit._closed_final): on block 0 as one step of the
-    segment's summed drive, on block 2 on the segment's own grid.
+    The closed CNOT, its robustness grid and its gate alike, calls it
+    once per Fock block and distinct segment (twoqubit._closed_final):
+    on block 0 as one step of the segment's summed drive, on block 2 on
+    the segment's own grid.
     """
     return _closed_products(ham, tau, step, np.asarray(scales, dtype=float), prefixes=False)
 

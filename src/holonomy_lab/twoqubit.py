@@ -9,7 +9,7 @@ leaving |2g>, |2f> ideally untouched: a controlled gate on the
 changes the photon number, so the Hamiltonian is the stack of its
 (n_fock, 3, 3) Fock blocks, each the driven qutrit with its own
 detuning.  The computational states live in blocks 0 and 2 alone, so
-the gate propagates those two side by side (build_two_qubit_gate).
+the gate propagates those two, each as a qutrit (build_two_qubit_gate).
 
 H0 is constant, so when every segment boundary lies on the time grid
 (_grid_pieces), every closed or open CNOT quantity is the product, in
@@ -20,9 +20,10 @@ dispersive shift is zero and each segment drives at one phase, so a
 segment's propagator is one exponential of its summed drive at every
 scale.  The robustness grid starts in |0f>, which never leaves block 0,
 so it is two such exponentials per scale for sr-nhqc and one for nhqc
-(cnot_robustness).  The twoqubit command's leakage warning reads column
-norms of blocks 0 and 2, and only block 2 is chained, once per
-distinct segment (two_qubit_leakage).  Under noise each transfer of the
+(cnot_robustness).  The gate on the photonic qubit is the same product
+on blocks 0 and 2, and only block 2 is chained, once per distinct
+segment (build_two_qubit_gate); the twoqubit command reads its leakage
+for the selectivity warning.  Under noise each transfer of the
 CNOT fidelity stays in its own Fock block too, so the open-system
 figure reads two qutrit Lindblad channels, each the product of its
 distinct segments' channels (cnot_state_fidelity).
@@ -106,9 +107,13 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
 
     The drive and the dispersive shift keep the photon number, so the
     gate on the computational states is the (g, f) corner of those two
-    blocks.  Three pure frame changes, which an experiment folds into
-    its phase references and which move no population, align the
-    phases so the ideal gate reads diag(U1, I):
+    blocks.  Each block is a qutrit propagator, the product in schedule
+    order of its distinct segments' propagators (_piece_product of
+    _closed_final): one exponential of the summed drive per segment on
+    block 0, where the dispersive shift is zero, and a chain per
+    distinct segment on block 2.  Three pure frame changes, which an
+    experiment folds into its phase references and which move no
+    population, align the phases so the ideal gate reads diag(U1, I):
       - exp(i H0_n tau) undoes the dispersive (ZZ) phase of block n;
       - the driven n = 0 block comes out of the loop as
         e^{i gamma/2} U1, so its photon frame is shifted by -gamma/2;
@@ -123,8 +128,11 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     params = DispersiveSystemParams.from_mhz() if params is None else params
     schedule, ham = _selective_drive(gate, scheme, tau, 0.0, params)
     h0 = ham.h0[[0, 2]]
-    finals = evolve.scaled_final_unitaries(replace(ham, h0=h0), schedule.tau, step,
-                                           (1.0,))[1][0]
+    pieces = _grid_pieces(schedule, step)
+    finals = np.stack([
+        _piece_product(pieces, functools.partial(_closed_final, replace(ham, h0=shift),
+                                                  (1.0,)))[0]
+        for shift in h0])
     zz = np.exp(1j * np.diagonal(h0, axis1=1, axis2=2) * schedule.tau)
     corner = (zz[:, :, None] * finals)[_QUBIT]
     stark = np.array([np.conj(d) / abs(d) if abs(d) > 1e-12 else 1.0
@@ -132,40 +140,14 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
     block = np.zeros((4, 4), dtype=complex)
     block[:2, :2] = np.exp(-1j * gate.gamma / 2) * corner[0]
     block[2:, 2:] = stark[:, None] * corner[1]
-    return TwoQubitGateResult(block=block, leakage=_subspace_leakage(finals))
-
-
-def _subspace_leakage(finals: np.ndarray) -> float:
-    """Worst-case leakage of the gate whose Fock blocks 0 and 2 are finals
-    (2, 3, 3): 1 - the least norm that a (g, f) column keeps on (g, f).
-
-    The frame phases of build_two_qubit_gate change no column norm, so
-    raw finals give its leakage.  Above 1% the weak-drive selectivity
-    assumption is breaking down and a warning is emitted.
-    """
-    leak = float(1.0 - np.min(np.sum(np.abs(finals[_QUBIT]) ** 2, axis=1)))
-    if leak > 0.01:
-        warnings.warn(f"leakage {leak:.3f} out of the computational subspace "
+    # 1 - the least norm a (g, f) column keeps on (g, f); no frame phase
+    # changes a column norm, so the raw finals give it.
+    leakage = float(1.0 - np.min(np.sum(np.abs(finals[_QUBIT]) ** 2, axis=1)))
+    if leakage > 0.01:
+        warnings.warn(f"leakage {leakage:.3f} out of the computational subspace "
                       "exceeds 1%; drive is not photon-number selective",
-                      RuntimeWarning, stacklevel=3)
-    return leak
-
-
-def two_qubit_leakage(gate: GateSpec, scheme: str = SCHEME_SR,
-                      tau: Optional[float] = None,
-                      params: Optional[DispersiveSystemParams] = None,
-                      step: float = DEFAULT_STEP_2Q) -> float:
-    """The leakage of build_two_qubit_gate, warning included, from each
-    Fock block's piece product (_closed_final): one exponential per
-    distinct segment on block 0, and a chain per distinct segment on
-    block 2 only."""
-    params = DispersiveSystemParams.from_mhz() if params is None else params
-    schedule, ham = _selective_drive(gate, scheme, tau, 0.0, params)
-    pieces = _grid_pieces(schedule, step)
-    return _subspace_leakage(np.stack([
-        _piece_product(pieces, functools.partial(_closed_final, replace(ham, h0=ham.h0[n]),
-                                                  (1.0,)))[0]
-        for n in (0, 2)]))
+                      RuntimeWarning, stacklevel=2)
+    return TwoQubitGateResult(block=block, leakage=leakage)
 
 
 def prepare_fock(target: str,
@@ -285,7 +267,7 @@ def _piece_product(pieces: list[tuple[PulseSchedule, float]],
 
 def _closed_final(ham: evolve.DrivenHamiltonian, scales: Sequence[float],
                   piece: PulseSchedule, step: float) -> np.ndarray:
-    """The final propagators of s H at every scale s, (scales,) + h0.shape,
+    """The final propagators of s H at every scale s, (scales, 3, 3),
     for the piece's drive on ham.
 
     Where h0 is zero, a one-segment piece drives at one phase, so

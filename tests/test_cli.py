@@ -506,6 +506,23 @@ def test_coarse_cnot_fidelity_step_exits_3_without_artifacts(tmp_path, capsys, s
     assert not out.exists()
 
 
+# A step too fine for memory: at step_1q_ns = 1e-12 the time grid alone
+# is 873 TiB.  The grid is stubbed to raise what numpy raises, so the
+# test allocates nothing.
+def test_out_of_memory_exits_3_without_artifacts(tmp_path, capsys, monkeypatch):
+    def unallocatable(tau, step):
+        raise MemoryError("Unable to allocate 873. TiB for an array with shape "
+                          "(120000000000001,) and data type float64")
+
+    monkeypatch.setattr(evolve, "_time_grid", unallocatable)
+    out = tmp_path / "o"
+    assert main(["simulate-gate", "--gate", "X", "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: out of memory (Unable to allocate 873.")
+    assert not out.exists()
+
+
 def test_qpt_command(tmp_path):
     out = tmp_path / "o"
     assert main(["qpt", "--gate", "X", "--output-dir", str(out)]) == 0

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +81,12 @@ RAGGED_COUNTS = (1, evolve.STEP_BLOCK - 1, evolve.STEP_BLOCK, evolve.STEP_BLOCK 
 
 def _ragged_cases():
     """(Hamiltonian, tau, step) with the RAGGED_COUNTS of qutrit steps, and
-    the 5 520-step cavity gate."""
+    the 5 520-step cavity gate on Fock block 2."""
     ham = evolve.schedule_hamiltonian(SCHEDULE)
     _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", None, 0.0,
                                           model.DispersiveSystemParams.from_mhz())
     return [(ham, SCHEDULE.tau, SCHEDULE.tau / n, n) for n in RAGGED_COUNTS] + \
-        [(cavity, 2760.0, 0.5, 5520)]
+        [(replace(cavity, h0=cavity.h0[2]), 2760.0, 0.5, 5520)]
 
 
 @pytest.mark.parametrize("ham, tau, step, steps", _ragged_cases(),
@@ -113,28 +114,30 @@ def _counted_eigh(monkeypatch):
 
 
 def test_cavity_gate_eigendecomposes_each_distinct_sample_once(monkeypatch):
-    # The six sr-nhqc segments share one envelope and the phases 0 and
-    # -pi/2, so most midpoint samples of the default CNOT repeat.
-    schedule, cavity = twoqubit._selective_drive(twoqubit.CNOT_GATE, "sr-nhqc", None, 0.0,
-                                                 model.DispersiveSystemParams.from_mhz())
-    times = evolve._time_grid(schedule.tau, DEFAULT_STEP_2Q)
-    samples = np.unique(cavity.coefficient(0.5 * (times[:-1] + times[1:])))
-    assert len(times) - 1 == 5520
-    assert len(samples) < 5520 // 3
+    # The six sr-nhqc segments come in two shapes, and each shape's
+    # midpoint samples repeat where its envelope is symmetric.  Block 0
+    # is one constant-drive step per shape; block 2 decomposes each
+    # shape's distinct samples in one eigh.
+    schedule = twoqubit._two_qubit_schedule(twoqubit.CNOT_GATE, "sr-nhqc", None)
+    pieces = list(dict.fromkeys(twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q)))
+    samples = []
+    for piece, step in pieces:
+        times = evolve._time_grid(piece.tau, step)
+        midpoints = 0.5 * (times[:-1] + times[1:])
+        samples.append(len(np.unique(evolve.schedule_hamiltonian(piece).coefficient(midpoints))))
+    assert len(pieces) == 2
+    assert sum(samples) < 5520 // 3
     calls = _counted_eigh(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the default gate's leakage
         twoqubit.build_two_qubit_gate(twoqubit.CNOT_GATE)
-    # The samples go through eigh in slabs of at most EIGH_SLAB matrices,
-    # both photonic-qubit Fock blocks of every distinct sample once.
-    assert sum(shape[0] for shape in calls) == 2 * len(samples)
-    assert all(shape[1:] == (3, 3) and shape[0] <= evolve.EIGH_SLAB for shape in calls)
+    assert calls == [(1, 3, 3)] * 2 + [(m, 3, 3) for m in samples]
 
 
 def test_constant_drive_is_one_sample_and_the_identity_pad(monkeypatch):
     params = model.DispersiveSystemParams.from_mhz()
     a_op = evolve.schedule_hamiltonian(SCHEDULE).a_op
-    ham = evolve.DrivenHamiltonian(model.dispersive_shift_hamiltonian(params), a_op,
+    ham = evolve.DrivenHamiltonian(model.dispersive_shift_hamiltonian(params)[2], a_op,
                                    lambda t: (np.full(np.shape(t), 0.04),
                                               np.full(np.shape(t), 0.7)))
     # 2 STEP_BLOCK + 3 steps: three chunks of 87 positions, the last two
@@ -145,7 +148,7 @@ def test_constant_drive_is_one_sample_and_the_identity_pad(monkeypatch):
     tau, step = 0.5 * steps, 0.5
     calls = _counted_eigh(monkeypatch)
     times, unitaries = evolve.propagate_unitary_h(ham, tau, step)
-    assert calls == [(params.n_fock, 3, 3)]
+    assert calls == [(1, 3, 3)]
     assert len(times) == steps + 1
     _, ref_unitaries = sequential_unitaries(ham, tau, step)
     assert np.max(np.abs(unitaries - ref_unitaries)) < 1e-13
@@ -533,19 +536,37 @@ def _dense_midpoint_product(ham, tau, step):
 
 
 def test_block_diagonal_gate_matches_dense_midpoint_product():
-    # The Fock-block stack of the cavity gate, on the diagonal, against
-    # the dense 12x12 midpoint product; theta = 0 drives e-f only, so
+    # Each Fock block of the cavity gate, a qutrit run of its own, against
+    # the matching diagonal block of the dense 12x12 midpoint product,
+    # whose off-diagonal blocks are zero; theta = 0 drives e-f only, so
     # |g> never couples to the rest of the one qutrit block.
     params = model.DispersiveSystemParams.from_mhz()
     _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", 13.8, 0.0, params)
     qutrit = evolve.schedule_hamiltonian(build_sr_nhqc(GateSpec(0.0, 0.0, np.pi), 120.0))
-    cases = [(cavity, full_space_hamiltonian(cavity), 13.8, 0.69,
-              lambda u: scipy.linalg.block_diag(*u)),
-             (qutrit, qutrit, 120.0, 1.0, lambda u: u)]
-    for ham, dense, tau, step, lift in cases:
-        _, unitaries = evolve.propagate_unitary_h(ham, tau, step)
-        _, finals = evolve.scaled_final_unitaries(ham, tau, step, (1.0,))
-        assert unitaries.shape[1:] == ham.h0.shape
-        assert np.array_equal(finals[0], unitaries[-1])
-        gap = lift(unitaries[-1]) - _dense_midpoint_product(dense, tau, step)
+    cases = [(cavity, full_space_hamiltonian(cavity), 13.8, 0.69),
+             (qutrit, qutrit, 120.0, 1.0)]
+    for ham, dense, tau, step in cases:
+        blocks = []
+        for h0 in ham.h0.reshape(-1, 3, 3):
+            block = replace(ham, h0=h0)
+            _, unitaries = evolve.propagate_unitary_h(block, tau, step)
+            _, finals = evolve.scaled_final_unitaries(block, tau, step, (1.0,))
+            assert unitaries.shape[1:] == (3, 3)
+            assert np.array_equal(finals[0], unitaries[-1])
+            blocks.append(unitaries[-1])
+        gap = scipy.linalg.block_diag(*blocks) - _dense_midpoint_product(dense, tau, step)
         assert np.max(np.abs(gap)) < 1e-13
+
+
+# The closed core runs one qutrit block; a Fock-block stack is the
+# caller's to split.
+@pytest.mark.parametrize("run", [
+    lambda ham: evolve.propagate_unitary_h(ham, 13.8, 0.69),
+    lambda ham: evolve.scaled_final_unitaries(ham, 13.8, 0.69, (1.0,))],
+    ids=["propagate_unitary_h", "scaled_final_unitaries"])
+def test_closed_core_rejects_a_stack_of_blocks(run):
+    _, cavity = twoqubit._selective_drive(GATE, "sr-nhqc", 13.8, 0.0,
+                                          model.DispersiveSystemParams.from_mhz())
+    with pytest.raises(ValueError, match="stack") as info:
+        run(cavity)
+    assert "\n" not in str(info.value)

@@ -80,30 +80,40 @@ def test_gate_matches_the_full_space_gate(scheme, gate):
     assert abs(res.leakage - leakage) <= 1e-12
 
 
-# The leakage that the twoqubit command warns of, from each Fock block's
-# piece product, against the frame-corrected dense 12x12 gate's.  The
-# gaps are below 1e-14.
+# Block 0 on the default grid is one exponential per distinct segment:
+# its (|0g>, |0f>) corner against e^{-i gamma/2} times the segment-exact
+# propagator's (g, f) corner, with gaps up to 1.6e-15.  The dense 12x12
+# chain is up to 8.5e-13 from that propagator.
 @pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
 @pytest.mark.parametrize("gate", [CNOT_GATE, GateSpec(np.pi / 2, 0.0, 0.0),
                                   GateSpec(1.1, 0.4, 2.3)],
                          ids=["cnot", "gamma-0", "off-axis"])
-def test_leakage_matches_the_full_space_gate(scheme, gate):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        leakage = twoqubit.two_qubit_leakage(gate, scheme)
-    assert abs(leakage - two_qubit_gate_full(gate, scheme)[1]) <= 1e-12
+def test_gate_block_0_matches_the_segment_exact_unitary(scheme, gate):
+    block = _quiet_gate(gate, scheme).block
+    exact = segment_exact_unitary(twoqubit._two_qubit_schedule(gate, scheme, None))
+    qubit = np.ix_([model.G, model.F], [model.G, model.F])
+    np.testing.assert_allclose(block[:2, :2], np.exp(-1j * gate.gamma / 2) * exact[qubit],
+                               rtol=0, atol=1e-14)
 
 
+# Each photonic-qubit Fock block is one qutrit run per distinct segment:
+# block 0 one step of each sr-nhqc segment shape's summed drive, block 2
+# each shape on its own grid; no other Fock block runs.
 def test_gate_propagates_the_photonic_qubit_blocks_only(monkeypatch):
     calls, real = [], evolve.scaled_final_unitaries
 
     def counted(ham, tau, step, scales):
-        calls.append((ham.h0.shape, tuple(scales)))
-        return real(ham, tau, step, scales)
+        times, finals = real(ham, tau, step, scales)
+        calls.append((ham.h0, len(times) - 1, tuple(scales)))
+        return times, finals
 
     monkeypatch.setattr(evolve, "scaled_final_unitaries", counted)
-    _quiet_gate(CNOT_GATE, tau=13.8, step=0.69)
-    assert calls == [((2, 3, 3), (1.0,))]
+    _quiet_gate(CNOT_GATE)
+    shift = model.dispersive_shift_hamiltonian(DispersiveSystemParams.from_mhz())
+    assert [(steps, scales) for _, steps, scales in calls] == \
+        [(1, (1.0,)), (1, (1.0,)), (690, (1.0,)), (1380, (1.0,))]
+    for h0, steps, _ in calls:
+        assert np.array_equal(h0, shift[0] if steps == 1 else shift[2])
 
 
 def test_prepare_fock_states():
@@ -249,9 +259,10 @@ def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
     closed = sampled[:]
     sampled.clear()
     twoqubit.cnot_state_fidelity(tau=64.17, step=0.69)
-    # One call per run: the closed gate samples one midpoint per step,
-    # each Fock block's RK4 run the grid points and step midpoints.
-    assert [len(t) for t in closed] == [93]
+    # One call per run: each Fock block's closed run samples one midpoint
+    # per step, its RK4 run the grid points and step midpoints.
+    assert [len(t) for t in closed] == [93] * 2
+    assert np.array_equal(closed[0], closed[1])
     assert [len(t) for t in sampled] == [2 * 93 + 1] * 2
     for t in sampled:
         np.testing.assert_allclose(np.sort(t)[1::2], closed[0], rtol=0, atol=1e-12)
@@ -368,15 +379,16 @@ def test_cnot_state_fidelity_holds_no_map_per_step():
     assert _second_call_peak(twoqubit.cnot_state_fidelity) <= 2e6
 
 
-# The closed setup eigendecomposes the distinct drive samples in slabs
-# and writes the eigenvalues and projectors in place.  The default gate
-# (1 697 samples on the 2 photonic-qubit Fock blocks, 1.5 MB of
-# projectors) peaks at 2.31 MB.  All 4 Fock blocks peaked at 3.86 MB,
-# which the gate bound rejects; with full-size stacks of H, eigenvectors,
-# their transpose and its conjugate next to the projectors, 4 blocks
-# peaked at 7.1 MB.
+# The default gate is one qutrit run per distinct segment and Fock block:
+# a single step on block 0, and on block 2 at most the 1 380 steps of one
+# segment, whose distinct samples take one eigh with the eigenvalues and
+# projectors written in place.  It peaks at 0.83 MB.  Its 5 520 steps as
+# one run on a (2, 3, 3) Fock-block stack (1 697 samples, eigh slabs of
+# at most 2 048 matrices) peaked at 2.31 MB, all 4 Fock blocks at 3.86 MB,
+# and 4 blocks with full-size stacks of H, eigenvectors, their transpose
+# and its conjugate next to the projectors at 7.1 MB.
 def test_cavity_gate_setup_holds_no_full_size_stacks():
-    assert _second_call_peak(lambda: _quiet_gate(CNOT_GATE)) <= 3e6
+    assert _second_call_peak(lambda: _quiet_gate(CNOT_GATE)) <= 1.5e6
 
 
 # The 5-point grid is one step per distinct segment and peaks at 0.11 MB.

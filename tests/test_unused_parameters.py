@@ -82,8 +82,6 @@ TEST_ONLY = {
     "schedule_to_csv": "exports a sampled drive program for an instrument",
     "channel_from_unitary": "the ideal channel that tomography is checked against",
     "two_qubit_target": "the ideal CNOT block a two-qubit gate is scored against",
-    "build_two_qubit_gate": "the frame-corrected CNOT block (acceptance criterion 9); "
-                            "the twoqubit command reads only its leakage",
     "prepare_fock": "the paper's photonic-qubit state preparation",
     "target_prepared_state": "the ideal state prepare_fock is checked against",
 }
