@@ -142,13 +142,13 @@ def cmd_rb(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
     factory = rb.default_channel_factory(cfg.noise_model(), cfg.tau_sr_ns, cfg.step_1q_ns)
     ref = rb.run_rb(factory, n_seqs=args.n_seqs, seed=cfg.seed)
     files = {"rb_reference.csv": rb.rb_to_csv(ref)}
-    fits = {"reference": json.loads(rb.rb_fit_json(ref))}
+    fits = {"reference": rb.rb_fit_payload(ref)}
     summary = f"F_ref {ref.f_ref:.6f}"
     if args.interleaved:
         inter = rb.run_rb(factory, n_seqs=args.n_seqs, seed=cfg.seed,
                           interleaved=args.interleaved)
         files["rb_interleaved.csv"] = rb.rb_to_csv(inter)
-        fits["interleaved"] = {**json.loads(rb.rb_fit_json(inter)),
+        fits["interleaved"] = {**rb.rb_fit_payload(inter),
                                "F_gate": rb.interleaved_gate_fidelity(ref, inter)}
         summary += f"  F_gate({args.interleaved}) {fits['interleaved']['F_gate']:.6f}"
     files["rb_fit.json"] = _json_body(fits)
@@ -169,9 +169,8 @@ def cmd_twoqubit(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
                "robustness": [{"epsilon": r.epsilon, "P_g": r.p_g,
                                "P_e": r.p_e, "P_f": r.p_f} for r in rows]}
     if args.fidelity:
-        cavity = twoqubit.CavityNoise(cfg.cavity_t1_us, cfg.cavity_t2star_us)
         payload["cnot_state_fidelity"] = twoqubit.cnot_state_fidelity(
-            params, cfg.noise_model(), cavity, scheme=scheme, tau=tau,
+            params, cfg.noise_model(), cfg.cavity_t1_us, scheme=scheme, tau=tau,
             step=cfg.step_2q_ns)
     # P_g at epsilon = 0, or at the first grid point if 0 is not on the grid.
     row = next((r for r in rows if r.epsilon == 0.0), rows[0])

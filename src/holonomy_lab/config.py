@@ -42,7 +42,8 @@ class RunConfig:
     Every key is read by some command.  The simulator works in the
     drives' rotating frame, so the device's lab-frame frequencies,
     readout-cavity shifts, Ramsey times and Raman pulse length are not
-    keys (README lists them).
+    keys, and no result feels the storage cavity's T2* (README lists
+    them all).
     """
 
     # Storage-cavity dispersive shifts (drive the two-qubit gate)
@@ -59,7 +60,6 @@ class RunConfig:
 
     # Storage cavity coherence
     cavity_t1_us: float = DEVICE["cavity_t1_us"]
-    cavity_t2star_us: float = DEVICE["cavity_t2star_us"]
 
     # Gate durations and integration steps
     tau_sr_ns: float = DEFAULT_TAU[SCHEME_SR]
@@ -121,7 +121,7 @@ class RunConfig:
 # integrates over the durations and steps, and rotates by the angles.
 _DOMAINS = {
     **dict.fromkeys(("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us",
-                     "t2e_gf_us", "cavity_t1_us", "cavity_t2star_us"),
+                     "t2e_gf_us", "cavity_t1_us"),
                     ("a positive time", lambda v: v > 0)),
     **dict.fromkeys(("tau_sr_ns", "tau_nhqc_ns", "tau_dynamical_ns", "tau_2q_sr_ns",
                      "tau_2q_nhqc_ns", "step_1q_ns", "step_2q_ns"),

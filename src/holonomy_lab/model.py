@@ -25,12 +25,14 @@ US_TO_NS = 1000.0
 
 # Measured device values, keyed as in config.RunConfig: the one copy of
 # the defaults of RunConfig, NoiseModel.from_coherence_times,
-# DispersiveSystemParams.from_mhz and twoqubit.CavityNoise.
+# DispersiveSystemParams.from_mhz and twoqubit.cnot_state_fidelity.  The
+# cavity's T2* (243 us) is not here: no result reads it (see
+# cnot_state_fidelity).
 DEVICE = {
     "t1_ge_us": 18.9, "t1_ef_us": 12.7, "t1_gf_us": 500.0,
     "t2e_ge_us": 38.0, "t2e_ef_us": 26.0, "t2e_gf_us": 31.0,
     "chi_storage_ge_MHz": 2.87, "chi_storage_ef_MHz": 2.08,
-    "cavity_t1_us": 334.0, "cavity_t2star_us": 243.0,
+    "cavity_t1_us": 334.0,
 }
 # Fock levels kept for the storage cavity (0..N_FOCK-1): the default of
 # RunConfig.n_fock and DispersiveSystemParams.
@@ -48,8 +50,6 @@ class BrightFrame:
     through the gate untouched.
     """
 
-    theta: float
-    phi: float
     bright: np.ndarray = field(repr=False)
     dark: np.ndarray = field(repr=False)
 
@@ -59,7 +59,7 @@ def bright_frame(theta: float, phi: float) -> BrightFrame:
     ph = np.exp(-1j * phi)
     b = -s * ph * KET_G + c * KET_F
     d = c * ph * KET_G + s * KET_F
-    return BrightFrame(theta=theta, phi=phi, bright=b, dark=d)
+    return BrightFrame(bright=b, dark=d)
 
 
 def bright_drive_operator(frame: BrightFrame) -> np.ndarray:

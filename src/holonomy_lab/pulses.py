@@ -81,18 +81,6 @@ def _envelope(area, duration, t):
     return area / duration * (1.0 - np.cos(2 * np.pi * t / duration))
 
 
-def sample_envelope(seg: PulseSegment, t):
-    """Instantaneous Rabi amplitude Omega(t) in rad/ns, area-normalized.
-
-    Omega = (area/T)(1 - cos(2 pi t / T)), zero at both ends.  t is a
-    time within the segment or an array of them.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > seg.duration + 1e-12):
-        raise ValueError(f"t={t} outside segment of duration {seg.duration}")
-    return _envelope(seg.area, seg.duration, t)
-
-
 @dataclass(frozen=True)
 class PulseSchedule:
     """Drive program for one gate: either segments or a parametric sampler.
@@ -124,10 +112,8 @@ class PulseSchedule:
 
         A time on a boundary belongs to the segment that ends there, and
         times past the last end (within drive's tolerance) to the last
-        segment.  Sampled schedules split into halves at tau/2.
+        segment.
         """
-        if not self.segments:
-            return (t > self.tau / 2).astype(int)
         ends = np.cumsum([seg.duration for seg in self.segments])
         return np.minimum(np.searchsorted(ends + 1e-12, t), len(ends) - 1)
 
@@ -264,11 +250,3 @@ def apply_rabi_error(schedule: PulseSchedule, epsilon: float) -> PulseSchedule:
     """Scale every drive amplitude by (1 + epsilon); phases untouched."""
     return replace(schedule, amp_scale=schedule.amp_scale * rabi_scale(epsilon))
 
-
-def schedule_to_csv(schedule: PulseSchedule, dt: float = 0.1) -> str:
-    """CSV dump of the sampled drive: t_ns, Omega_rad_per_ns, phi1_rad, segment_index."""
-    times = np.minimum(np.arange(int(round(schedule.tau / dt)) + 1) * dt, schedule.tau)
-    omega, phi1 = schedule.drive(times)
-    return qmath.csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"],
-                          "%.6g,%.12g,%.12g,%d",
-                          np.column_stack((times, omega, phi1, schedule._segment_of(times))))

@@ -61,11 +61,6 @@ def pair_rotation(dim: int, i: int, j: int, angle: float,
     return u
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with row-major composite index i_a*dim_b + i_b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def matrix_to_json(a: np.ndarray) -> dict:
     """Serialize to {rows, cols, re, im} with deterministic field order."""
     a = np.asarray(a, dtype=complex)

@@ -11,7 +11,6 @@ fidelities follow from the standard depolarizing-parameter formulas.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -23,8 +22,6 @@ from .pulses import (DEFAULT_STEP_1Q, DEFAULT_TAU, NAMED_GATES, SCHEME_SR, GateS
                      build_sr_nhqc)
 
 GATES_PER_CLIFFORD = 1.875
-
-PHYSICAL_TAGS = ("I", "X", "Y", "X/2", "-X/2", "Y/2", "-Y/2")
 
 _PHYS_SPECS = {**NAMED_GATES,
                "-X/2": GateSpec(np.pi / 2, 0.0, -np.pi / 2),
@@ -370,8 +367,9 @@ def rb_to_csv(result: RbResult) -> str:
                            zip(result.m_values, result.mean_pg, result.std_pg)])
 
 
-def rb_fit_json(result: RbResult) -> str:
-    payload = {
+def rb_fit_payload(result: RbResult) -> dict:
+    """The fit of one RB run, as rb_fit.json records it."""
+    return {
         "A": result.amplitude,
         "p": result.p,
         "B": result.offset,
@@ -382,4 +380,3 @@ def rb_fit_json(result: RbResult) -> str:
         "n_seqs": result.n_seqs,
         "degenerate": result.degenerate,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)

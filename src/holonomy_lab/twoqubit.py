@@ -39,17 +39,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import evolve, model, qmath
-from .model import N_FOCK, DispersiveSystemParams, NoiseModel
+from .model import DispersiveSystemParams, NoiseModel
 from .pulses import (DEFAULT_STEP_2Q, DEFAULT_TAU_TWO_QUBIT, SCHEME_SR, GateSpec,
                      PulseSchedule, apply_rabi_error, build_schedule, rabi_scale)
 
-LEVEL_NAMES = ("g", "e", "f")
 # The (g, f) corners of a stack of Fock blocks 0 and 2, (2, 3, 3).
 _QUBIT = np.ix_([0, 1], [model.G, model.F], [model.G, model.F])
-
-
-def state_index(n: int, level: str) -> int:
-    return 3 * n + LEVEL_NAMES.index(level)
 
 
 def two_qubit_target(gate: GateSpec) -> np.ndarray:
@@ -57,14 +52,6 @@ def two_qubit_target(gate: GateSpec) -> np.ndarray:
     u = np.eye(4, dtype=complex)
     u[:2, :2] = gate.target_unitary()
     return u
-
-
-@dataclass(frozen=True)
-class CavityNoise:
-    """Storage-mode relaxation/dephasing times in us."""
-
-    t1_us: float = model.DEVICE["cavity_t1_us"]
-    t2star_us: float = model.DEVICE["cavity_t2star_us"]
 
 
 def _two_qubit_schedule(gate: GateSpec, scheme: str, tau: Optional[float]) -> PulseSchedule:
@@ -148,54 +135,6 @@ def build_two_qubit_gate(gate: GateSpec, scheme: str = SCHEME_SR,
                       "exceeds 1%; drive is not photon-number selective",
                       RuntimeWarning, stacklevel=2)
     return TwoQubitGateResult(block=block, leakage=leakage)
-
-
-def prepare_fock(target: str,
-                 params: Optional[DispersiveSystemParams] = None) -> np.ndarray:
-    """Photonic-qubit state prep: '0', '2', or '0+2' with the transmon in g.
-
-    Climbs the ladder |0g> -> |0e> -> |0f> -> |1g> -> |1e> -> |1f> ->
-    |2g> with qutrit pulses and two effective Raman couplings
-    |0f> <-> |1g> and |1f> <-> |2g> (pi-area pulses, nominally 140 ns).
-    For '0+2' the first e-f pulse is a half rotation, splitting the
-    amplitude before the climb.
-    """
-    params = DispersiveSystemParams.from_mhz() if params is None else params
-    n = params.n_fock
-    dim = 3 * n
-    raman1 = qmath.pair_rotation(dim, state_index(0, "f"), state_index(1, "g"), np.pi)
-    raman2 = qmath.pair_rotation(dim, state_index(1, "f"), state_index(2, "g"), np.pi)
-    ge = lambda a: qmath.tensor(np.eye(n), qmath.pair_rotation(3, model.G, model.E, a))
-    ef = lambda a: qmath.tensor(np.eye(n), qmath.pair_rotation(3, model.E, model.F, a))
-
-    if target == "0":
-        ops: list[np.ndarray] = []
-    elif target == "2":
-        ops = [ge(np.pi), ef(np.pi), raman1, ge(np.pi), ef(np.pi), raman2]
-    elif target == "0+2":
-        ops = [ge(np.pi), ef(np.pi / 2), raman1, ge(np.pi), ef(np.pi), raman2]
-    else:
-        raise ValueError("target must be '0', '2' or '0+2'")
-
-    psi = np.zeros(dim, dtype=complex)
-    psi[state_index(0, "g")] = 1.0
-    for op in ops:
-        psi = op @ psi
-    return psi
-
-
-def target_prepared_state(target: str, n_fock: int = N_FOCK) -> np.ndarray:
-    dim = 3 * n_fock
-    psi = np.zeros(dim, dtype=complex)
-    if target == "0":
-        psi[state_index(0, "g")] = 1.0
-    elif target == "2":
-        psi[state_index(2, "g")] = 1.0
-    elif target == "0+2":
-        psi[state_index(0, "g")] = psi[state_index(2, "g")] = 1 / np.sqrt(2)
-    else:
-        raise ValueError("target must be '0', '2' or '0+2'")
-    return psi
 
 
 CNOT_GATE = GateSpec(np.pi / 2, 0.0, np.pi)
@@ -290,7 +229,7 @@ def _closed_final(ham: evolve.DrivenHamiltonian, scales: Sequence[float],
 
 def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
                         transmon_noise: Optional[NoiseModel] = None,
-                        cavity_noise: Optional[CavityNoise] = None,
+                        cavity_t1_us: float = model.DEVICE["cavity_t1_us"],
                         scheme: str = SCHEME_SR,
                         tau: Optional[float] = None,
                         step: float = DEFAULT_STEP_2Q) -> float:
@@ -298,15 +237,16 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
 
     Mean of the two characteristic population transfers: |0f> -> |0g>
     (controlled flip active) and |2g> -> |2g> (spectator), under the
-    transmon collapse operators, cavity decay sqrt(g1) a and cavity
-    dephasing on a^dag a, read out in the ZZ-corrected frame, which moves
-    no population.  Each transfer is one qutrit channel.  The drive and
-    the transmon operators keep the photon number, so a state that starts
-    in Fock block n keeps rho block diagonal, and its (n, n) block sees
-    the dispersive shift of block n as H0 (zero for n = 0), no cavity
-    dephasing (n rho n - {n^2, rho}/2 = 0), and cavity decay -n g1 rho,
-    fed only from block n + 1, which stays empty.  So the block is
-    exp(-n g1 tau) times the qutrit Lindblad channel of that H0, exactly.
+    transmon collapse operators and cavity decay sqrt(g1) a, g1 =
+    1/cavity_t1_us, read out in the ZZ-corrected frame, which moves no
+    population.  Each transfer is one qutrit channel.  The drive and the
+    transmon operators keep the photon number, so a state that starts in
+    Fock block n keeps rho block diagonal, and its (n, n) block sees the
+    dispersive shift of block n as H0 (zero for n = 0) and cavity decay
+    -n g1 rho, fed only from block n + 1, which stays empty.  So the block
+    is exp(-n g1 tau) times the qutrit Lindblad channel of that H0,
+    exactly.  Cavity dephasing on a^dag a leaves a diagonal block alone
+    (n rho n - {n^2, rho}/2 = 0), so the cavity's T2* takes no part.
     The Lindblad generator depends on time through the drive alone, so
     equal segments have equal channels, and the channel of the schedule
     is the product of its segments' channels.  When every segment
@@ -321,11 +261,10 @@ def cnot_state_fidelity(params: Optional[DispersiveSystemParams] = None,
     params = DispersiveSystemParams.from_mhz() if params is None else params
     if transmon_noise is None:
         transmon_noise = NoiseModel.from_coherence_times()
-    cavity_noise = CavityNoise() if cavity_noise is None else cavity_noise
     schedule, ham = _selective_drive(CNOT_GATE, scheme, tau, transmon_noise.epsilon, params)
     pieces = _grid_pieces(schedule, step)
     c_ops = model.collapse_operators(transmon_noise)
-    g1 = 1.0 / (cavity_noise.t1_us * model.US_TO_NS)  # the rate of sqrt(g1) a
+    g1 = 1.0 / (cavity_t1_us * model.US_TO_NS)  # the rate of sqrt(g1) a
 
     def piece_channel(n: int, piece: PulseSchedule, piece_step: float) -> np.ndarray:
         """The 9x9 qutrit channel of one piece on Fock block n."""

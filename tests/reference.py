@@ -22,14 +22,16 @@ propagates the whole cavity gate and applies its frame phases on the
 full space, the path the two photonic-qubit Fock blocks replace; and
 cnot_state_fidelity_full runs the open-system CNOT on the whole cavity
 space with the cavity collapse operators, the run the two Fock-block
-qutrit channels replace.  All three build the dense 3N x 3N Hamiltonian of
-the Fock-block stack (full_space_hamiltonian), which the package never
-builds.  cnot_state_fidelity_whole runs each of those two Fock-block
-channels over the whole schedule, the run that integrating each
-distinct segment once and multiplying the channels replaces.  The
-*_to_csv writers format every value on its
-own and write the cells through csv.writer, the path the package's
-one-format-per-row writer replaces.
+qutrit channels replace; it alone keeps cavity dephasing, at the
+measured T2* that the package has no key for.  All three build the dense
+3N x 3N Hamiltonian of the Fock-block stack (full_space_hamiltonian),
+which the package never builds, with np.kron, and index it by
+state_index.  cnot_state_fidelity_whole runs each of those two
+Fock-block channels over the whole schedule, the run that integrating
+each distinct segment once and multiplying the channels replaces.  The
+*_to_csv writers format every value on its own and write the cells
+through csv.writer, the path the package's one-format-per-row writer
+replaces.
 """
 
 import csv
@@ -41,6 +43,17 @@ import scipy.linalg
 from holonomy_lab import evolve, model, qmath, rb, tomography, twoqubit
 from holonomy_lab.model import E, F, G
 from holonomy_lab.pulses import DEFAULT_STEP_1Q, DEFAULT_STEP_2Q
+
+# The storage cavity's measured T2* (us).  Cavity dephasing leaves every
+# Fock block of the CNOT figure alone, so only cnot_state_fidelity_full
+# reads it.
+CAVITY_T2STAR_US = 243.0
+LEVEL_NAMES = ("g", "e", "f")
+
+
+def state_index(n: int, level: str) -> int:
+    """Index of |n, level> on Fock (x) qutrit, n*3 + level."""
+    return 3 * n + LEVEL_NAMES.index(level)
 
 
 def qutrit_hamiltonian_at(omega_ge: float, omega_ef: float,
@@ -74,7 +87,7 @@ def dispersive_hamiltonian(p: model.DispersiveSystemParams,
     """
     shift = np.diag([0.0, -p.chi_ge, -(p.chi_ge + p.chi_ef)])
     n_op = np.diag(np.arange(p.n_fock, dtype=float))
-    return qmath.tensor(n_op, shift) + qmath.tensor(np.eye(p.n_fock), h_drive)
+    return np.kron(n_op, shift) + np.kron(np.eye(p.n_fock), h_drive)
 
 
 def full_space_hamiltonian(ham):
@@ -83,7 +96,7 @@ def full_space_hamiltonian(ham):
     drive A on every block."""
     n_fock = len(ham.h0)
     return evolve.DrivenHamiltonian(scipy.linalg.block_diag(*ham.h0),
-                                    qmath.tensor(np.eye(n_fock), ham.a_op), ham.drive)
+                                    np.kron(np.eye(n_fock), ham.a_op), ham.drive)
 
 
 def reconstructed_phase_integrands(schedule, step: float = DEFAULT_STEP_1Q):
@@ -360,7 +373,7 @@ def cnot_robustness_per_error(epsilons, scheme: str, tau=None,
                                                   params)
         u = evolve.scaled_final_unitaries(full_space_hamiltonian(ham), schedule.tau, step,
                                           (1.0,))[1][0]
-        column = u[:, twoqubit.state_index(0, "f")]
+        column = u[:, state_index(0, "f")]
         rows.append((np.abs(column) ** 2).reshape(-1, 3).sum(axis=0))
     return np.array(rows)
 
@@ -378,44 +391,45 @@ def two_qubit_gate_full(gate, scheme: str = "sr-nhqc", tau=None,
     u = np.diag(np.exp(1j * np.diag(full.h0) * schedule.tau)) @ u
     d = np.ones(len(u), dtype=complex)
     d[:3] = np.exp(-1j * gate.gamma / 2)
-    for i in (twoqubit.state_index(2, "g"), twoqubit.state_index(2, "f")):
+    for i in (state_index(2, "g"), state_index(2, "f")):
         if abs(u[i, i]) > 1e-12:
             d[i] = np.conj(u[i, i]) / abs(u[i, i])
     u = np.diag(d) @ u
-    idx = [twoqubit.state_index(n, level) for n in (0, 2) for level in ("g", "f")]
+    idx = [state_index(n, level) for n in (0, 2) for level in ("g", "f")]
     block = u[np.ix_(idx, idx)]
     return block, float(1.0 - np.min(np.sum(np.abs(block) ** 2, axis=0)))
 
 
-def cavity_collapse_operators(noise, n_fock: int) -> list:
+def cavity_collapse_operators(t1_us: float, t2star_us: float, n_fock: int) -> list:
     """Cavity decay sqrt(g1) a and dephasing sqrt(2 gphi) a^dag a on
-    Fock (x) qutrit for a twoqubit.CavityNoise, gphi = 1/T2* - g1/2."""
+    Fock (x) qutrit, g1 = 1/T1 and gphi = 1/T2* - g1/2."""
     a = np.diag(np.sqrt(np.arange(1, n_fock)), 1).astype(complex)
     ops = []
-    g1 = 1.0 / (noise.t1_us * model.US_TO_NS)
-    gphi = (1.0 / noise.t2star_us - 0.5 / noise.t1_us) / model.US_TO_NS
+    g1 = 1.0 / (t1_us * model.US_TO_NS)
+    gphi = (1.0 / t2star_us - 0.5 / t1_us) / model.US_TO_NS
     if g1 > 0:
-        ops.append(np.sqrt(g1) * qmath.tensor(a, np.eye(3)))
+        ops.append(np.sqrt(g1) * np.kron(a, np.eye(3)))
     if gphi > 0:
-        ops.append(np.sqrt(2 * gphi) * qmath.tensor(a.conj().T @ a, np.eye(3)))
+        ops.append(np.sqrt(2 * gphi) * np.kron(a.conj().T @ a, np.eye(3)))
     return ops
 
 
 def cnot_state_fidelity_full(scheme: str = "sr-nhqc", epsilon: float = 0.0,
-                             cavity=None, tau=None,
+                             cavity_t1_us: float = model.DEVICE["cavity_t1_us"],
+                             cavity_t2star_us: float = CAVITY_T2STAR_US, tau=None,
                              step: float = DEFAULT_STEP_2Q) -> float:
     """twoqubit.cnot_state_fidelity from one lindblad_stage_loop run of
     |0f> and |2g> on the whole Fock (x) qutrit space, with every transmon
-    and cavity collapse operator: no Fock-block reduction."""
+    and cavity collapse operator, cavity dephasing included: no Fock-block
+    reduction."""
     params = model.DispersiveSystemParams.from_mhz()
     noise = model.NoiseModel.from_coherence_times(epsilon=epsilon)
-    cavity = twoqubit.CavityNoise() if cavity is None else cavity
     schedule, ham = twoqubit._selective_drive(twoqubit.CNOT_GATE, scheme, tau, epsilon,
                                               params)
-    c_ops = [qmath.tensor(np.eye(params.n_fock), c) for c in model.collapse_operators(noise)]
-    c_ops += cavity_collapse_operators(cavity, params.n_fock)
-    start = [twoqubit.state_index(0, "f"), twoqubit.state_index(2, "g")]
-    goal = [twoqubit.state_index(0, "g"), twoqubit.state_index(2, "g")]
+    c_ops = [np.kron(np.eye(params.n_fock), c) for c in model.collapse_operators(noise)]
+    c_ops += cavity_collapse_operators(cavity_t1_us, cavity_t2star_us, params.n_fock)
+    start = [state_index(0, "f"), state_index(2, "g")]
+    goal = [state_index(0, "g"), state_index(2, "g")]
     dim = 3 * params.n_fock
     rho0 = np.zeros((2, dim, dim), dtype=complex)
     rho0[[0, 1], start, start] = 1.0
@@ -425,18 +439,17 @@ def cnot_state_fidelity_full(scheme: str = "sr-nhqc", epsilon: float = 0.0,
 
 
 def cnot_state_fidelity_whole(scheme: str = "sr-nhqc", epsilon: float = 0.0,
-                              cavity=None, tau=None,
+                              cavity_t1_us: float = model.DEVICE["cavity_t1_us"], tau=None,
                               step: float = DEFAULT_STEP_2Q) -> float:
     """twoqubit.cnot_state_fidelity from one qutrit Lindblad run of the
     whole schedule per Fock block, 0 and 2: no segment is integrated
     apart from the others and no channel is multiplied."""
     params = model.DispersiveSystemParams.from_mhz()
     noise = model.NoiseModel.from_coherence_times(epsilon=epsilon)
-    cavity = twoqubit.CavityNoise() if cavity is None else cavity
     schedule, ham = twoqubit._selective_drive(twoqubit.CNOT_GATE, scheme, tau, epsilon,
                                               params)
     c_ops = model.collapse_operators(noise)
-    g1 = 1.0 / (cavity.t1_us * model.US_TO_NS)
+    g1 = 1.0 / (cavity_t1_us * model.US_TO_NS)
     transfers = []
     for n, start, goal in ((0, F, G), (2, G, G)):
         qutrit = evolve.DrivenHamiltonian(ham.h0[n], ham.a_op, schedule.drive)
@@ -494,14 +507,6 @@ def robustness_to_csv(rows) -> str:
                     ([f"{r.epsilon:.6g}", f"{r.p_g:.10g}", f"{r.p_e:.10g}",
                       f"{r.p_f:.10g}"] for r in rows))
 
-
-def schedule_to_csv(schedule, dt: float = 0.1) -> str:
-    times = np.minimum(np.arange(int(round(schedule.tau / dt)) + 1) * dt, schedule.tau)
-    omega, phi1 = schedule.drive(times)
-    return csv_text(["t_ns", "Omega_rad_per_ns", "phi1_rad", "segment_index"],
-                    ([f"{t:.6g}", f"{om:.12g}", f"{ph:.12g}", i]
-                     for t, om, ph, i in zip(times, omega, phi1,
-                                             schedule._segment_of(times))))
 
 
 def fit_decay_curve_fit(m_values, mean_pg) -> np.ndarray:

@@ -176,7 +176,8 @@ def test_criterion_8_randomized_benchmarking():
     dep[np.ix_(idx, idx)] = p_true * np.eye(4)
     dep[np.ix_(idx, idx)] += (1 - p_true) / 2 * np.outer(
         np.array([1, 0, 0, 1]), np.array([1, 0, 0, 1]))
-    ident = {tag: np.eye(9, dtype=complex) for tag in rb.PHYSICAL_TAGS}
+    ident = {tag: np.eye(9, dtype=complex)
+             for decomposition in rb.CLIFFORD_DECOMPOSITIONS for tag in decomposition}
     oracle = rb.run_rb(lambda tag: ident[tag], n_seqs=20, seed=3,
                        clifford_noise=dep)
 

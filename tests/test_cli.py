@@ -540,21 +540,27 @@ def test_twoqubit_command(tmp_path):
     assert payload["robustness"][0]["P_g"] > 0.999
 
 
-def test_twoqubit_fidelity_reads_cavity_coherence(tmp_path, monkeypatch):
+def test_twoqubit_fidelity_reads_cavity_coherence(tmp_path, monkeypatch, capsys):
     seen = []
 
-    def fake_fidelity(params, transmon_noise, cavity_noise=None, **kwargs):
-        seen.append(cavity_noise)
+    def fake_fidelity(params, transmon_noise, cavity_t1_us, **kwargs):
+        seen.append(cavity_t1_us)
         return 0.5
 
     monkeypatch.setattr(twoqubit, "cnot_state_fidelity", fake_fidelity)
     cfg = tmp_path / "device.cfg"
-    cfg.write_text("cavity_t1_us = 100\ncavity_t2star_us = 80\nstep_2q_ns = 5\n")
+    cfg.write_text("cavity_t1_us = 100\nstep_2q_ns = 5\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["--config", str(cfg), "twoqubit", "--eps-grid", "0", "--fidelity",
                      "--output-dir", str(tmp_path / "o")]) == 0
-    assert [(c.t1_us, c.t2star_us) for c in seen] == [(100.0, 80.0)]
+    assert seen == [100.0]
+    # No result reads the cavity's T2*, so it is not a key.
+    cfg.write_text("cavity_t2star_us = 80\n")
+    assert main(["--config", str(cfg), "twoqubit", "--eps-grid", "0", "--fidelity",
+                 "--output-dir", str(tmp_path / "o2")]) == 2
+    assert "unknown key 'cavity_t2star_us'" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
 
 def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):

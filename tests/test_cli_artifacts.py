@@ -72,7 +72,7 @@ def test_lin_alg_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
 
 
 _COHERENCE_KEYS = ("t1_ge_us", "t1_ef_us", "t1_gf_us", "t2e_ge_us", "t2e_ef_us",
-                   "t2e_gf_us", "cavity_t1_us", "cavity_t2star_us")
+                   "t2e_gf_us", "cavity_t1_us")
 
 
 # `twoqubit --fidelity` reads every one of these keys.  Unchecked, NaN
@@ -213,14 +213,14 @@ def test_flag_and_config_file_write_the_same_bytes(tmp_path, command, flags, key
     assert code == 0
     assert _artifacts(by_flag) == _artifacts(by_file)
     # The flags moved the angles off the defaults, and the header with them.
-    assert all(b"\n# config 6764083c41bc\n" not in body for body in _artifacts(by_flag).values())
+    assert all(b"\n# config 766619da1886\n" not in body for body in _artifacts(by_flag).values())
 
 
 def test_gate_x_keeps_the_default_hash(tmp_path):
     code, out = _run(tmp_path, "", "dynphase", "--gate", "X")
     assert code == 0
     for body in _artifacts(out).values():
-        assert body.decode().splitlines()[1] == "# config 6764083c41bc"
+        assert body.decode().splitlines()[1] == "# config 766619da1886"
 
 
 # dynphase.json names the gate from the config's angles, whichever route

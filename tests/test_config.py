@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import fields, replace
 
@@ -69,7 +70,7 @@ def test_hash_tracks_physics_not_output_dir():
 def test_default_hash_is_pinned():
     # Every artifact header carries it as "# config <hash>", so a change
     # of digest, of key set or of value repr shows in every rerun.
-    assert config_hash(RunConfig()) == "6764083c41bc"
+    assert config_hash(RunConfig()) == "766619da1886"
 
 
 _VALUES = {"float": st.floats(allow_nan=False), "int": st.integers(),
@@ -100,7 +101,7 @@ def test_parse_config_round_trips_values(values):
 
 
 # One value out of each key's domain.
-_ILLEGAL = {"t1_ge_us": -1.0, "cavity_t2star_us": 0.0, "tau_sr_ns": math.inf,
+_ILLEGAL = {"t1_ge_us": -1.0, "cavity_t1_us": 0.0, "tau_sr_ns": math.inf,
             "step_2q_ns": math.nan, "chi_storage_ge_MHz": math.inf, "theta_rad": math.nan,
             "scheme": "foo", "epsilon": 1.5, "noise": "maybe", "seed": -1, "n_fock": 2,
             "output_dir": None}
@@ -154,5 +155,5 @@ def test_config_defaults_are_the_model_defaults():
     cfg = RunConfig()
     assert cfg.noise_model() == NoiseModel.from_coherence_times()
     assert cfg.dispersive_params() == DispersiveSystemParams.from_mhz()
-    cavity = twoqubit.CavityNoise()
-    assert (cfg.cavity_t1_us, cfg.cavity_t2star_us) == (cavity.t1_us, cavity.t2star_us)
+    default_t1 = inspect.signature(twoqubit.cnot_state_fidelity).parameters["cavity_t1_us"]
+    assert cfg.cavity_t1_us == default_t1.default

@@ -18,7 +18,7 @@ from holonomy_lab.model import NoiseModel, bright_frame
 from holonomy_lab.pulses import (DEFAULT_STEP_1Q, DEFAULT_STEP_2Q, NAMED_GATES, SCHEME_DYNAMICAL,
                                  SCHEMES, GateSpec, apply_rabi_error, build_schedule,
                                  build_sr_nhqc)
-from reference import (bright_drive_hamiltonian, cavity_collapse_operators,
+from reference import (CAVITY_T2STAR_US, bright_drive_hamiltonian, cavity_collapse_operators,
                        dispersive_hamiltonian, full_space_hamiltonian, lindblad_generator,
                        lindblad_stage_loop, segment_exact_unitary, sequential_unitaries)
 
@@ -420,8 +420,9 @@ def test_stacked_generator_matches_lindblad_superoperator():
     cases = [(SCHEDULE, evolve.schedule_hamiltonian(SCHEDULE), qutrit_ops,
               lambda hd: hd),
              (schedule_2q, full_space_hamiltonian(cavity),
-              [qmath.tensor(np.eye(params.n_fock), c) for c in qutrit_ops]
-              + cavity_collapse_operators(twoqubit.CavityNoise(), params.n_fock),
+              [np.kron(np.eye(params.n_fock), c) for c in qutrit_ops]
+              + cavity_collapse_operators(model.DEVICE["cavity_t1_us"], CAVITY_T2STAR_US,
+                                          params.n_fock),
               lambda hd: dispersive_hamiltonian(params, hd))]
     for schedule, ham, c_ops, lift in cases:
         ts = np.array([0.0, 0.37 * schedule.tau, schedule.tau])

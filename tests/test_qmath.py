@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from holonomy_lab import evolve, holonomy, pulses, qmath, rb, tomography, twoqubit
+from holonomy_lab import evolve, holonomy, qmath, rb, tomography, twoqubit
 from holonomy_lab.model import NoiseModel
 from holonomy_lab.pulses import NAMED_GATES, SCHEMES, build_schedule
 
@@ -55,13 +55,6 @@ def test_pair_rotation_matches_generator_exponential():
         gen[np.ix_([1, 3], [1, 3])] = pauli
         u = qmath.pair_rotation(5, 1, 3, 0.7, axis)
         assert np.allclose(u, scipy.linalg.expm(-0.35j * gen), atol=1e-14)
-
-
-def test_tensor_shape_and_values():
-    a, b = np.eye(2), np.diag([1.0, 2.0, 3.0])
-    t = qmath.tensor(a, b)
-    assert t.shape == (6, 6)
-    assert np.allclose(np.diag(t), [1, 2, 3, 1, 2, 3])
 
 
 def test_matrix_to_json_fields():
@@ -129,7 +122,6 @@ def _real_records(rb_result):
             ("sweep_to_csv", holonomy.robustness_sweep(NAMED_GATES["Y/2"], scheme,
                                                        np.linspace(-0.2, 0.2, 5))),
             ("chi_to_csv", tomography.qpt(evolve.gate_channel(schedule, step=0.5))),
-            ("schedule_to_csv", schedule),
         ]
     noisy = build_schedule(NAMED_GATES["X"], "sr-nhqc")
     pairs.append(("trace_to_csv", evolve.propagate_superoperator(
@@ -142,7 +134,7 @@ def _real_records(rb_result):
 
 WRITERS = {"trace_to_csv": evolve, "phase_record_to_csv": holonomy,
            "sweep_to_csv": holonomy, "chi_to_csv": tomography, "rb_to_csv": rb,
-           "robustness_to_csv": twoqubit, "schedule_to_csv": pulses}
+           "robustness_to_csv": twoqubit}
 
 
 @pytest.mark.filterwarnings("ignore:leakage")

@@ -11,6 +11,9 @@ from holonomy_lab.model import NoiseModel
 from holonomy_lab.pulses import build_sr_nhqc
 from reference import fit_decay_curve_fit, group_tables_per_pair, rb_per_sequence
 
+# The physical gates the Clifford decompositions are compiled into.
+PHYSICAL_TAGS = {tag for decomposition in rb.CLIFFORD_DECOMPOSITIONS for tag in decomposition}
+
 
 def test_clifford_table_counts():
     table = rb.clifford_table()
@@ -18,6 +21,7 @@ def test_clifford_table_counts():
     total = sum(len(el.decomposition) for el in table)
     assert total == 45
     assert total / len(table) == rb.GATES_PER_CLIFFORD
+    assert PHYSICAL_TAGS == {"I", "X", "Y", "X/2", "-X/2", "Y/2", "-Y/2"}
 
 
 def test_clifford_elements_distinct_and_unitary():
@@ -57,7 +61,7 @@ def test_unknown_unitary_has_no_clifford_match():
 
 
 def test_noiseless_rb_is_degenerate():
-    ident = {tag: np.eye(9, dtype=complex) for tag in rb.PHYSICAL_TAGS}
+    ident = {tag: np.eye(9, dtype=complex) for tag in PHYSICAL_TAGS}
     res = rb.run_rb(lambda tag: ident[tag], m_values=(1, 5, 10), n_seqs=4)
     assert res.degenerate
     assert res.f_ref == 1.0
@@ -65,7 +69,7 @@ def test_noiseless_rb_is_degenerate():
 
 
 def test_run_rb_rejects_empty_runs():
-    ident = {tag: np.eye(9, dtype=complex) for tag in rb.PHYSICAL_TAGS}
+    ident = {tag: np.eye(9, dtype=complex) for tag in PHYSICAL_TAGS}
     with pytest.raises(ValueError, match="n_seqs"):
         rb.run_rb(lambda tag: ident[tag], m_values=(1, 5), n_seqs=0)
     # A p^m + B has three parameters: fewer distinct lengths fit exactly
@@ -85,7 +89,7 @@ def test_depolarizing_oracle_recovers_p():
     dep[np.ix_(idx, idx)] = p_true * np.eye(4)
     dep[np.ix_(idx, idx)] += (1 - p_true) / 2 * np.outer(
         np.array([1, 0, 0, 1]), np.array([1, 0, 0, 1]))
-    ident = {tag: eye9 for tag in rb.PHYSICAL_TAGS}
+    ident = {tag: eye9 for tag in PHYSICAL_TAGS}
     res = rb.run_rb(lambda tag: ident[tag], n_seqs=20, seed=3,
                     clifford_noise=dep)
     assert abs(res.p - p_true) < 1e-3
@@ -129,8 +133,8 @@ def test_interleaved_below_reference(rb_noisy_reference):
 def test_rb_outputs(rb_noisy_reference):
     text = rb.rb_to_csv(rb_noisy_reference)
     assert text.splitlines()[0] == "m,mean_Pg,std_Pg,n_seqs"
-    payload = rb.rb_fit_json(rb_noisy_reference)
-    assert '"F_ref"' in payload
+    payload = rb.rb_fit_payload(rb_noisy_reference)
+    assert payload["F_ref"] == rb_noisy_reference.f_ref
 
 
 @settings(max_examples=15, deadline=None)
@@ -141,7 +145,7 @@ def test_seed_determinism(noisy_factory, seed, interleaved):
     runs = [rb.run_rb(noisy_factory, m_values=(1, 3, 6, 10), n_seqs=4, seed=seed,
                       interleaved=interleaved) for _ in range(2)]
     assert rb.rb_to_csv(runs[0]) == rb.rb_to_csv(runs[1])
-    assert rb.rb_fit_json(runs[0]) == rb.rb_fit_json(runs[1])
+    assert rb.rb_fit_payload(runs[0]) == rb.rb_fit_payload(runs[1])
 
 
 RB_DEFAULT_LENGTHS = inspect.signature(rb.run_rb).parameters["m_values"].default

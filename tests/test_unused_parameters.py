@@ -1,6 +1,6 @@
 """Every parameter of every function in the package is read by its body,
-every config key is read by some code, and every function and class the
-package defines is referenced by it.
+every config key is read by some code, and every function, class and
+module constant the package defines is referenced by it.
 
 A parameter the body never reads is an option that does nothing, and so
 is a config key nothing reads: it changes only the config hash.  The
@@ -78,24 +78,26 @@ TEST_ONLY = {
     "fit_ramsey": "fits the paper's Ramsey fringes for T2* (acceptance criterion 11)",
     "fit_error_slope": "the robustness exponent of a Rabi-error sweep",
     "perturbative_expansion_check": "the Dyson-series check of the superrobust condition",
-    "sample_envelope": "the pulse envelope of one segment, with its time-range check",
-    "schedule_to_csv": "exports a sampled drive program for an instrument",
     "channel_from_unitary": "the ideal channel that tomography is checked against",
     "two_qubit_target": "the ideal CNOT block a two-qubit gate is scored against",
-    "prepare_fock": "the paper's photonic-qubit state preparation",
-    "target_prepared_state": "the ideal state prepare_fock is checked against",
 }
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
-    """Names of functions and classes defined in sources that no name or
-    attribute anywhere in them loads, dunder methods aside."""
+    """Names of functions, classes and module-level assignments defined in
+    sources that no name or attribute anywhere in them loads, dunders aside."""
     defined, referenced = set(), set()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined.update(node.id for target in targets for node in ast.walk(target)
+                               if isinstance(node, ast.Name))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -106,9 +108,11 @@ def unreferenced_definitions(sources: list[str]) -> list[str]:
 
 def test_checker_flags_an_unreferenced_definition():
     sources = ["def used():\n    pass\nclass Box:\n    def __init__(self):\n"
-               "        pass\n    def spare(self):\n        pass\n",
-               "from m import used\nused()\nBox().x\ndef stranded():\n    pass\n"]
-    assert unreferenced_definitions(sources) == ["spare", "stranded"]
+               "        pass\n    def spare(self):\n        pass\n"
+               "LIMIT = 3\nSPARE, PAIR = 1, 2\nTABLE: dict = {}\n__all__ = []\n",
+               "from m import used, LIMIT\nused()\nBox().x\nm.PAIR\n"
+               "def stranded():\n    local = 1\n    return local\n"]
+    assert unreferenced_definitions(sources) == ["SPARE", "TABLE", "spare", "stranded"]
 
 
 def test_no_definition_is_stranded():
