@@ -184,6 +184,23 @@ def test_every_key_out_of_domain_exits_2_under_every_command(tmp_path, capsys, k
         assert not out.exists(), command
 
 
+# Keys that changed only the config hash were retired; a file that still
+# names one is refused at load, as any unknown key is.
+_RETIRED_KEYS = ("omega_ge_GHz", "omega_ef_GHz", "omega_readout_GHz", "omega_storage_GHz",
+                 "raman_drive_GHz", "chi_readout_ge_MHz", "chi_readout_ef_MHz",
+                 "t2star_ge_us", "t2star_ef_us", "raman_pulse_ns", "cavity_t2star_us")
+
+
+@pytest.mark.parametrize("key", _RETIRED_KEYS)
+def test_retired_key_exits_2_as_unknown_under_every_command(tmp_path, capsys, key):
+    assert key not in {f.name for f in fields(RunConfig)}
+    for command in _COMMANDS:
+        code, out = _run(tmp_path, f"{key} = 1\n", command)
+        assert code == 2, command
+        assert f"unknown key {key!r}" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
 # test_cli.py runs t1_ge_us = inf, the other edge a domain admits.
 @pytest.mark.parametrize("text", ["epsilon = 1\n", "epsilon = -1\n"])
 def test_rabi_error_domain_edges_run(tmp_path, text):
