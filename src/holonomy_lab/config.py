@@ -171,14 +171,32 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**updates)
 
 
+# The most steps of one run.  A run's buffers take up to about 0.8 kB
+# per step (dynphase at step_1q_ns = 0.005: a propagator, chain rows and
+# phase integrands per step), so a run at the cap takes about 0.8 GB.
+MAX_RUN_STEPS = 10 ** 6
+# The durations that each step key cuts into steps.
+_STEP_RUNS = {"step_1q_ns": ("tau_sr_ns", "tau_nhqc_ns", "tau_dynamical_ns"),
+              "step_2q_ns": ("tau_2q_sr_ns", "tau_2q_nhqc_ns")}
+
+
 def load_config(path: Union[str, Path]) -> RunConfig:
     """Read and parse a config file; every key is checked, whatever the
-    command reads."""
+    command reads, and so is each step against the longest run it cuts:
+    a run of more than MAX_RUN_STEPS steps is rejected before anything
+    is allocated."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return parse_config(text)
+    cfg = parse_config(text)
+    for key, taus in _STEP_RUNS.items():
+        tau = max(taus, key=lambda name: getattr(cfg, name))
+        steps = getattr(cfg, tau) / getattr(cfg, key)
+        if not steps <= MAX_RUN_STEPS:
+            raise ConfigError(f"key {key!r}: expected at most {MAX_RUN_STEPS} steps per run, "
+                              f"got {steps:.3g} for {tau} = {getattr(cfg, tau)!r}")
+    return cfg
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -40,28 +40,33 @@ instead.  _check_cptp reads both on a finished channel, a product of
 channels included.
 
 One chain, _chain, multiplies the step maps of both: the closed step
-exponentials and the RK4 step maps M_k.  Chunks of at most STEP_BLOCK
-steps advance side by side and their totals are then chained from the
-first chunk's: about 2 sqrt(n) Python-level products for n steps, not
-n.  The chain's stacks keep the matrix axes first and the batch axes
-(chunks, scales) last.  A 3x3 product is one plain np.einsum
-over the whole batch, because numpy's batched matmul spends about
-0.43 us per small complex product, 4-5x more; larger maps go through
-matmul, and a product with one matrix for the whole batch through one
-GEMM.  A 9x9 RK4 step map costs about the arithmetic of the four
-stages of the plain RK4 loop on the nine columns, but the loop makes a
-Python-level product per stage and step.  The CNOT is a product, per
+exponentials and the RK4 step maps M_k.  Up to CHAIN_WIDTH chunks, half
+as many of 9x9 maps and fewer at many scales (at most CHAIN_MATRICES
+matrices per product), advance side by side, one product per position.
+An inclusive scan of their totals, one product per level, gives each
+chunk the product of every step before it, and a fix-up in slabs
+multiplies the chunk's kept rows by that product.  A run of n steps so
+takes about n / chunks + log2(chunks) Python-level products: 19 + 7
+for a 2 400-step qutrit run, 38 + 6 for a gate channel and 100 + 5 for
+a 41-scale sweep.  The chain's stacks keep the matrix axes first and
+the batch axes (chunks, scales) last.  A 3x3 product is one plain
+np.einsum over the whole batch, because numpy's batched matmul spends
+about 0.43 us per small complex product, 4-5x more; larger maps go
+through matmul, and the fix-up of larger maps through one GEMM per
+chunk and row.  A 9x9 RK4 step map costs about the arithmetic of the
+four stages of the plain RK4 loop on the nine columns, but the loop
+makes a Python-level product per stage and step.  The CNOT is a product, per
 Fock block, over its distinct segments (twoqubit._piece_product): the
 open-system fidelity reads two qutrit channels, of Fock blocks 0 and 2,
 each a product of segment channels, and the closed gate is the product
 of segment propagators on each block, chained only on block 2, since
 each segment of block 0 is one exponential.
 Measured on 2 CPUs (numpy 2.4, a shared host whose speed swings by up
-to 1.5x): a default 1Q channel (2 400 steps) takes 8-14 ms, 18-28 ms
-with complex maps, the CNOT fidelity (a 690- and a 1 380-step channel
-per block) 16-27 ms, 31-48 ms with complex maps, the closed gate (690
-and 1 380 steps on block 2) 8-9 ms and the 5-point robustness grid
-0.9 ms, 15 ms as one chain.
+to 1.5x; medians of warm calls): a default 1Q channel (2 400 steps)
+takes 6.4-6.5 ms, the CNOT fidelity (a 690- and a 1 380-step channel
+per block) 12.6-13.3 ms, the closed gate (690 and 1 380 steps on block
+2) 5.0-5.4 ms and the 5-point robustness grid 0.6 ms, 15 ms as one
+chain.
 
 Vectorization convention is row-major: vec(A rho B) =
 (A kron B^T) vec(rho) with vec = ndarray.reshape(-1).
@@ -79,9 +84,10 @@ from .model import NoiseModel
 from .pulses import DEFAULT_STEP_1Q, PulseSchedule, apply_rabi_error
 
 TRACE_DRIFT_LIMIT = 1e-5
-# Most steps per chunk of the product chain (_chain); propagate_lindblad_h
-# builds about half as many RK4 step maps at once.
-STEP_BLOCK = 128
+# The product chain's budget (_chain_shape): at most CHAIN_WIDTH chunks
+# side by side, and at most CHAIN_MATRICES matrices in one product.
+CHAIN_WIDTH = 128
+CHAIN_MATRICES = 1024
 
 
 @dataclass(frozen=True)
@@ -175,60 +181,95 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] <= 3:
         return np.einsum("ij...,jk...->ik...", a, b)
-    if b.ndim == 2:
-        # One GEMM per row of a, not one small product per batch entry:
-        # a gate channel's prefix rows go 3.5x faster.
-        return (a.swapaxes(1, -1) @ b).swapaxes(1, -1)
     return np.matmul(a, b, axes=[(0, 1), (0, 1), (0, 1)])
 
 
-def _chain(step: Callable[[np.ndarray], np.ndarray], n: int,
-           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fix_up(kept: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """kept[:, :, c, j] @ before[:, :, c] for every chunk c and position j:
+    (rows, size, chunks, length, ...) by (size, size, chunks, ...).
+
+    Larger matrices take one GEMM per chunk, row and batch entry over all
+    of the chunk's positions, not one small product per position.
+    """
+    if kept.shape[1] <= 3:
+        return _products(kept, before[:, :, :, None])
+    rows = np.moveaxis(kept, (0, 3, 1), (-3, -2, -1))
+    return np.moveaxis(rows @ np.moveaxis(before, (0, 1), (-2, -1))[..., None, :, :],
+                       (-3, -2, -1), (0, 3, 1))
+
+
+def _chain_shape(n: int, size: int, batch: int) -> tuple[int, int]:
+    """(chunks, length) of _chain over n steps of size x size maps with
+    batch entries each.
+
+    At most CHAIN_MATRICES matrices go through one product, and at most
+    CHAIN_WIDTH chunks of 3x3 maps or half as many of larger ones, which
+    matmul multiplies one BLAS call at a time.
+    """
+    width = max(1, min(CHAIN_WIDTH if size <= 3 else CHAIN_WIDTH // 2, n,
+                       CHAIN_MATRICES // batch))
+    length = -(-n // width)
+    return -(-n // length), length
+
+
+def _chain(step: Callable[[np.ndarray], np.ndarray], n: int, rows: np.ndarray,
+           size: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """(final, prefixes) of the products M_{n-1} ... M_0 of n step maps.
 
-    step(k) returns the maps M_k, (size, size, chunks, ...), for one step
-    index per chunk in k, as an array that _chain may write to: it writes
-    identity steps over the end of a ragged last chunk.  It is called at
-    each position in turn, so it may build later positions' maps ahead.
-    Chunks of at most STEP_BLOCK steps advance side by side, one product
-    per position, and their totals are then chained from the first, so a
-    run takes about 2 sqrt(n) Python-level products, not n; the last
-    prefix and the final are the same products.  The start is the
-    identity, so the first position and the first chunk take no product.
-    The batch axes after chunks are whatever the maps carry: the scales
-    of a closed run, none for an RK4 run.
+    step(k) returns the maps M_k, (size, size, chunks, ...) with batch
+    entries each, for one step index per chunk in k, as an array that
+    _chain may write to: it writes identity steps over the end of a
+    ragged last chunk.  It is called once per position, in order.  The
+    chunks (_chain_shape) advance side by side, one product per
+    position.  An inclusive scan of the chunk totals (Hillis and Steele,
+    CACM 29, 1170 (1986)), one product per level, then gives each chunk
+    the product of every step before it, and a fix-up in slabs of chunks
+    multiplies each chunk's kept rows by that product.  So a run of n
+    steps takes about n / chunks + log2(chunks) Python-level products,
+    not n.  The final is the last chunk's total times the product before
+    it, the same product as the last prefix's, so the two agree bit for
+    bit.  The start is the identity, so the first position takes no
+    product, and the scan starts from it: the first chunk's fix-up is
+    by the identity, exact.
     final is the whole product, (size, size, ...) with the batch axes of
     the maps but chunks; prefixes[:, :, c, j] are the given rows (none
     for only the final) of the product up to step c L + j + 1, L the
     chunk length: (len(rows), size, chunks, L, ...), whose padded
     entries repeat the final.
     """
-    chunks = -(-n // STEP_BLOCK)
-    length = -(-n // chunks)
+    chunks, length = _chain_shape(n, size, batch)
     starts = length * np.arange(chunks)
-    # The first maps start each chunk's running product, as a copy: they
-    # may be the step builder's reused buffer.  Every chunk starts below n.
-    run = step(starts).copy()
-    size, batch = run.shape[0], run.shape[3:]
+    # The first maps start each chunk's running product.  Every chunk
+    # starts below n.
+    run = step(starts)
+    eye = np.eye(size).reshape((size, size) + (1,) * (run.ndim - 3))
     # The rows of each chunk's running product, turned into the rows of
-    # the prefixes in place once the chunk's start is known: a second
-    # buffer this size makes glibc trim and refault its heap on every
-    # gate channel.
-    prefixes = np.empty((len(rows), size, chunks, length) + batch, dtype=run.dtype)
+    # the prefixes in place once the product before the chunk is known.
+    prefixes = np.empty((len(rows), size, chunks, length) + run.shape[3:], dtype=run.dtype)
     prefixes[:, :, :, 0] = run[rows]
     for j in range(1, length):
         maps = step(np.minimum(starts + j, n - 1))
         if starts[-1] + j >= n:
-            maps[:, :, -1] = np.eye(size).reshape((size, size) + (1,) * len(batch))
+            maps[:, :, -1] = eye
         run = _products(maps, run)
         prefixes[:, :, :, j] = run[rows]
-    # y runs through the chunk ends and ends at the final; a contiguous
-    # copy, so that its products take the same kernels as any product's.
-    y = run[:, :, 0].copy()
-    for c in range(1, chunks):
-        prefixes[:, :, c] = _products(prefixes[:, :, c], y)
-        y = _products(run[:, :, c], y)
-    return y, prefixes
+    # The scan of the identity and all totals but the last: after the
+    # level of offset d, before[:, :, c] is the product of entries
+    # max(0, c - 2 d + 1) .. c, and at the end of every step before chunk c.
+    before, d = np.concatenate([np.broadcast_to(eye[:, :, None], run[:, :, :1].shape),
+                                run[:, :, :-1]], axis=2), 1
+    while d < chunks:
+        before = np.concatenate([before[:, :, :d], _products(before[:, :, d:],
+                                                             before[:, :, :-d])], axis=2)
+        d *= 2
+    # The fix-up in slabs of chunks with at most the entries of
+    # CHAIN_MATRICES 3x3 matrices (66 kB for a gate channel).  With 26 of
+    # a gate channel's 64 chunks per slab (213 kB), glibc trimmed and
+    # refaulted its heap after the channel in 27 of 30 heap layouts tried.
+    slab = max(1, 9 * CHAIN_MATRICES // max(1, prefixes[:, :, 0].size))
+    for c in range(0, chunks, slab):
+        prefixes[:, :, c:c + slab] = _fix_up(prefixes[:, :, c:c + slab], before[:, :, c:c + slab])
+    return _fix_up(run[:, :, -1:, None], before[:, :, -1:])[:, :, 0, 0], prefixes
 
 
 def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
@@ -274,7 +315,8 @@ def _closed_products(ham: DrivenHamiltonian, tau: float, step: float,
         return _step_exponentials(np.take(w, which[k], axis=1),
                                   np.take(proj, which[k], axis=3), scales, dt)
 
-    final, kept = _chain(step_maps, n, np.arange(size if prefixes else 0))
+    final, kept = _chain(step_maps, n, np.arange(size if prefixes else 0), size,
+                         len(scales))
     if not prefixes:
         # (size, size, scales) -> (scales, size, size)
         return times, np.ascontiguousarray(final.transpose(2, 0, 1))
@@ -388,26 +430,23 @@ def real_lindblad_generator(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray])
     return np.ascontiguousarray((qmath.dagger(basis) @ blocks @ basis).real)
 
 
-def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """RK4 maps M_k (..., steps, r, r) of y' = L(t) y, y(t_k+1) = M_k y(t_k),
-    written into out if given.
+def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """RK4 maps M_k (..., r, r) of y' = L(t) y, y(t_k + h) = M_k y(t_k),
+    over one step of length h each.
 
     gen holds the three real blocks (3, r, r) of real_lindblad_generator,
-    so the maps are float64.  a (..., 2 steps + 1) holds the complex
-    drive coefficients of runs of consecutive steps: at their steps + 1
-    grid points, then at their step midpoints; dt (..., steps) holds the
-    step lengths.  M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
+    so the maps are float64.  a (..., 3) holds the complex drive
+    coefficients at each step's start t_k, end and midpoint; dt (...)
+    holds the step lengths.  M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
     K1 = L(t_k), K2 = L(t_k + h/2)(I + h/2 K1), K3 = L(t_k + h/2)(I + h/2 K2)
-    and K4 = L(t_k+1)(I + h K3), summed in that order.
+    and K4 = L(t_k + h)(I + h K3), summed in that order.
     """
-    steps, r = dt.shape[-1], gen.shape[1]
+    r = gen.shape[1]
     # L = L0 + Re(a) L_X + Im(a) L_Y: real weights (1, Re a, Im a) on the blocks.
     weights = np.ones(a.shape + (3,))
     weights[..., 1], weights[..., 2] = a.real, a.imag
     l_all = (weights.reshape(-1, 3) @ gen.reshape(3, r * r)).reshape(a.shape + (r, r))
-    k1, l_end = l_all[..., :steps, :, :], l_all[..., 1:steps + 1, :, :]
-    l_mids = l_all[..., steps + 1:, :, :]
+    k1, l_end, l_mid = l_all[..., 0, :, :], l_all[..., 1, :, :], l_all[..., 2, :, :]
     h = dt[..., None, None]
 
     def stage(l: np.ndarray, k: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -417,9 +456,9 @@ def _rk4_step_maps(gen: np.ndarray, a: np.ndarray, dt: np.ndarray,
         lk += l
         return lk
 
-    k = stage(l_mids, k1, h / 2)
-    out = np.add(k1, 2 * k, out=out)
-    k = stage(l_mids, k, h / 2)
+    k = stage(l_mid, k1, h / 2)
+    out = k1 + 2 * k
+    k = stage(l_mid, k, h / 2)
     out += 2 * k
     out += stage(l_end, k, h)
     out *= h / 6
@@ -440,9 +479,8 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     midpoints.  Every step's RK4 map comes from _rk4_step_maps, d^6 work
     per step, and _chain multiplies them, keeping only rows 0..d-1 of
     every prefix, the populations.  The chain asks for one step per
-    chunk at each position in turn; the maps of the next positions are
-    built with them, about STEP_BLOCK / 2 at a time into one reused
-    buffer, so no run holds a map per step.
+    chunk at each position in turn, and those are the maps built, 64 at
+    a time on a default gate channel, so no run holds a map per step.
     Returns (times, populations, finals): populations[k, i] are the
     populations at times[k] of the state that starts in |i><i|,
     (len(times), d, d), and finals[d i + j] is the image of |i><j| at
@@ -459,45 +497,37 @@ def propagate_lindblad_h(ham: DrivenHamiltonian, c_ops: Sequence[np.ndarray],
     gen = real_lindblad_generator(ham, c_ops)
     dt = np.diff(times)
     a = ham.coefficient(np.concatenate([times, times[:-1] + dt / 2]))
-    maps = None
 
     def step_maps(k: np.ndarray) -> np.ndarray:
-        # The maps of the next positions of every chunk, at most
-        # STEP_BLOCK / 2 unless there are more chunks, into the buffer of
-        # the last build.  A gate channel's transient, the kept rows with
-        # the populations or with these maps' temporaries, then stays under
-        # the heap trim threshold that freeing the kept rows sets (twice
-        # their size).  With STEP_BLOCK maps at a time glibc trimmed the
-        # heap after every channel of a CLI run and faulted it back in.
-        nonlocal maps
-        ahead = max(1, STEP_BLOCK // (2 * len(k)))
-        if (j := int(k[0]) % ahead) == 0:
-            # The grid points and step indices of each chunk's next steps,
-            # clipped past the end, where _chain pads with the identity.
-            grid = np.minimum(k[:, None] + np.arange(ahead + 1), n)
-            ks = np.minimum(grid[:, :-1], n - 1)
-            maps = _rk4_step_maps(gen, a[np.concatenate([grid, ks + n + 1], 1)], dt[ks], maps)
-        return maps[:, j].transpose(1, 2, 0)
+        # The maps of step k of every chunk: grid points k, k + 1 and midpoint k.
+        maps = _rk4_step_maps(gen, a[np.stack([k, k + 1, k + n + 1], 1)], dt[k])
+        return maps.transpose(1, 2, 0)
 
     # Coordinates 0..d-1 are the populations, so those are the kept rows.
-    y, kept = _chain(step_maps, n, np.arange(dim))
-    # The map buffer and the drive samples go before the populations
-    # come, for the same trim threshold.
-    del step_maps, maps, a
-    # The trace row of every prefix, the sum of the kept rows, against
-    # its start (1, ..., 1, 0, ..., 0): the traces of the basis matrices.
-    gap = kept.sum(axis=0)
-    gap[:dim] -= 1.0
-    drift = np.max(np.abs(gap, out=gap))
-    del gap
-    if not drift <= TRACE_DRIFT_LIMIT:
-        raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
-                           "reduce the integration step")
+    y, kept = _chain(step_maps, n, np.arange(dim), r, 1)
+    # The drive samples go before the populations come: a gate channel's
+    # heap then stays under the trim threshold that freeing the kept rows
+    # sets (twice their size).  Kept, they made glibc trim and refault the
+    # heap after the channel in 13 to 25 of 30 heap layouts tried.
+    del step_maps, a
     # populations[k, i, l] = kept[l, i] at step k: the diagonal inputs'.
     populations = np.empty((n + 1, dim, dim))
     populations[0] = np.eye(dim)
     populations[1:] = kept[:, :dim].transpose(2, 3, 1, 0).reshape(-1, dim, dim)[:n]
-    del kept
+    # The trace row of every prefix, the sum of the kept rows, against
+    # its start (1, ..., 1, 0, ..., 0): the traces of the basis matrices.
+    # It is summed into the first kept row: with a buffer of its own,
+    # glibc trimmed and refaulted the heap after the channel in 26 of 30
+    # heap layouts tried.
+    gap = kept[0]
+    for row in kept[1:]:
+        gap += row
+    gap[:dim] -= 1.0
+    drift = np.max(np.abs(gap, out=gap))
+    del kept, gap
+    if not drift <= TRACE_DRIFT_LIMIT:
+        raise RuntimeError(f"trace drift {drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}; "
+                           "reduce the integration step")
     # The channel in the |i><j| columns is B y B^dag, and finals its transpose.
     basis = hermitian_basis(dim)
     finals = np.ascontiguousarray((basis @ y @ qmath.dagger(basis)).T).reshape(r, dim, dim)

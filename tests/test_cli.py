@@ -523,6 +523,20 @@ def test_out_of_memory_exits_3_without_artifacts(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+# The same steps through the config: each is rejected at load, naming
+# its key, before anything is allocated.  Without the cap, 1e-17 failed
+# inside numpy with a message that named no key.
+@pytest.mark.parametrize("key", ["step_1q_ns", "step_2q_ns"])
+@pytest.mark.parametrize("value", [1e-17, 1e-12])
+def test_step_too_fine_for_memory_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "simulate-gate", "--output-dir", str(out)]) == 2
+    assert f"config error: key {key!r}: expected at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qpt_command(tmp_path):
     out = tmp_path / "o"
     assert main(["qpt", "--gate", "X", "--output-dir", str(out)]) == 0

@@ -1,6 +1,7 @@
 import inspect
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from holonomy_lab import config, twoqubit
 from holonomy_lab.config import (ConfigError, RunConfig, config_hash,
-                                 default_config_text, parse_config)
+                                 default_config_text, load_config, parse_config)
 from holonomy_lab.model import DispersiveSystemParams, NoiseModel
 from holonomy_lab.pulses import SCHEMES
 
@@ -157,3 +158,25 @@ def test_config_defaults_are_the_model_defaults():
     assert cfg.dispersive_params() == DispersiveSystemParams.from_mhz()
     default_t1 = inspect.signature(twoqubit.cnot_state_fidelity).parameters["cavity_t1_us"]
     assert cfg.cavity_t1_us == default_t1.default
+
+
+def test_step_cap_leaves_the_default_and_device_configs_unchanged(tmp_path):
+    defaults = tmp_path / "default.cfg"
+    defaults.write_text(default_config_text())
+    device = Path(__file__).resolve().parents[1] / "bench" / "device.cfg"
+    for path in (defaults, device):
+        assert load_config(path) == parse_config(path.read_text())
+    # The longest default run, the 2 760 ns sr-nhqc CNOT at 0.5 ns.
+    assert RunConfig().tau_2q_sr_ns / RunConfig().step_2q_ns == 5520 < config.MAX_RUN_STEPS
+
+
+def test_step_cap_counts_the_longest_run_of_its_kind(tmp_path):
+    path = tmp_path / "fine.cfg"
+    # 10^6 steps of the 120 ns sr-nhqc gate load; a longer nhqc gate then
+    # makes too many.
+    path.write_text("step_1q_ns = 0.00012\n")
+    assert load_config(path).step_1q_ns == 0.00012
+    path.write_text("step_1q_ns = 0.00012\ntau_nhqc_ns = 240\n")
+    with pytest.raises(ConfigError, match="'step_1q_ns': expected at most 1000000 steps "
+                                          "per run, got 2e\\+06 for tau_nhqc_ns = 240.0"):
+        load_config(path)

@@ -74,9 +74,10 @@ def test_closed_propagators_match_segment_exact_oracle(scheme, gate, step):
         assert np.max(np.abs(u - segment_exact_unitary(schedule, s))) < 1e-12
 
 
-# Step counts around one chunk of the chain and the 2 400 of a default
-# qutrit gate (19 chunks of 127 positions, the last 13 of them padding).
-RAGGED_COUNTS = (1, evolve.STEP_BLOCK - 1, evolve.STEP_BLOCK, evolve.STEP_BLOCK + 1, 2400)
+# Step counts around the chain's width, its most chunks side by side, and
+# the 2 400 of a default qutrit gate (127 chunks of 19 positions, the last
+# 13 of them padding).
+RAGGED_COUNTS = (1, evolve.CHAIN_WIDTH - 1, evolve.CHAIN_WIDTH, evolve.CHAIN_WIDTH + 1, 2400)
 
 
 def _ragged_cases():
@@ -99,6 +100,40 @@ def test_chunked_chain_matches_sequential_chain(ham, tau, step, steps):
     assert np.max(np.abs(unitaries - ref_unitaries)) < 1e-13
     _, finals = evolve.scaled_final_unitaries(ham, tau, step, (1.0,))
     assert np.array_equal(finals[0], unitaries[-1])
+
+
+# Step counts around the width, below it, a prime and the cavity gate's
+# 5 520; at 1, 5 and 41 scales the chain runs 128, 128 and 24 chunks wide,
+# so most chunk counts are not powers of two.  The sequential chain drifts
+# like n: at 5 520 steps and 5 or 41 scales it sits 1.0-1.5e-13 from this
+# chain and from the chunk-by-chunk one before it alike, so the bound is
+# 1e-13 up to 2 400 steps and grows with n beyond.
+@pytest.mark.parametrize("batch", [1, 5, 41])
+@pytest.mark.parametrize("steps", [1, evolve.CHAIN_WIDTH - 1, evolve.CHAIN_WIDTH,
+                                   evolve.CHAIN_WIDTH + 1, 997, 2400, 5520])
+def test_chain_scan_matches_sequential_chain(monkeypatch, steps, batch):
+    params = model.DispersiveSystemParams.from_mhz()
+    ham = replace(evolve.schedule_hamiltonian(SCHEDULE),
+                  h0=model.dispersive_shift_hamiltonian(params)[2])
+    tau, step = SCHEDULE.tau, SCHEDULE.tau / steps
+    scales = np.linspace(0.9, 1.1, batch)
+    calls = []
+    kernel = evolve._step_exponentials
+    monkeypatch.setattr(evolve, "_step_exponentials",
+                        lambda *args: calls.append(1) or kernel(*args))
+    times, unitaries = evolve._closed_products(ham, tau, step, scales, prefixes=True)
+    _, finals = evolve._closed_products(ham, tau, step, scales, prefixes=False)
+    assert len(times) == steps + 1
+    chunks, length = evolve._chain_shape(steps, 3, batch)
+    assert chunks <= evolve.CHAIN_WIDTH and chunks * batch <= max(batch, evolve.CHAIN_MATRICES)
+    assert len(calls) == 2 * length
+    assert np.array_equal(finals, unitaries[-1])
+    for i, s in enumerate(scales):
+        # s H(t): h0 and the drive amplitude both scale.
+        scaled = replace(ham, h0=s * ham.h0,
+                         drive=lambda t, s=s: (s * ham.drive(t)[0], ham.drive(t)[1]))
+        _, ref = sequential_unitaries(scaled, tau, step)
+        assert np.max(np.abs(unitaries[:, i] - ref)) < 1e-13 * max(1.0, steps / 2400)
 
 
 def _counted_eigh(monkeypatch):
@@ -140,11 +175,11 @@ def test_constant_drive_is_one_sample_and_the_identity_pad(monkeypatch):
     ham = evolve.DrivenHamiltonian(model.dispersive_shift_hamiltonian(params)[2], a_op,
                                    lambda t: (np.full(np.shape(t), 0.04),
                                               np.full(np.shape(t), 0.7)))
-    # 2 STEP_BLOCK + 3 steps: three chunks of 87 positions, the last two
+    # 2 CHAIN_WIDTH + 3 steps: 87 chunks of three positions, the last two
     # of them identity steps.
-    steps = 2 * evolve.STEP_BLOCK + 3
-    chunks = -(-steps // evolve.STEP_BLOCK)
-    assert chunks * -(-steps // chunks) > steps
+    steps = 2 * evolve.CHAIN_WIDTH + 3
+    chunks, length = evolve._chain_shape(steps, 3, 1)
+    assert (chunks, length) == (87, 3) and chunks * length == steps + 2
     tau, step = 0.5 * steps, 0.5
     calls = _counted_eigh(monkeypatch)
     times, unitaries = evolve.propagate_unitary_h(ham, tau, step)
@@ -229,13 +264,14 @@ def test_closed_chain_transient_memory_is_bounded(scheme):
     assert _traced_peak(lambda: evolve.propagate_unitary_h(ham, tau, DEFAULT_STEP_1Q)) <= 4e6
 
 
-# One noisy sr-nhqc X channel (2 400 steps, r = m = 9).  The chunked
-# chain, which builds about STEP_BLOCK / 2 RK4 step maps at a time into
-# one reused buffer and keeps the diagonal rows of every prefix, peaks
-# at 1.7 MB and takes about 31 minor page faults per call in a fresh
-# interpreter (314 over ten calls, numpy 2.4).  glibc trims its heap
-# when a call's transient exceeds twice the largest block freed so far,
-# and then faults it back in on the next call.  Earlier builds: one
+# One noisy sr-nhqc X channel (2 400 steps, r = m = 9).  The chain,
+# which builds the RK4 step maps of one position of its 64 chunks at a
+# time and keeps the diagonal rows of every prefix, peaks at 1.0 MB and
+# takes about 17 minor page faults per call in a fresh interpreter (174
+# over ten calls, numpy 2.4); the chunk-by-chunk chain before its scan,
+# 0.9 MB and 128.  glibc trims its heap when a call's transient exceeds
+# twice the largest block freed so far, and then faults it back in on
+# the next call.  Earlier builds: one
 # matmul per step into a (steps + 1, r, m) buffer peaked at 5.5 MB and
 # took 117 faults per call; all (steps, r, r) step maps at once, 5.6 MB
 # and 125; the prefix rows multiplied into a second buffer, not in

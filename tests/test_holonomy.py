@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy_lab import evolve, holonomy, qmath
-from holonomy_lab.pulses import (GATE_X, SCHEMES, GateSpec, build_dynamical,
+from holonomy_lab.pulses import (DEFAULT_STEP_1Q, GATE_X, SCHEMES, GateSpec, build_dynamical,
                                  build_nhqc, build_schedule, build_sr_nhqc, rabi_scale)
 from reference import reconstructed_phase_integrands
 
@@ -104,17 +104,23 @@ def test_csv_outputs():
     assert sweep.splitlines()[0] == "epsilon,F_sim,F_analytic"
 
 
-def test_sweep_kernel_calls_do_not_grow_with_scales(monkeypatch):
+def test_sweep_kernel_calls_follow_the_chain_shape(monkeypatch):
+    # One kernel call per chain position.  A position multiplies at most
+    # CHAIN_MATRICES matrices, so the chunks narrow as the scales grow:
+    # 127 chunks of 19 positions at 5 scales, 24 chunks of 100 at 41.
     calls = []
     kernel = evolve._step_exponentials
     monkeypatch.setattr(evolve, "_step_exponentials",
                         lambda *args: calls.append(1) or kernel(*args))
+    steps = len(evolve._time_grid(build_schedule(GATE_X, "sr-nhqc").tau, DEFAULT_STEP_1Q)) - 1
     counts = []
     for points in (5, 41):
         calls.clear()
         holonomy.robustness_sweep(GATE_X, "sr-nhqc", np.linspace(-0.2, 0.2, points))
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= evolve.STEP_BLOCK
+    assert counts == [evolve._chain_shape(steps, 3, points)[1] for points in (5, 41)]
+    assert counts == [19, 100]
+    assert max(counts) <= evolve.CHAIN_WIDTH
 
 
 @settings(max_examples=10, deadline=None)

@@ -263,8 +263,11 @@ def test_closed_and_open_gate_sample_one_time_grid(monkeypatch):
         np.testing.assert_allclose(np.sort(t)[1::2], closed[0], rtol=0, atol=1e-12)
 
 
+# The pin fixes the order of arithmetic, not the accuracy: halving the
+# step moves the figure by 2.1e-12.  The scan of the chain's chunk totals
+# moved it from 0.9509618050577326 by 1.1e-14.
 def test_cnot_state_fidelity_is_pinned():
-    assert abs(twoqubit.cnot_state_fidelity() - 0.9509618050577326) <= 1e-15
+    assert abs(twoqubit.cnot_state_fidelity() - 0.9509618050577218) <= 1e-15
 
 
 # The two Fock-block qutrit runs against one RK4 stage-loop run of |0f>
