@@ -47,6 +47,16 @@ from .tomography import ASSIGNMENT_DEFAULT
 # What a command returns: {file name: body} and its summary line.
 Artifacts = tuple[dict[str, str], str]
 
+# The most --points of a sweep and --n-seqs of an RB run, checked before
+# any work.  A sweep point takes about 0.8 kB, its propagators in the
+# product chain's step maps (12 MB more at 16 000 points than at 1), and
+# an RB sequence about 3 kB, its row of the (n_seqs, 9, 9) gather of
+# Clifford channels and its Clifford picks (24 MB more at 8 000
+# sequences than at 2).  So a run at either cap takes under 0.8 GB, as
+# one at config.MAX_RUN_STEPS does.
+MAX_SWEEP_POINTS = 10 ** 6
+MAX_RB_SEQUENCES = 2 * 10 ** 5
+
 
 def _json_body(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -98,8 +108,9 @@ def cmd_simulate_gate(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_sweep_epsilon(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"--points must be between 1 and {MAX_SWEEP_POINTS}, "
+                         f"got {args.points}")
     rows = holonomy.robustness_sweep(cfg.gate(), cfg.scheme,
                                      np.linspace(args.eps_min, args.eps_max, args.points),
                                      cfg.step_1q_ns, cfg.tau_ns(cfg.scheme))
@@ -139,6 +150,9 @@ def cmd_qpt(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
 
 
 def cmd_rb(cfg: RunConfig, args: argparse.Namespace) -> Artifacts:
+    # run_rb rejects fewer than one sequence.
+    if args.n_seqs > MAX_RB_SEQUENCES:
+        raise ValueError(f"--n-seqs must be at most {MAX_RB_SEQUENCES}, got {args.n_seqs}")
     factory = rb.default_channel_factory(cfg.noise_model(), cfg.tau_sr_ns, cfg.step_1q_ns)
     ref = rb.run_rb(factory, n_seqs=args.n_seqs, seed=cfg.seed)
     files = {"rb_reference.csv": rb.rb_to_csv(ref)}

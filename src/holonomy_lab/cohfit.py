@@ -94,7 +94,7 @@ def fit_rate_equation(times: np.ndarray, p_g: np.ndarray, p_e: np.ndarray,
     span = max(times[-1] - times[0], 1e-9)
     p0 = (1.0 / span, 1.0 / span, 0.1 / span,
           float(np.clip(pops[1, 0], 0, 1)), float(np.clip(pops[2, 0], 0, 1)))
-    from scipy.optimize import curve_fit  # kept off the import path
+    from scipy.optimize import curve_fit  # test extra only; kept off the import path
     popt, pcov, info, _, _ = curve_fit(
         model_flat, times, pops.reshape(-1), p0=p0,
         bounds=([0, 0, 0, 0, 0], [np.inf, np.inf, np.inf, 1, 1]),
@@ -172,7 +172,7 @@ def fit_ramsey(times: np.ndarray, signal: np.ndarray,
         lb = [0, 0, 0, -np.inf, -2 * np.pi, 0]
         ub = [np.inf, np.inf, np.inf, np.inf, 2 * np.pi, np.inf]
 
-    from scipy.optimize import curve_fit  # kept off the import path
+    from scipy.optimize import curve_fit  # test extra only; kept off the import path
     popt, _, info, _, _ = curve_fit(model, times, signal, p0=p0,
                                     bounds=(lb, ub), maxfev=40000,
                                     full_output=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holonomy_lab import cohfit, evolve, model, qmath, twoqubit
+from holonomy_lab import cli, cohfit, evolve, holonomy, model, qmath, rb, twoqubit
 from holonomy_lab.config import RunConfig
 from holonomy_lab.pulses import (DEFAULT_STEP_1Q, GATE_X, PulseSchedule, build_schedule,
                                  build_sr_nhqc)
@@ -297,6 +297,32 @@ def test_rb_without_sequences_exits_2(tmp_path, capsys):
     assert main(["rb", "--n-seqs", "0", "--output-dir", str(out)]) == 2
     assert "n_seqs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a flag above its cap reached the computation")
+
+
+# A flag above its cap exits 2 naming the flag, before any work and
+# before the output directory is made; the defaults stay under the caps.
+@pytest.mark.parametrize("argv, flag, target", [
+    (["sweep-epsilon", "--points", str(cli.MAX_SWEEP_POINTS + 1)], "--points",
+     (holonomy, "robustness_sweep")),
+    (["rb", "--n-seqs", str(cli.MAX_RB_SEQUENCES + 1)], "--n-seqs",
+     (rb, "default_channel_factory"))], ids=["points", "n-seqs"])
+def test_a_flag_above_its_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                      flag, target):
+    monkeypatch.setattr(*target, _no_work)
+    out = tmp_path / "o"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_defaults_are_unchanged():
+    assert build_parser().parse_args(["sweep-epsilon"]).points == 41
+    assert build_parser().parse_args(["rb"]).n_seqs == 50
+    assert 41 <= cli.MAX_SWEEP_POINTS and 50 <= cli.MAX_RB_SEQUENCES
 
 
 # Only rb draws random numbers; anywhere else a seed would change nothing

@@ -148,13 +148,45 @@ def _counted_eigh(monkeypatch):
     return calls
 
 
+# The segment product on 1Q schedules: every segment boundary of the
+# default sr-nhqc and nhqc gates lies on the default 1Q grid, and the
+# dynamical schedule has no segments.
+@pytest.mark.parametrize("scheme, pieces", [("sr-nhqc", 6), ("nhqc", 2), ("dynamical", 1)])
+def test_default_1q_schedules_split_into_their_segments(scheme, pieces):
+    schedule = build_schedule(GATE, scheme)
+    split = evolve._grid_pieces(schedule, DEFAULT_STEP_1Q)
+    assert len(split) == pieces
+    if scheme == SCHEME_DYNAMICAL:
+        assert split == [(schedule, DEFAULT_STEP_1Q)]
+    else:
+        assert [piece.segments for piece, _ in split] == [(seg,) for seg in schedule.segments]
+
+
+# Where H0 = 0 each segment is one exponential of its summed drive, so the
+# closed entry is the segment-exact propagator to round-off at every
+# scale.  The gaps are up to 1.7e-15.
+_DRAWN = GateSpec(*np.random.default_rng(3).uniform([0.1 * np.pi, 0.0, 0.2 * np.pi],
+                                                    [0.9 * np.pi, 2 * np.pi, 1.8 * np.pi]))
+
+
+@pytest.mark.parametrize("scheme", ["sr-nhqc", "nhqc"])
+@pytest.mark.parametrize("gate", [NAMED_GATES["X"], NAMED_GATES["Y/2"], _DRAWN],
+                         ids=["X", "Y/2", "drawn"])
+def test_1q_segment_finals_match_the_segment_exact_unitary(scheme, gate):
+    schedule = build_schedule(gate, scheme)
+    scales = (0.9, 1.0, 1.1)
+    finals = evolve.segment_finals(schedule, DEFAULT_STEP_1Q, scales, np.zeros((3, 3)))
+    np.testing.assert_allclose(finals, [segment_exact_unitary(schedule, s) for s in scales],
+                               rtol=0, atol=1e-14)
+
+
 def test_cavity_gate_eigendecomposes_each_distinct_sample_once(monkeypatch):
     # The six sr-nhqc segments come in two shapes, and each shape's
     # midpoint samples repeat where its envelope is symmetric.  Block 0
     # is one constant-drive step per shape; block 2 decomposes each
     # shape's distinct samples in one eigh.
     schedule = twoqubit._two_qubit_schedule(twoqubit.CNOT_GATE, "sr-nhqc", None)
-    pieces = list(dict.fromkeys(twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q)))
+    pieces = list(dict.fromkeys(evolve._grid_pieces(schedule, DEFAULT_STEP_2Q)))
     samples = []
     for piece, step in pieces:
         times = evolve._time_grid(piece.tau, step)

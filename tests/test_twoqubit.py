@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -177,9 +176,7 @@ def test_cnot_robustness_is_one_exponential_per_distinct_segment(monkeypatch, sc
 def test_one_exponential_pieces_match_the_segment_exact_unitary(scheme):
     schedule = twoqubit._two_qubit_schedule(GateSpec(1.1, 0.4, 2.3), scheme, None)
     scales = (0.9, 1.0, 1.05)
-    finals = twoqubit._piece_product(
-        twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q),
-        functools.partial(twoqubit._closed_final, evolve.schedule_hamiltonian(schedule), scales))
+    finals = evolve.segment_finals(schedule, DEFAULT_STEP_2Q, scales, np.zeros((3, 3)))
     np.testing.assert_allclose(finals, [segment_exact_unitary(schedule, s) for s in scales],
                                rtol=0, atol=1e-14)
 
@@ -191,7 +188,7 @@ def test_one_exponential_pieces_match_the_segment_exact_unitary(scheme):
 def test_cnot_robustness_off_the_grid_is_the_whole_run(scheme, tau, step):
     grid = [-0.1, 0.0, 0.05]
     schedule = twoqubit._two_qubit_schedule(CNOT_GATE, scheme, tau)
-    assert len(twoqubit._grid_pieces(schedule, step)) == 1
+    assert len(evolve._grid_pieces(schedule, step)) == 1
     finals = evolve.scaled_final_unitaries(evolve.schedule_hamiltonian(schedule), tau, step,
                                            [rabi_scale(eps) for eps in grid])[1]
     rows = twoqubit.cnot_robustness(grid, scheme, tau, step)
@@ -208,8 +205,7 @@ def test_piece_product_on_a_shifted_block_matches_the_whole_run(scheme):
                                               DispersiveSystemParams.from_mhz())
     block = replace(ham, h0=ham.h0[2])
     scales = (1.0, 1.05)
-    pieces = twoqubit._piece_product(twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q),
-                                     functools.partial(twoqubit._closed_final, block, scales))
+    pieces = evolve.segment_finals(schedule, DEFAULT_STEP_2Q, scales, block.h0)
     whole = evolve.scaled_final_unitaries(block, schedule.tau, DEFAULT_STEP_2Q, scales)[1]
     np.testing.assert_allclose(pieces, whole, rtol=0, atol=1e-13)
 
@@ -331,13 +327,13 @@ def test_cnot_state_fidelity_integrates_each_distinct_segment_once(monkeypatch, 
 def test_default_grid_puts_every_segment_boundary_on_a_grid_point(scheme):
     schedule = twoqubit._two_qubit_schedule(CNOT_GATE, scheme, None)
     assert schedule.tau == DEFAULT_TAU_TWO_QUBIT[scheme]
-    pieces = twoqubit._grid_pieces(schedule, DEFAULT_STEP_2Q)
+    pieces = evolve._grid_pieces(schedule, DEFAULT_STEP_2Q)
     assert [piece.segments for piece, _ in pieces] == [(seg,) for seg in schedule.segments]
 
 
 def test_a_schedule_without_segments_is_one_piece():
     schedule = build_schedule(GATE_X, "dynamical")
-    assert twoqubit._grid_pieces(schedule, 0.5) == [(schedule, 0.5)]
+    assert evolve._grid_pieces(schedule, 0.5) == [(schedule, 0.5)]
 
 
 # The composed channels against one run of the whole schedule per block.

@@ -2,9 +2,11 @@
 
 A code line holds a token that is neither a comment nor part of a
 docstring (the first string statement of a module, class or function).
-Blank lines, comment lines and docstring lines do not count.
+Blank lines, comment lines and docstring lines do not count.  A
+directory prints one line per module under it, then its total; a file
+prints its own line.  A path that holds no Python source exits 1.
 
-    python tools/count_lines.py [directory]     # default: src
+    python tools/count_lines.py [directory or file]     # default: src
 """
 
 import ast
@@ -41,9 +43,17 @@ def code_lines(source: str) -> int:
 
 
 def main(root: str = "src") -> None:
-    sources = [path.read_text() for path in sorted(Path(root).rglob("*.py"))]
-    physical = sum(len(source.splitlines()) for source in sources)
-    print(f"{root}: {physical} physical lines, {sum(map(code_lines, sources))} code lines")
+    top = Path(root)
+    paths = [top] if top.is_file() and top.suffix == ".py" else sorted(top.rglob("*.py"))
+    if not paths:
+        sys.exit(f"{root}: no Python source")
+    sources = [path.read_text() for path in paths]
+    rows = [(len(source.splitlines()), code_lines(source)) for source in sources]
+    if top.is_dir():
+        for path, (physical, code) in zip(paths, rows):
+            print(f"  {path.relative_to(top)}: {physical} physical lines, {code} code lines")
+    physical, code = map(sum, zip(*rows))
+    print(f"{root}: {physical} physical lines, {code} code lines")
 
 
 if __name__ == "__main__":
